@@ -238,7 +238,7 @@ int main(int argc, char** argv) {
       mis::MisState state(mis_graph.num_nodes());
       SpeculativeExecutor ex(pool, mis_graph.num_nodes(),
                              mis::make_mis_operator(mis_graph, state), 77,
-                             policy);
+                             RoundOptions{.worklist = policy});
       std::vector<TaskId> tasks(mis_graph.num_nodes());
       for (NodeId v = 0; v < mis_graph.num_nodes(); ++v) tasks[v] = v;
       ex.push_initial(tasks);
@@ -254,43 +254,6 @@ int main(int argc, char** argv) {
         "random selection matches the paper's model; FIFO keeps the "
         "initial spatial order (neighbors adjacent in time -> more "
         "conflicts), LIFO chases freshly-pushed neighborhoods.");
-  }
-
-  // 7. Conflict arbitration: abort-self (the paper's model) vs KDG-style
-  //    priority-wins (earlier task poisons the later owner).
-  {
-    bench::banner("7. conflict arbitration (MIS, same workload as 6)");
-    Rng g_rng(22);
-    const auto mis_graph = gen::random_with_average_degree(n, 12, g_rng);
-    ThreadPool pool(4);
-    Table t({"arbitration", "rounds", "wasted", "mean_r"});
-    const std::pair<const char*, ArbitrationPolicy> policies[] = {
-        {"abort-self", ArbitrationPolicy::kAbortSelf},
-        {"priority-wins", ArbitrationPolicy::kPriorityWins}};
-    for (const auto& [label, arb] : policies) {
-      mis::MisState state(mis_graph.num_nodes());
-      SpeculativeExecutor ex(pool, mis_graph.num_nodes(),
-                             mis::make_mis_operator(mis_graph, state), 78,
-                             WorklistPolicy::kRandom, arb);
-      std::vector<TaskId> tasks(mis_graph.num_nodes());
-      for (NodeId v = 0; v < mis_graph.num_nodes(); ++v) tasks[v] = v;
-      ex.push_initial(tasks);
-      auto p = base;
-      HybridController c(p);
-      const auto trace = run_adaptive(ex, c);
-      t.add_row({std::string(label),
-                 static_cast<std::int64_t>(trace.steps.size()),
-                 trace.wasted_fraction(), trace.mean_conflict_ratio()});
-    }
-    t.print(std::cout);
-    bench::note(
-        "priority-wins guarantees the earliest task always survives a "
-        "round (useful when priorities encode urgency); abort-self is "
-        "wait-free and matches the paper's commit-order model. On a "
-        "single-core host the two coincide: rounds serialize, so a "
-        "conflicting owner has usually already committed and poisoning "
-        "cannot fire (see test_arbitration for the true concurrent "
-        "behavior).");
   }
   return 0;
 }

@@ -273,8 +273,7 @@ int main(int argc, char** argv) {
   const auto hot = prof.top_k(top);
   for (std::size_t i = 0; i < hot.size(); ++i) {
     json << "  {\"item\": " << hot[i].item << ", \"conflicts\": "
-         << hot[i].conflicts << ", \"arb_wait_ns\": " << hot[i].arb_wait_ns
-         << ", \"degree\": " << hot[i].degree << "}"
+         << hot[i].conflicts << ", \"degree\": " << hot[i].degree << "}"
          << (i + 1 < hot.size() ? "," : "") << "\n";
   }
   json << " ],\n \"degree_buckets\": [\n";
@@ -283,8 +282,7 @@ int main(int argc, char** argv) {
     const auto& b = buckets[i];
     json << "  {\"degree_lo\": " << b.degree_lo << ", \"degree_hi\": "
          << b.degree_hi << ", \"items\": " << b.items << ", \"conflicts\": "
-         << b.conflicts << ", \"arb_wait_ns\": " << b.arb_wait_ns << "}"
-         << (i + 1 < buckets.size() ? "," : "") << "\n";
+         << b.conflicts << "}" << (i + 1 < buckets.size() ? "," : "") << "\n";
   }
   json << " ]\n}\n";
 

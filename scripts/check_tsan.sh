@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Build the four concurrency-critical test binaries under ThreadSanitizer
+# Build the concurrency-critical test binaries under ThreadSanitizer
 # (CMake preset "tsan") and run them. Any data race, lock-order inversion,
 # or racy signal in the fork-join pool, the sharded speculative executor,
 # or the abstract lock table fails this script.

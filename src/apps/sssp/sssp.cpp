@@ -65,7 +65,8 @@ SsspResult run_sssp(const WeightedGraph& g, NodeId source,
                     WorklistPolicy policy) {
   auto dist = std::make_shared<DistanceTable>(g.num_nodes(), source);
   SpeculativeExecutor executor(pool, g.num_nodes(),
-                               make_sssp_operator(g, *dist), seed, policy);
+                               make_sssp_operator(g, *dist), seed,
+                               RoundOptions{.worklist = policy});
   if (policy == WorklistPolicy::kPriority) {
     // Priority = quantized tentative distance at (re)insertion time. The
     // executor evaluates this outside the parallel section, so the

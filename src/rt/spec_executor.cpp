@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <stdexcept>
-#include <thread>
 
 #include "sched/chromatic_scheduler.hpp"
 #include "support/barrier.hpp"
@@ -37,14 +36,19 @@ static_assert((kPhaseSamplePeriod & (kPhaseSamplePeriod - 1)) == 0);
 constexpr TaskId kNoTask = ~TaskId{0};
 
 // With several lanes the chunk must shrink as the round does: a task that
-// blocks mid-operator (a priority-wins waiter, or a test choreography)
-// stalls the rest of its lane's chunk, so small rounds need the seed's
-// grain-1 interleaving where every other slot can proceed on another lane.
+// blocks mid-operator (a slow operator, or a test choreography) stalls the
+// rest of its lane's chunk, so small rounds need the seed's grain-1
+// interleaving where every other slot can proceed on another lane.
 std::size_t draw_chunk(std::size_t take, std::size_t lanes) {
   if (lanes <= 1) return kDrawChunk;
   return std::max<std::size_t>(
       1, std::min<std::size_t>(kDrawChunk, take / (lanes * 2)));
 }
+
+// Snapshot shape-header value of the conflict rule. Abort-self (0) is the
+// only rule left; 1 was priority-wins and stays reserved, so a snapshot
+// that carries it is refused instead of resumed under different semantics.
+constexpr std::uint8_t kAbortSelfArbitration = 0;
 
 }  // namespace
 
@@ -53,11 +57,6 @@ void IterationContext::acquire(std::uint32_t item) {
     // Injection site: a lock acquire that stalls (bounded, deterministic).
     executor_->injector_->maybe_stall(FaultSite::kLockAcquire, item,
                                       iter_id_);
-  }
-  if (executor_ != nullptr &&
-      executor_->arbitration() == ArbitrationPolicy::kPriorityWins) {
-    executor_->acquire_arbitrated(*this, item);
-    return;
   }
   if (!try_acquire(item)) throw AbortIteration{};
 }
@@ -94,17 +93,9 @@ void IterationContext::release_all() {
 
 SpeculativeExecutor::SpeculativeExecutor(ThreadPool& pool, std::size_t items,
                                          TaskOperator op, std::uint64_t seed,
-                                         WorklistPolicy policy,
-                                         ArbitrationPolicy arbitration)
-    : SpeculativeExecutor(pool, items, std::move(op), seed,
-                          RoundOptions{policy, arbitration,
-                                       sched::Backend::kRandom, 4}) {}
-
-SpeculativeExecutor::SpeculativeExecutor(ThreadPool& pool, std::size_t items,
-                                         TaskOperator op, std::uint64_t seed,
                                          const RoundOptions& options)
     : pool_(pool), locks_(items), op_(std::move(op)), rng_(seed),
-      policy_wl_(options.worklist), arbitration_(options.arbitration),
+      policy_wl_(options.worklist),
       shard_count_(std::max<std::size_t>(1, pool.size())),
       backoff_seed_(seed ^ 0x6c62272e07bb0142ULL) {
   if (options.scheduler != sched::Backend::kRandom &&
@@ -117,7 +108,6 @@ SpeculativeExecutor::SpeculativeExecutor(ThreadPool& pool, std::size_t items,
   config.worklist = options.worklist;
   config.shard_count = shard_count_;
   config.seed = seed;
-  config.relaxed_queues_per_lane = options.relaxed_queues_per_lane;
   sched_ = sched::make_scheduler(options.scheduler, config);
   sched_->set_error_sink([this] { record_round_error(); });
   // Helper lanes get independent draw streams derived from the seed with a
@@ -151,9 +141,6 @@ void SpeculativeExecutor::push_initial(std::span<const TaskId> tasks) {
 
 void SpeculativeExecutor::set_priority_function(
     std::function<std::uint64_t(TaskId)> fn) {
-  // Two consumers: the scheduler orders draws with it; the executor copy
-  // feeds launch-time arbitration priorities (kPriorityWins).
-  priority_fn_ = fn;
   sched_->set_priority_function(std::move(fn));
 }
 
@@ -175,116 +162,7 @@ void SpeculativeExecutor::invalidate_schedule() {
 }
 
 std::size_t SpeculativeExecutor::pending() const {
-  // The overlapped-draw buffer is logically still the work-set: tasks in
-  // it were drawn for round t+1 but not yet launched.
-  return deferred_.size() + prefetched_.size() + sched_->size();
-}
-
-IterationContext* SpeculativeExecutor::context_of(std::uint32_t iter_id) {
-  if (iter_id < round_base_id_) return nullptr;
-  const std::size_t slot = iter_id - round_base_id_;
-  if (slot >= round_slots_) return nullptr;
-  return arena_[slot].get();
-}
-
-namespace {
-// Arbitration conflict attribution: every AbortIteration thrown (or
-// provoked, via poison) over `item` charges the item one conflict.
-void attribute_conflict(telemetry::LaneTelemetry* tlm,
-                        std::uint32_t item) noexcept {
-  if (tlm != nullptr && tlm->prof != nullptr) tlm->prof->on_conflict(item);
-}
-}  // namespace
-
-void SpeculativeExecutor::acquire_arbitrated(IterationContext& ctx,
-                                             std::uint32_t item) {
-  // Every acquire is a cooperative-cancellation point — a poisoned
-  // iteration must stop making progress promptly, including on
-  // re-entrant acquires of items it already holds.
-  if (ctx.status_.load(std::memory_order_acquire) !=
-      IterationContext::kRunning) {
-    throw AbortIteration{};
-  }
-  // Fast path: re-entrant hold.
-  if (std::find(ctx.held_.begin(), ctx.held_.end(), item) !=
-      ctx.held_.end()) {
-    return;
-  }
-  for (;;) {
-    if (ctx.status_.load(std::memory_order_acquire) !=
-        IterationContext::kRunning) {
-      throw AbortIteration{};
-    }
-    if (locks_.try_acquire(item, ctx.iter_id_)) {
-      ctx.held_.push_back(item);
-      return;
-    }
-    const std::uint32_t owner = locks_.owner(item);
-    if (owner == LockManager::kFree || owner == ctx.iter_id_) continue;
-    IterationContext* other = context_of(owner);
-    if (other == nullptr) {
-      // Foreign owner outside this round (e.g. a test holding the lock):
-      // fall back to abort-self.
-      attribute_conflict(ctx.tlm_, item);
-      throw AbortIteration{};
-    }
-    if (ctx.priority_ >= other->priority_) {
-      attribute_conflict(ctx.tlm_, item);
-      throw AbortIteration{};  // the earlier (or equal) owner wins
-    }
-    // We are earlier: poison the owner, then wait for the item. The CAS
-    // fails iff the owner already committed — then it holds the lock to
-    // round end and we must yield the conflict instead.
-    std::uint32_t expected = IterationContext::kRunning;
-    const bool poisoned_now = other->status_.compare_exchange_strong(
-        expected, IterationContext::kPoisoned, std::memory_order_acq_rel);
-    if (!poisoned_now && expected == IterationContext::kCommitted) {
-      attribute_conflict(ctx.tlm_, item);
-      throw AbortIteration{};
-    }
-    if (poisoned_now && ctx.tlm_ != nullptr) {
-      ++ctx.tlm_->arb_poisons;
-      // The owner's impending abort is this item's fault; recorded by the
-      // poisoner (the owner unwinds without knowing which item lost).
-      attribute_conflict(ctx.tlm_, item);
-    }
-    // Owner is poisoned (by us or someone else): it will roll back and
-    // release. Spin-wait, staying cancellable ourselves. The wait is timed
-    // only when telemetry is attached (one clock pair per wait, not per
-    // spin) — arbitrate-phase stalls are otherwise invisible to profiles.
-    const std::uint64_t wait_start =
-        ctx.tlm_ != nullptr ? phase_ticks() : 0;
-    int spins = 0;
-    while (locks_.owner(item) == owner) {
-      if (ctx.status_.load(std::memory_order_acquire) !=
-          IterationContext::kRunning) {
-        if (ctx.tlm_ != nullptr) {
-          ++ctx.tlm_->arb_waits;
-          const std::uint64_t wait_ns =
-              phase_ticks_to_ns(phase_ticks() - wait_start);
-          ctx.tlm_->arb_wait_ns += wait_ns;
-          if (ctx.tlm_->prof != nullptr) {
-            ctx.tlm_->prof->on_arb_wait(item, wait_ns);
-          }
-        }
-        throw AbortIteration{};
-      }
-      if (++spins > 64) {
-        std::this_thread::yield();
-        spins = 0;
-      }
-    }
-    if (ctx.tlm_ != nullptr) {
-      ++ctx.tlm_->arb_waits;
-      const std::uint64_t wait_ns =
-          phase_ticks_to_ns(phase_ticks() - wait_start);
-      ctx.tlm_->arb_wait_ns += wait_ns;
-      if (ctx.tlm_->prof != nullptr) {
-        ctx.tlm_->prof->on_arb_wait(item, wait_ns);
-      }
-    }
-    // Re-contend from the top (a third iteration may have grabbed it).
-  }
+  return deferred_.size() + sched_->size();
 }
 
 void SpeculativeExecutor::record_round_error() noexcept {
@@ -415,8 +293,7 @@ void SpeculativeExecutor::salvage_round(
       continue;
     }
     ++launched;
-    const bool is_committed = ctx.status_.load(std::memory_order_relaxed) ==
-                              IterationContext::kCommitted;
+    const bool is_committed = ctx.committed_;
     if (is_committed) ++committed;
     if (slot_finalized_[slot] == round_index_) continue;
     // Finalize serially what the dead lane left behind.
@@ -445,59 +322,6 @@ void SpeculativeExecutor::salvage_round(
     }
   }
   requeue_tasks(salvage_requeue);
-}
-
-void SpeculativeExecutor::drain_prefetch() {
-  if (prefetched_.empty()) return;
-  requeue_tasks(prefetched_);
-  prefetched_.clear();
-}
-
-void SpeculativeExecutor::overlap_prefetch(std::size_t lane, std::uint32_t m,
-                                           telemetry::LaneTelemetry* tlane) {
-  const std::uint64_t t0 = phase_ticks();
-  telemetry::SpanBuffer* const sbuf =
-      tlane != nullptr ? tlane->spans : nullptr;
-  const std::uint64_t w0 = sbuf != nullptr ? monotonic_ns() : 0;
-  // Availability FLOOR: every one of this round's draws already happened
-  // (the round barrier is behind us), and concurrent epilogue splices only
-  // ADD tasks — so drawing `want` tasks can never block on an empty
-  // work-set. Overlap only runs on the distributed (random) backend, so
-  // size() counts exactly the sharded work-set.
-  const std::size_t avail = sched_->size();
-  const std::size_t want = std::min<std::size_t>(m, avail);
-  if (want == 0) return;
-  Rng& rng = helper_rngs_[lane - 1];
-  prefetched_.resize(want);
-  for (std::size_t i = 0; i < want; ++i) {
-    prefetched_[i] = sched_->draw_one(lane, rng);
-  }
-  // Read-only conflict pre-check against the live lock table. The commit
-  // fence is per-item: LockManager::owner's acquire load pairs with the
-  // release store of each concurrent lock release — exactly the writes
-  // the pre-check reads, no full barrier. A verdict may be stale by the
-  // time the task runs; it only ORDERS the next round's draw (likely-
-  // clean tasks first, flagged tasks demoted to the tail), never gates
-  // execution — so staleness is harmless.
-  const auto clean = [this](TaskId task) {
-    if (precheck_fn_) return precheck_fn_(task, locks_);
-    return task >= locks_.size() ||
-           locks_.owner(static_cast<std::uint32_t>(task)) ==
-               LockManager::kFree;
-  };
-  const auto mid =
-      std::partition(prefetched_.begin(), prefetched_.end(), clean);
-  pipe_stats_.overlapped_rounds += 1;
-  pipe_stats_.prefetched_tasks += want;
-  pipe_stats_.precheck_flagged +=
-      static_cast<std::uint64_t>(prefetched_.end() - mid);
-  const std::uint64_t dt = phase_ticks_to_ns(phase_ticks() - t0);
-  pipe_stats_.overlap_ns += dt;
-  if (tlane != nullptr) tlane->precheck_ns += dt;
-  if (sbuf != nullptr) {
-    sbuf->push({"precheck", static_cast<std::uint32_t>(lane) + 1, w0,
-                monotonic_ns(), round_index_, want, false, {}});
-  }
 }
 
 template <bool kSerial>
@@ -562,13 +386,7 @@ void SpeculativeExecutor::round_lane(std::size_t lane, const RoundPlan& plan,
       std::uint64_t span_t = spanned ? monotonic_ns() : 0;
       if (timed) phase_t = phase_ticks();
       if (!plan.centralized) {
-        // Draw the chunk through the scheduler. Slots below
-        // plan.prefilled were already drawn by the previous round's
-        // overlapped prefetch — skip straight past them.
-        const std::size_t slot = std::max(begin, plan.prefilled);
-        if (slot < end) {
-          sched_->draw_span(lane, rng, active_.data() + slot, end - slot);
-        }
+        sched_->draw_span(lane, rng, active_.data() + begin, end - begin);
         if (timed) {
           const std::uint64_t now = phase_ticks();
           draw_ticks += now - phase_t;
@@ -596,18 +414,10 @@ void SpeculativeExecutor::round_lane(std::size_t lane, const RoundPlan& plan,
       for (std::size_t slot = begin; slot < end; ++slot) {
         const TaskId task = active_[slot];
         IterationContext& ctx = *arena_[slot];
-        std::uint64_t prio = task;
-        if (priority_fn_) {
-          try {
-            prio = priority_fn_(task);
-          } catch (...) {
-            record_round_error();
-          }
-        }
-        ctx.reset(round_base_id_ + static_cast<std::uint32_t>(slot), prio);
-        ctx.unsync_ = kSerial;  // relaxed lock/status ops; no peers exist
+        ctx.reset(plan.base_id + static_cast<std::uint32_t>(slot));
+        ctx.unsync_ = kSerial;  // relaxed lock ops; no peers exist
         if (tlane != nullptr) {
-          ctx.tlm_ = tlane;  // routes lock/arbitration counts to this lane
+          ctx.tlm_ = tlane;  // routes lock-failure counts to this lane
         }
         const std::uint32_t attempt = attempt_of(task);
         if (injector_ != nullptr &&
@@ -650,18 +460,16 @@ void SpeculativeExecutor::round_lane(std::size_t lane, const RoundPlan& plan,
           ++lane_executed;
           tlane->work.record(ctx.held_.size());
         }
-        // Finalize: a poisoned iteration may not commit even if it
-        // finished.
-        if (wants_commit && ctx.try_commit()) {
+        if (wants_commit) {
           // Committed iterations keep their items locked until the round
           // ends (the paper's semantics: an earlier committed neighbor
           // blocks).
+          ctx.committed_ = true;
           if (tlane != nullptr) ++lane_committed;
         } else {
           // Roll back while still owning the touched items, then release
           // them immediately: an aborted task must not block later tasks
-          // (§2.1), and a priority-wins waiter may be spinning on one of
-          // our items. The unwind is two-phase (UndoLog::rollback): a
+          // (§2.1). The unwind is two-phase (UndoLog::rollback): a
           // throwing inverse never strands the inverses below it.
           const std::uint64_t rb_t0 = timed ? phase_ticks() : 0;
           const std::uint64_t rb_w0 = spanned ? monotonic_ns() : 0;
@@ -731,20 +539,8 @@ void SpeculativeExecutor::round_lane(std::size_t lane, const RoundPlan& plan,
   try {
     auto& requeue = lane_requeue_[lane].value;
     std::uint32_t committed = 0;
-    const bool track_commit = lane == 0 && plan.overlap;
-    const std::uint64_t commit_t0 =
-        (tlane != nullptr || track_commit) ? phase_ticks() : 0;
+    const std::uint64_t commit_t0 = tlane != nullptr ? phase_ticks() : 0;
     const std::uint64_t commit_w0 = sbuf != nullptr ? monotonic_ns() : 0;
-    // Software pipeline (DESIGN.md §12): while the other lanes run the
-    // commit epilogue for round t, the LAST lane draws and pre-checks
-    // round t+1 into the double buffer (prefetched_). The buffer is
-    // published to the caller by the fork-join join; no lane reads it
-    // before the next run_round.
-    if constexpr (!kSerial) {
-      if (plan.overlap && lane + 1 == plan.lanes) {
-        overlap_prefetch(lane, plan.m, tlane);
-      }
-    }
     for (;;) {
       std::size_t begin;
       if constexpr (kSerial) {
@@ -761,8 +557,7 @@ void SpeculativeExecutor::round_lane(std::size_t lane, const RoundPlan& plan,
           continue;  // a dead lane's ticket; salvaged serially
         }
         IterationContext& ctx = *arena_[slot];
-        if (ctx.status_.load(std::memory_order_relaxed) ==
-            IterationContext::kCommitted) {
+        if (ctx.committed_) {
           ctx.undo_.discard();
           ++committed;
           requeue.insert(requeue.end(), ctx.pushed_.begin(),
@@ -787,13 +582,8 @@ void SpeculativeExecutor::round_lane(std::size_t lane, const RoundPlan& plan,
       sched_->splice(lane, requeue);
       requeue.clear();  // spliced; salvage treats leftovers as unspliced
     }
-    if (tlane != nullptr || track_commit) {
-      const std::uint64_t commit_ns =
-          phase_ticks_to_ns(phase_ticks() - commit_t0);
-      if (tlane != nullptr) tlane->commit_ns += commit_ns;
-      // Occupancy denominator: lane 0's epilogue wall time. Distinct
-      // scalar from the prefetch lane's overlap_ns — no write race.
-      if (track_commit) pipe_stats_.commit_ns += commit_ns;
+    if (tlane != nullptr) {
+      tlane->commit_ns += phase_ticks_to_ns(phase_ticks() - commit_t0);
     }
     if (sbuf != nullptr) {
       sbuf->push({"commit", span_tid, commit_w0, monotonic_ns(),
@@ -822,41 +612,17 @@ RoundStats SpeculativeExecutor::run_round(std::uint32_t m) {
       injector_ != nullptr ? injector_->total_fired() : 0;
   const bool centralized = sched_->centralized();
   round_hardened_ = injector_ != nullptr || policy_.has_value();
-  // Hardened, degraded, and centralized rounds never consume an overlapped
-  // draw: salvage accounts for every ticket through kNoTask sentinels
-  // (which a pre-filled prefix would defeat), and centralized backends
-  // re-evaluate their draw order at round start. Return the buffer to the
-  // work-set first — through the scheduler interface, so no backend can
-  // leak prefetched tasks.
-  if (!prefetched_.empty() &&
-      (round_hardened_ || serial_fallback_ || centralized)) {
-    drain_prefetch();
-  }
   std::size_t take = 0;
-  std::size_t prefilled = 0;
   if (centralized) {
     // Centralized backends materialize the active set up front: the heap /
     // color class / relaxed draw IS the policy.
     take = sched_->begin_round(m, active_, rng_);
   } else {
-    const std::size_t available = prefetched_.size() + sched_->size();
-    take = std::min<std::size_t>(m, available);
+    take = std::min<std::size_t>(m, sched_->size());
     active_.resize(take);  // slots are filled by the drawing lanes
     if (round_hardened_) {
       // Salvage after a lane death must know which tickets were redeemed.
       std::fill_n(active_.begin(), take, kNoTask);
-    }
-    if (!prefetched_.empty()) {
-      // Splice the overlapped draw from the previous round's epilogue into
-      // the leading slots (pre-check ordered them likely-clean first). Any
-      // surplus — the controller shrank m — flows back to the work-set.
-      prefilled = std::min(take, prefetched_.size());
-      std::copy_n(prefetched_.begin(), prefilled, active_.begin());
-      if (prefilled < prefetched_.size()) {
-        requeue_tasks(
-            std::span<const TaskId>(prefetched_).subspan(prefilled));
-      }
-      prefetched_.clear();
     }
   }
   stats.launched = static_cast<std::uint32_t>(take);
@@ -875,8 +641,6 @@ RoundStats SpeculativeExecutor::run_round(std::uint32_t m) {
     ctx->executor_ = this;
     arena_.push_back(std::move(ctx));
   }
-  round_base_id_ = base_id;
-  round_slots_ = take;
   if (slot_executed_.size() < take) {
     slot_executed_.resize(take, 0);
     slot_finalized_.resize(take, 0);
@@ -926,15 +690,11 @@ RoundStats SpeculativeExecutor::run_round(std::uint32_t m) {
 
   RoundPlan plan;
   plan.take = take;
-  plan.prefilled = prefilled;
   plan.chunk = draw_chunk(take, lanes);
-  plan.lanes = lanes;
-  plan.m = m;
+  plan.base_id = base_id;
   plan.centralized = centralized;
   plan.absorbing = absorbing;
   plan.inject_lane_faults = inject_lane_faults;
-  plan.overlap = pipeline_.overlapped_draw && lanes > 1 && !centralized &&
-                 !round_hardened_;
 
   if (lanes == 1 && pipeline_.single_lane_fast_path) {
     // Deterministic fast path: identical claim order to a one-lane pool
@@ -948,7 +708,6 @@ RoundStats SpeculativeExecutor::run_round(std::uint32_t m) {
       round_lane<false>(lane, plan, &round_barrier);
     });
   }
-  round_slots_ = 0;
 
   // --- Serial tail: pool-fault salvage, then retry/quarantine. -----------
   std::vector<std::size_t> faulted_slots;
@@ -1001,8 +760,7 @@ RoundStats SpeculativeExecutor::run_round(std::uint32_t m) {
       // A task that finally committed clears its attempt history.
       for (std::size_t slot = 0; slot < take; ++slot) {
         if (slot_executed_[slot] == round_index_ &&
-            arena_[slot]->status_.load(std::memory_order_relaxed) ==
-                IterationContext::kCommitted) {
+            arena_[slot]->committed_) {
           failure_attempts_.erase(active_[slot]);
         }
       }
@@ -1099,17 +857,15 @@ void SpeculativeExecutor::save_state(snapshot::Writer& out) const {
   out.u64(backoff_seed_);
   out.u64(static_cast<std::uint64_t>(shard_count_));
   out.u8(static_cast<std::uint8_t>(policy_wl_));
-  out.u8(static_cast<std::uint8_t>(arbitration_));
+  out.u8(kAbortSelfArbitration);
   out.u8(static_cast<std::uint8_t>(sched_->backend()));
   out.u64(static_cast<std::uint64_t>(locks_.size()));
 
   write_rng(out, rng_);
   for (const Rng& rng : helper_rngs_) write_rng(out, rng);
 
-  // Backend-owned work-set (DESIGN.md §14). The overlapped-draw buffer is
-  // handed over so a snapshot taken between a prefetch and its round folds
-  // those drawn-but-not-launched tasks back into pending work.
-  sched_->save_state(out, prefetched_);
+  // Backend-owned work-set (DESIGN.md §14).
+  sched_->save_state(out);
 
   out.u64(round_index_);
   out.u32(next_iteration_id_);
@@ -1147,14 +903,12 @@ void SpeculativeExecutor::save_state(snapshot::Writer& out) const {
 }
 
 void SpeculativeExecutor::load_state(snapshot::Reader& in) {
-  // The snapshot already folded any overlapped draw back into shard 0.
-  prefetched_.clear();
   if (in.u64() != backoff_seed_) state_mismatch("seed differs");
   if (in.u64() != shard_count_) state_mismatch("shard count differs");
   if (in.u8() != static_cast<std::uint8_t>(policy_wl_)) {
     state_mismatch("worklist policy differs");
   }
-  if (in.u8() != static_cast<std::uint8_t>(arbitration_)) {
+  if (in.u8() != kAbortSelfArbitration) {
     state_mismatch("arbitration policy differs");
   }
   if (in.u8() != static_cast<std::uint8_t>(sched_->backend())) {

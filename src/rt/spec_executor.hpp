@@ -2,9 +2,9 @@
 // the Galois runtime (see DESIGN.md §4 and §7). Each round, m tasks are
 // drawn from the work-set (uniformly at random by default) and executed
 // concurrently on the thread pool. An iteration acquires the abstract lock
-// of every item it touches; conflicts are resolved by the arbitration
-// policy (abort-self, or KDG-style priority-wins with cooperative
-// poisoning). Aborted iterations roll back their undo log and requeue;
+// of every item it touches; on a conflict the later arrival aborts itself
+// (the paper's model: an earlier task holding the data wins, and nobody
+// ever waits). Aborted iterations roll back their undo log and requeue;
 // committed iterations publish their newly created tasks. The per-round
 // (launched, committed, aborted) statistics are exactly the observations
 // Algorithm 1's controller needs.
@@ -79,12 +79,12 @@ class IterationContext {
   IterationContext(const IterationContext&) = delete;
   IterationContext& operator=(const IterationContext&) = delete;
 
-  /// Acquire the abstract lock for `item`; throws AbortIteration when this
-  /// iteration loses the conflict arbitration. Re-entrant for items
-  /// already held by this iteration.
+  /// Acquire the abstract lock for `item`; throws AbortIteration when
+  /// another live iteration already holds it. Re-entrant for items already
+  /// held by this iteration.
   void acquire(std::uint32_t item);
 
-  /// Non-throwing variant (always abort-self semantics: never waits).
+  /// Non-throwing variant: false instead of AbortIteration.
   [[nodiscard]] bool try_acquire(std::uint32_t item);
 
   /// Register the inverse of a speculative mutation (runs on abort).
@@ -101,21 +101,16 @@ class IterationContext {
   [[nodiscard]] std::span<const std::uint32_t> held() const noexcept {
     return held_;
   }
-  /// Scheduling/arbitration priority of this iteration (smaller = earlier).
-  [[nodiscard]] std::uint64_t priority() const noexcept { return priority_; }
 
  private:
   friend class SpeculativeExecutor;
 
-  enum : std::uint32_t { kRunning = 0, kCommitted = 1, kPoisoned = 2 };
-
   /// Re-arm a recycled arena context for a fresh iteration. held_, pushed_
   /// and the undo log keep their capacity — the whole point of the arena is
   /// that a steady-state round performs no allocation here.
-  void reset(std::uint32_t iter_id, std::uint64_t priority) noexcept {
+  void reset(std::uint32_t iter_id) noexcept {
     iter_id_ = iter_id;
-    priority_ = priority;
-    status_.store(kRunning, std::memory_order_relaxed);
+    committed_ = false;
     held_.clear();
     pushed_.clear();
     undo_.discard();
@@ -125,26 +120,15 @@ class IterationContext {
     unsync_ = false;
   }
 
-  /// Finalize: only an un-poisoned iteration may commit. On the serial
-  /// fast path (unsync_) nobody can poison concurrently, so the CAS
-  /// degrades to a relaxed load + store.
-  [[nodiscard]] bool try_commit() noexcept {
-    if (unsync_) {
-      if (status_.load(std::memory_order_relaxed) != kRunning) return false;
-      status_.store(kCommitted, std::memory_order_relaxed);
-      return true;
-    }
-    std::uint32_t expected = kRunning;
-    return status_.compare_exchange_strong(expected, kCommitted,
-                                           std::memory_order_acq_rel);
-  }
   void release_all();
 
   LockManager& locks_;
   std::uint32_t iter_id_;
-  std::uint64_t priority_ = 0;
-  SpeculativeExecutor* executor_ = nullptr;  // set for arbitration/faults
-  std::atomic<std::uint32_t> status_{kRunning};
+  SpeculativeExecutor* executor_ = nullptr;  // set for fault injection
+  // Written only by the executing lane; other lanes read it after the
+  // round barrier (or the serial tail after the join), so it needs no
+  // atomic.
+  bool committed_ = false;
   std::vector<std::uint32_t> held_;
   std::vector<TaskId> pushed_;
   UndoLog undo_;
@@ -156,9 +140,9 @@ class IterationContext {
   // Executing lane's telemetry block (DESIGN.md §10); nullptr whenever
   // telemetry is detached, so every counting site is one branch.
   telemetry::LaneTelemetry* tlm_ = nullptr;
-  // Single-lane fast path (DESIGN.md §12): when set, lock and status
-  // transitions use the relaxed CAS-free variants — legal only while no
-  // other thread can observe this context or the lock table.
+  // Single-lane fast path (DESIGN.md §12): when set, lock transitions use
+  // the relaxed CAS-free variants — legal only while no other thread can
+  // observe the lock table.
   bool unsync_ = false;
 };
 
@@ -186,31 +170,16 @@ struct ExecutorTotals {
 // sched/scheduler.hpp next to the Backend selector; it is re-exported into
 // namespace optipar from there.
 
-/// Conflict arbitration between two live iterations contending for an item:
-///   kAbortSelf     — the later arrival aborts itself (the paper's model;
-///                    deadlock-free because nobody ever waits).
-///   kPriorityWins  — KDG-style: the earlier-priority iteration poisons the
-///                    owner and waits for the item; the poisoned owner
-///                    aborts at its next acquire (or fails its final
-///                    commit). Wait-for edges always point from earlier to
-///                    later priority, so no cycles can form. Priorities
-///                    come from set_priority_function (default: TaskId).
-enum class ArbitrationPolicy { kAbortSelf, kPriorityWins };
-
-/// Everything that shapes how rounds are scheduled and arbitrated, in one
-/// bag (DESIGN.md §14). The legacy (policy, arbitration) constructor maps
-/// onto this with scheduler = kRandom. Non-random backends require
-/// worklist == kRandom: the worklist policy is a *random-backend* draw
-/// knob, and combining it with chromatic/relaxed has no meaning.
+/// Everything that shapes how rounds are scheduled, in one bag (DESIGN.md
+/// §14). Non-random backends require worklist == kRandom: the worklist
+/// policy is a *random-backend* draw knob, and combining it with
+/// chromatic/relaxed has no meaning.
 struct RoundOptions {
   WorklistPolicy worklist = WorklistPolicy::kRandom;
-  ArbitrationPolicy arbitration = ArbitrationPolicy::kAbortSelf;
   sched::Backend scheduler = sched::Backend::kRandom;
-  /// MultiQueue width factor c (relaxed backend): c·lanes heaps.
-  std::size_t relaxed_queues_per_lane = 4;
 };
 
-/// Software-pipelined round execution knobs (DESIGN.md §12).
+/// Round execution knobs (DESIGN.md §12).
 struct PipelineConfig {
   /// Upper bound on concurrent lanes per round. 0 (the default) caps at
   /// the host's effective concurrency: a lane that cannot physically run
@@ -219,30 +188,10 @@ struct PipelineConfig {
   /// cross-lane interleavings (barriers inside operators, injected lane
   /// deaths) set an explicit lane count to force concurrency back on.
   std::size_t max_lanes = 0;
-  /// Overlap round t+1's random draw and conflict pre-check with round
-  /// t's commit epilogue (multi-lane rounds only): the last lane runs the
-  /// double-buffered draw stage while the other lanes commit.
-  bool overlapped_draw = true;
   /// Use the CAS-free single-lane specialization whenever a round runs on
   /// one lane. The schedule is byte-identical either way; disabling it
   /// exists for the fast-vs-generic differential tests.
   bool single_lane_fast_path = true;
-};
-
-/// Occupancy accounting for the overlapped draw stage (cumulative).
-struct PipelineStats {
-  std::uint64_t overlapped_rounds = 0;  ///< rounds that ran a prefetch
-  std::uint64_t prefetched_tasks = 0;   ///< tasks drawn ahead of their round
-  std::uint64_t precheck_flagged = 0;   ///< prefetched tasks probed busy
-  std::uint64_t overlap_ns = 0;  ///< wall time of the draw+precheck stage
-  std::uint64_t commit_ns = 0;   ///< lane-0 commit wall during overlap
-  /// Fraction of commit time with an active overlapped draw, in [0, 1].
-  [[nodiscard]] double occupancy() const noexcept {
-    if (commit_ns == 0) return 0.0;
-    const double f = static_cast<double>(overlap_ns) /
-                     static_cast<double>(commit_ns);
-    return f > 1.0 ? 1.0 : f;
-  }
 };
 
 class SpeculativeExecutor {
@@ -255,27 +204,19 @@ class SpeculativeExecutor {
     std::string error;           ///< what() of the final failure
   };
 
-  /// `items` sizes the lock table (growable between rounds via grow_items).
-  SpeculativeExecutor(ThreadPool& pool, std::size_t items, TaskOperator op,
-                      std::uint64_t seed,
-                      WorklistPolicy policy = WorklistPolicy::kRandom,
-                      ArbitrationPolicy arbitration =
-                          ArbitrationPolicy::kAbortSelf);
-
-  /// Full-options constructor: selects the scheduler backend (DESIGN.md
+  /// `items` sizes the lock table (growable between rounds via grow_items);
+  /// `options` selects the scheduler backend and its draw policy (DESIGN.md
   /// §14). Throws std::invalid_argument for meaningless combinations
   /// (non-random backend with a non-kRandom worklist policy).
   SpeculativeExecutor(ThreadPool& pool, std::size_t items, TaskOperator op,
-                      std::uint64_t seed, const RoundOptions& options);
+                      std::uint64_t seed, const RoundOptions& options = {});
 
   /// Seed the work-set.
   void push_initial(std::span<const TaskId> tasks);
 
   /// Required before any push under WorklistPolicy::kPriority and under
-  /// the relaxed backend; also sets the arbitration priority under
-  /// ArbitrationPolicy::kPriorityWins. Maps a task to its priority
-  /// (smaller = sooner / stronger). Evaluated at push time (scheduling)
-  /// and at launch time (arbitration).
+  /// the relaxed backend. Maps a task to its draw priority (smaller =
+  /// sooner); the scheduler evaluates it at push and requeue time.
   void set_priority_function(std::function<std::uint64_t(TaskId)> fn);
 
   /// Required before any push under the chromatic backend (and before
@@ -305,29 +246,13 @@ class SpeculativeExecutor {
     return policy_;
   }
 
-  /// Configure the pipelined round execution (DESIGN.md §12). Call
-  /// between rounds only.
+  /// Configure the round execution (DESIGN.md §12). Call between rounds
+  /// only.
   void set_pipeline(const PipelineConfig& config) noexcept {
     pipeline_ = config;
   }
   [[nodiscard]] const PipelineConfig& pipeline() const noexcept {
     return pipeline_;
-  }
-  [[nodiscard]] const PipelineStats& pipeline_stats() const noexcept {
-    return pipe_stats_;
-  }
-
-  /// Override the overlapped-draw conflict pre-check (DESIGN.md §12). The
-  /// function sees a prefetched task and the live lock table and returns
-  /// true when the task looks runnable; flagged tasks are demoted to the
-  /// tail of the next round's draw. It must be READ-ONLY (LockManager::
-  /// owner probes at most) and tolerate stale answers — the pre-check is
-  /// an ordering hint, never a correctness gate. Default: probe the
-  /// task's own item (task id == item id, the common app convention).
-  /// Call between rounds only; an empty function restores the default.
-  void set_precheck_function(
-      std::function<bool(TaskId, const LockManager&)> fn) {
-    precheck_fn_ = std::move(fn);
   }
 
   /// Attach a deterministic fault injector (non-owning; nullptr detaches).
@@ -342,7 +267,7 @@ class SpeculativeExecutor {
   /// counters, phase times, a work histogram, and structured trace events;
   /// detached (the default) every instrumentation site reduces to one
   /// pointer test, and the schedule is byte-identical either way — the
-  /// sink never influences draws, arbitration, or requeues (DESIGN.md §10).
+  /// sink never influences draws, conflicts, or requeues (DESIGN.md §10).
   void set_telemetry(telemetry::RuntimeTelemetry* sink);
   [[nodiscard]] telemetry::RuntimeTelemetry* telemetry() const noexcept {
     return telemetry_;
@@ -363,9 +288,6 @@ class SpeculativeExecutor {
     return totals_;
   }
   [[nodiscard]] LockManager& locks() noexcept { return locks_; }
-  [[nodiscard]] ArbitrationPolicy arbitration() const noexcept {
-    return arbitration_;
-  }
 
   /// Quarantined tasks, in retirement order.
   [[nodiscard]] const std::vector<DeadLetter>& dead_letters() const noexcept {
@@ -393,12 +315,12 @@ class SpeculativeExecutor {
   /// behavior is fully determined by the work-set, the draw RNG streams,
   /// the round clock, and the failure-hardening ledgers — save_state
   /// captures exactly that set, and load_state rebuilds it so that every
-  /// subsequent run_round draws, arbitrates, backs off, and quarantines
+  /// subsequent run_round draws, backs off, and quarantines
   /// byte-identically to the uninterrupted run. The snapshot leads with a
-  /// shape header (seed derivative, shard count, worklist/arbitration
-  /// policy); load_state throws SnapshotError{kMismatch} when the receiving
-  /// executor was constructed differently, rather than resuming a run that
-  /// would silently diverge. Configuration that cannot be serialized (the
+  /// shape header (seed derivative, shard count, worklist policy, conflict
+  /// rule, backend); load_state throws SnapshotError{kMismatch} when the receiving executor
+  /// was constructed differently, rather than resuming a run that would
+  /// silently diverge. Configuration that cannot be serialized (the
   /// operator, priority function, failure policy, injector, telemetry) must
   /// be reinstalled by the host before load_state. Call between rounds only.
   void save_state(snapshot::Writer& out) const;
@@ -412,10 +334,6 @@ class SpeculativeExecutor {
     std::uint64_t due_round = 0;
     TaskId task = 0;
   };
-
-  /// Blocking acquire implementing kPriorityWins (called from contexts).
-  void acquire_arbitrated(IterationContext& ctx, std::uint32_t item);
-  [[nodiscard]] IterationContext* context_of(std::uint32_t iter_id);
 
   void record_round_error() noexcept;
 
@@ -447,35 +365,23 @@ class SpeculativeExecutor {
   /// instance per round, shared read-only by all lanes.
   struct RoundPlan {
     std::size_t take = 0;       ///< tickets (slots) this round
-    std::size_t prefilled = 0;  ///< slots pre-filled by the overlapped draw
     std::size_t chunk = 0;      ///< ticket-claim chunk size
-    std::size_t lanes = 0;
-    std::uint32_t m = 0;        ///< requested allocation (prefetch sizing)
+    std::uint32_t base_id = 0;  ///< iteration id of slot 0 (dense per round)
     bool centralized = false;   ///< active set materialized by begin_round
     bool absorbing = false;
     bool inject_lane_faults = false;
-    bool overlap = false;  ///< run the overlapped draw in this epilogue
   };
 
   /// The round body one lane executes: chunked draw + speculative
   /// execution, round barrier, then the commit/requeue epilogue.
   /// kSerial == true is the single-lane fast path (DESIGN.md §12): plain
   /// cursors instead of shared atomics, no barrier, and relaxed CAS-free
-  /// lock/status transitions — while keeping the draw order, telemetry
+  /// lock transitions — while keeping the draw order, telemetry
   /// sampling, and epilogue sequence byte-identical to a one-lane generic
   /// round.
   template <bool kSerial>
   void round_lane(std::size_t lane, const RoundPlan& plan,
                   SpinBarrier* barrier);
-
-  /// Software-pipelined draw stage (DESIGN.md §12): called by the last
-  /// lane at the top of its epilogue, so round t+1's draw + conflict
-  /// pre-check overlap round t's commit on the other lanes.
-  void overlap_prefetch(std::size_t lane, std::uint32_t m,
-                        telemetry::LaneTelemetry* tlane);
-  /// Return the overlapped-draw buffer to the work-set (round shapes that
-  /// cannot consume it: hardened or degraded rounds).
-  void drain_prefetch();
 
   ThreadPool& pool_;
   LockManager locks_;
@@ -483,23 +389,15 @@ class SpeculativeExecutor {
   Rng rng_;                       // lane 0's draw stream (the seeded stream)
   std::vector<Rng> helper_rngs_;  // lanes 1..S-1, derived from the seed
   WorklistPolicy policy_wl_;
-  ArbitrationPolicy arbitration_;
 
   // The pluggable work-set + draw stage (DESIGN.md §14). Shard count is
   // fixed at construction to the pool's worker count; the random backend
   // shards per lane, the chromatic/relaxed backends are centralized.
   std::size_t shard_count_;
   std::unique_ptr<sched::Scheduler> sched_;
-  // Executor-side copy for launch-time arbitration priorities (the
-  // scheduler holds its own copy for draw ordering).
-  std::function<std::uint64_t(TaskId)> priority_fn_;
 
-  // Context arena: slot s of every round reuses arena_[s]. Valid only while
-  // run_round's parallel section executes (read by workers through
-  // acquire_arbitrated); round_slots_ bounds the live prefix.
+  // Context arena: slot s of every round reuses arena_[s].
   std::vector<std::unique_ptr<IterationContext>> arena_;
-  std::uint32_t round_base_id_ = 0;
-  std::size_t round_slots_ = 0;
 
   // Per-round scratch, reused across rounds. active_[slot] is written by
   // the drawing lane in the speculative phase and read after the round
@@ -534,19 +432,7 @@ class SpeculativeExecutor {
   // installed), so salvage can tell drawn slots from never-drawn ones.
   bool round_hardened_ = false;
 
-  // --- software pipelining (DESIGN.md §12) -------------------------------
-  // prefetched_ is the double buffer of the draw stage: filled by the last
-  // lane of round t's epilogue, consumed at the head of round t+1's active
-  // set (publication via the fork-join join). Its tasks are out of their
-  // shards but still pending; save_state serializes them back into the
-  // work-set so a crash between an overlapped draw and its commit replays
-  // the draw. pipe_stats_ members are written by two different lanes
-  // (overlap_* by the prefetch lane, commit_ns by lane 0) — distinct
-  // scalars, so there is no data race.
-  PipelineConfig pipeline_;
-  std::function<bool(TaskId, const LockManager&)> precheck_fn_;
-  std::vector<TaskId> prefetched_;
-  PipelineStats pipe_stats_;
+  PipelineConfig pipeline_;  // lane cap and fast-path switch (§12)
 
   // --- telemetry (DESIGN.md §10) -----------------------------------------
   // Non-owning; nullptr = detached (the default). slot_lane_ stamps which

@@ -199,12 +199,7 @@ std::size_t ChromaticScheduler::begin_round(std::size_t m,
   return take;
 }
 
-void ChromaticScheduler::save_state(snapshot::Writer& out,
-                                    std::span<const TaskId> prefetched) const {
-  // Centralized backends never see the overlapped-draw buffer (the
-  // executor disables overlap for them).
-  assert(prefetched.empty());
-  (void)prefetched;
+void ChromaticScheduler::save_state(snapshot::Writer& out) const {
   {
     const std::lock_guard lock(spliced_mutex_);
     out.u64_vec(std::span<const TaskId>(spliced_));

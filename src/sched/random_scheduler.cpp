@@ -171,8 +171,7 @@ TaskId RandomScheduler::draw_one(std::size_t lane, Rng& rng) {
   }
 }
 
-void RandomScheduler::save_state(snapshot::Writer& out,
-                                 std::span<const TaskId> prefetched) const {
+void RandomScheduler::save_state(snapshot::Writer& out) const {
   // Shard task vectors are stored live-suffix-only (tasks[head..end], in
   // order) and restored with head = 0. That compaction is draw-stream
   // safe: kRandom indexes relative to head, kFifo consumes from head, and
@@ -180,23 +179,6 @@ void RandomScheduler::save_state(snapshot::Writer& out,
   for (std::size_t s = 0; s < shard_count_; ++s) {
     const Shard& shard = shards_[s];
     const std::lock_guard guard(shard.mutex);
-    if (s == 0 && !prefetched.empty()) {
-      // WAL ordering extension (DESIGN.md §12): the overlapped-draw buffer
-      // is work drawn-but-not-launched, so a snapshot taken between the
-      // prefetch and its round persists those tasks as plain pending work,
-      // appended to shard 0 — exactly where drain_prefetch would splice
-      // them. Restore replays the draw; nothing is lost or double-counted,
-      // and the buffer itself is never durable state.
-      std::vector<TaskId> merged;
-      merged.reserve(shard.tasks.size() - shard.head + prefetched.size());
-      merged.insert(merged.end(),
-                    shard.tasks.begin() +
-                        static_cast<std::ptrdiff_t>(shard.head),
-                    shard.tasks.end());
-      merged.insert(merged.end(), prefetched.begin(), prefetched.end());
-      out.u64_vec(std::span<const TaskId>(merged));
-      continue;
-    }
     out.u64_vec(std::span<const TaskId>(shard.tasks.data() + shard.head,
                                         shard.tasks.size() - shard.head));
   }

@@ -37,10 +37,8 @@ class RandomScheduler final : public Scheduler {
                           Rng& rng) override;
   void draw_span(std::size_t lane, Rng& rng, TaskId* out,
                  std::size_t n) override;
-  TaskId draw_one(std::size_t lane, Rng& rng) override;
 
-  void save_state(snapshot::Writer& out,
-                  std::span<const TaskId> prefetched) const override;
+  void save_state(snapshot::Writer& out) const override;
   void load_state(snapshot::Reader& in) override;
 
  private:
@@ -55,6 +53,8 @@ class RandomScheduler final : public Scheduler {
 
   /// Pop one task from shard `s` per the draw policy (shard mutex held).
   TaskId pop_from(Shard& s, Rng& rng);
+  /// Steal one task: own shard first, then the others round-robin.
+  TaskId draw_one(std::size_t lane, Rng& rng);
 
   WorklistPolicy policy_;
   std::size_t shard_count_;

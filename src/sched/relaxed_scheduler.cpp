@@ -19,12 +19,9 @@ namespace {
 }  // namespace
 
 RelaxedScheduler::RelaxedScheduler(std::uint64_t seed,
-                                   std::size_t shard_count,
-                                   std::size_t queues_per_lane)
+                                   std::size_t shard_count)
     : seed_(seed),
-      nqueues_(std::max<std::size_t>(
-          2, std::max<std::size_t>(1, queues_per_lane) *
-                 std::max<std::size_t>(1, shard_count))),
+      nqueues_(kQueuesPerLane * std::max<std::size_t>(1, shard_count)),
       queues_(std::make_unique<Queue[]>(nqueues_)) {}
 
 std::size_t RelaxedScheduler::size() const {
@@ -147,11 +144,7 @@ std::size_t RelaxedScheduler::begin_round(std::size_t m,
   return take;
 }
 
-void RelaxedScheduler::save_state(snapshot::Writer& out,
-                                  std::span<const TaskId> prefetched) const {
-  // Centralized backends never see the overlapped-draw buffer.
-  assert(prefetched.empty());
-  (void)prefetched;
+void RelaxedScheduler::save_state(snapshot::Writer& out) const {
   out.u64(nqueues_);
   out.u64(push_counter_.load(std::memory_order_relaxed));
   // Raw heap-layout array order, restored verbatim: a valid std heap stays

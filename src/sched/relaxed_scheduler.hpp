@@ -20,8 +20,10 @@ namespace optipar::sched {
 
 class RelaxedScheduler final : public Scheduler {
  public:
-  RelaxedScheduler(std::uint64_t seed, std::size_t shard_count,
-                   std::size_t queues_per_lane);
+  /// MultiQueue width factor c: the backend runs c·lanes heaps.
+  static constexpr std::size_t kQueuesPerLane = 4;
+
+  RelaxedScheduler(std::uint64_t seed, std::size_t shard_count);
 
   [[nodiscard]] Backend backend() const noexcept override {
     return Backend::kRelaxed;
@@ -37,8 +39,7 @@ class RelaxedScheduler final : public Scheduler {
   std::size_t begin_round(std::size_t m, std::vector<TaskId>& active,
                           Rng& rng) override;
 
-  void save_state(snapshot::Writer& out,
-                  std::span<const TaskId> prefetched) const override;
+  void save_state(snapshot::Writer& out) const override;
   void load_state(snapshot::Reader& in) override;
 
  private:

@@ -38,10 +38,6 @@ void Scheduler::draw_span(std::size_t /*lane*/, Rng& /*rng*/, TaskId* /*out*/,
   throw std::logic_error("Scheduler: draw_span on a centralized backend");
 }
 
-TaskId Scheduler::draw_one(std::size_t /*lane*/, Rng& /*rng*/) {
-  throw std::logic_error("Scheduler: draw_one on a centralized backend");
-}
-
 std::unique_ptr<Scheduler> make_scheduler(Backend backend,
                                           const SchedulerConfig& config) {
   switch (backend) {
@@ -51,8 +47,8 @@ std::unique_ptr<Scheduler> make_scheduler(Backend backend,
     case Backend::kChromatic:
       return std::make_unique<ChromaticScheduler>(config.seed);
     case Backend::kRelaxed:
-      return std::make_unique<RelaxedScheduler>(
-          config.seed, config.shard_count, config.relaxed_queues_per_lane);
+      return std::make_unique<RelaxedScheduler>(config.seed,
+                                                config.shard_count);
   }
   throw std::invalid_argument("make_scheduler: unknown backend");
 }

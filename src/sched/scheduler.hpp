@@ -22,8 +22,8 @@
 //
 // Thread-safety contract: push/requeue/size/begin_round/save/load run only
 // in the executor's serial sections (between rounds or in the serial
-// tail); draw_span/draw_one/splice are called concurrently by round lanes
-// and must synchronize internally.
+// tail); draw_span/splice are called concurrently by round lanes and must
+// synchronize internally.
 #pragma once
 
 #include <cstdint>
@@ -83,7 +83,7 @@ class Scheduler {
   [[nodiscard]] virtual Backend backend() const noexcept = 0;
 
   /// Pending tasks owned by this scheduler (excludes the executor's
-  /// deferred/prefetched buffers).
+  /// deferred retries).
   [[nodiscard]] virtual std::size_t size() const = 0;
 
   /// True when the active set is materialized up-front by begin_round
@@ -96,8 +96,8 @@ class Scheduler {
   /// assert for such backends.
   [[nodiscard]] virtual bool zero_abort() const noexcept { return false; }
 
-  /// Priority function (kPriority scheduling, relaxed heaps, and
-  /// arbitration). Call between rounds only.
+  /// Priority function (kPriority scheduling and relaxed heaps). Call
+  /// between rounds only.
   virtual void set_priority_function(std::function<std::uint64_t(TaskId)> fn) {
     priority_fn_ = std::move(fn);
   }
@@ -114,9 +114,8 @@ class Scheduler {
   virtual void push(std::span<const TaskId> tasks) = 0;
 
   /// Return tasks to the work-set from the serial tail (aborted-task
-  /// requeue after salvage, drained prefetch buffers, prefetch surplus).
-  /// Must swallow priority-function failures via the error sink — a
-  /// salvage path may never drop a task.
+  /// requeue after salvage). Must swallow priority-function failures via
+  /// the error sink — a salvage path may never drop a task.
   virtual void requeue(std::span<const TaskId> tasks) = 0;
 
   /// Splice a lane's requeue buffer back into the work-set (parallel
@@ -136,16 +135,9 @@ class Scheduler {
   /// never exceeds the tasks available at round start.
   virtual void draw_span(std::size_t lane, Rng& rng, TaskId* out,
                          std::size_t n);
-  /// Draw a single task (overlapped prefetch stage).
-  virtual TaskId draw_one(std::size_t lane, Rng& rng);
 
-  /// Serialize the backend's work-set state. `prefetched` is the
-  /// executor's overlapped-draw buffer — drawn-but-not-launched work that
-  /// the snapshot must fold back into the pending set (only the random
-  /// backend can ever see a non-empty buffer; overlap is disabled for
-  /// centralized backends).
-  virtual void save_state(snapshot::Writer& out,
-                          std::span<const TaskId> prefetched) const = 0;
+  /// Serialize the backend's work-set state.
+  virtual void save_state(snapshot::Writer& out) const = 0;
   virtual void load_state(snapshot::Reader& in) = 0;
 
  protected:
@@ -158,7 +150,6 @@ struct SchedulerConfig {
   WorklistPolicy worklist = WorklistPolicy::kRandom;
   std::size_t shard_count = 1;  ///< pool worker count (lanes)
   std::uint64_t seed = 0;       ///< executor seed (PRF derivations only)
-  std::size_t relaxed_queues_per_lane = 4;  ///< MultiQueue c factor
 };
 
 [[nodiscard]] std::unique_ptr<Scheduler> make_scheduler(

@@ -144,7 +144,7 @@ void Server::start() {
   queue_ = std::make_unique<AdmissionQueue>(config_.queue_capacity);
   pool_ = std::make_unique<ThreadPool>(config_.threads);
 
-  // WAL replay: rebuild the job table, then re-admit {submitted} \
+  // WAL replay: rebuild the job table, then re-admit {submitted} minus
   // {finished} in journal order. The journal's own open already ran
   // torn-tail recovery, so every record seen here is CRC-committed.
   wal_ = std::make_unique<snapshot::RoundJournal>(config_.state_dir +

@@ -10,8 +10,7 @@ namespace optipar::telemetry {
 ConflictProfiler::ConflictProfiler(std::uint32_t num_items,
                                    std::uint32_t sample_period)
     : sample_period_(sample_period == 0 ? 1 : sample_period),
-      conflicts_(num_items),
-      arb_wait_ns_(num_items) {}
+      conflicts_(num_items) {}
 
 void ConflictProfiler::set_degrees(std::vector<std::uint32_t> degrees) {
   degrees_ = std::move(degrees);
@@ -25,26 +24,15 @@ std::uint64_t ConflictProfiler::total_conflicts() const noexcept {
   return total;
 }
 
-std::uint64_t ConflictProfiler::total_arb_wait_ns() const noexcept {
-  std::uint64_t total = 0;
-  for (const auto& c : arb_wait_ns_) {
-    total += c.load(std::memory_order_relaxed);
-  }
-  return total;
-}
-
 std::vector<ConflictProfiler::Hotspot> ConflictProfiler::top_k(
     std::size_t k) const {
   std::vector<Hotspot> all;
   for (std::uint32_t item = 0; item < conflicts_.size(); ++item) {
     const std::uint64_t c = conflicts_[item].load(std::memory_order_relaxed);
-    const std::uint64_t w =
-        arb_wait_ns_[item].load(std::memory_order_relaxed);
-    if (c == 0 && w == 0) continue;
+    if (c == 0) continue;
     Hotspot h;
     h.item = item;
     h.conflicts = c;
-    h.arb_wait_ns = w;
     h.degree = item < degrees_.size() ? degrees_[item] : 0;
     all.push_back(h);
   }
@@ -53,9 +41,6 @@ std::vector<ConflictProfiler::Hotspot> ConflictProfiler::top_k(
                     all.end(), [](const Hotspot& x, const Hotspot& y) {
                       if (x.conflicts != y.conflicts) {
                         return x.conflicts > y.conflicts;
-                      }
-                      if (x.arb_wait_ns != y.arb_wait_ns) {
-                        return x.arb_wait_ns > y.arb_wait_ns;
                       }
                       return x.item < y.item;
                     });
@@ -83,8 +68,6 @@ ConflictProfiler::degree_buckets() const {
     DegreeBucket& bucket = buckets[std::min(b, kMaxBuckets - 1)];
     ++bucket.items;
     bucket.conflicts += conflicts_[item].load(std::memory_order_relaxed);
-    bucket.arb_wait_ns +=
-        arb_wait_ns_[item].load(std::memory_order_relaxed);
   }
   std::vector<DegreeBucket> out;
   for (std::size_t b = 0; b < kMaxBuckets; ++b) {
@@ -97,18 +80,16 @@ ConflictProfiler::degree_buckets() const {
 }
 
 void ConflictProfiler::write_json(std::ostream& os, std::size_t k) const {
-  os << "{\"schema\":\"optipar.profile.v1\",\"items\":" << num_items()
+  os << "{\"schema\":\"optipar.profile.v2\",\"items\":" << num_items()
      << ",\"sample_period\":" << sample_period_
      << ",\"total_conflicts\":" << total_conflicts()
-     << ",\"total_arb_wait_ns\":" << total_arb_wait_ns()
      << ",\"top_share_16\":" << top_share(16) << ",\"hotspots\":[";
   bool first = true;
   for (const Hotspot& h : top_k(k)) {
     if (!first) os << ",";
     first = false;
     os << "{\"item\":" << h.item << ",\"conflicts\":" << h.conflicts
-       << ",\"arb_wait_ns\":" << h.arb_wait_ns << ",\"degree\":" << h.degree
-       << "}";
+       << ",\"degree\":" << h.degree << "}";
   }
   os << "],\"degree_buckets\":[";
   first = true;
@@ -117,7 +98,7 @@ void ConflictProfiler::write_json(std::ostream& os, std::size_t k) const {
     first = false;
     os << "{\"degree_lo\":" << b.degree_lo << ",\"degree_hi\":" << b.degree_hi
        << ",\"items\":" << b.items << ",\"conflicts\":" << b.conflicts
-       << ",\"arb_wait_ns\":" << b.arb_wait_ns << "}";
+       << "}";
   }
   os << "]}\n";
 }
@@ -125,11 +106,10 @@ void ConflictProfiler::write_json(std::ostream& os, std::size_t k) const {
 void ConflictProfiler::write_report(std::ostream& os, std::size_t k) const {
   os << "conflict hotspots (top " << k << " of " << num_items()
      << " items, " << total_conflicts() << " conflicts attributed):\n";
-  os << "  item        conflicts    arb_wait_us   degree\n";
+  os << "  item        conflicts   degree\n";
   for (const Hotspot& h : top_k(k)) {
     os << "  " << std::setw(10) << std::left << h.item << std::right
-       << std::setw(11) << h.conflicts << std::setw(15)
-       << h.arb_wait_ns / 1000 << std::setw(9) << h.degree << "\n";
+       << std::setw(11) << h.conflicts << std::setw(9) << h.degree << "\n";
   }
   os << "degree buckets:\n";
   for (const DegreeBucket& b : degree_buckets()) {

@@ -2,13 +2,9 @@
 // from? The controller consumes the conflict ratio as one global scalar,
 // but the ROADMAP's partitioned-execution item needs the signal spatially
 // resolved — which items (graph regions) kill speculative work, per
-// scheduler backend. The profiler keeps one relaxed counter pair per
-// abstract-lock item:
-//
-//   * conflicts — failed acquires and arbitration poisons, i.e. the item
-//     that killed a speculative task (every abort has exactly one);
-//   * arb_wait_ns — nanoseconds lanes spent parked on the item's
-//     arbitration queue.
+// scheduler backend. The profiler keeps one relaxed conflict counter per
+// abstract-lock item: failed acquires, i.e. the item that killed a
+// speculative task (every conflict abort has exactly one).
 //
 // Recording is a single relaxed fetch_add on the item's counter, reached
 // through one pointer test on LaneTelemetry (nullptr = detached, the same
@@ -48,12 +44,6 @@ class ConflictProfiler {
     conflicts_[item].fetch_add(sample_period_, std::memory_order_relaxed);
   }
 
-  void on_arb_wait(std::uint32_t item, std::uint64_t ns) noexcept {
-    if (item >= arb_wait_ns_.size() || !sample()) return;
-    arb_wait_ns_[item].fetch_add(ns * sample_period_,
-                                 std::memory_order_relaxed);
-  }
-
   // -- cold-path rollups ---------------------------------------------------
 
   [[nodiscard]] std::uint32_t num_items() const noexcept {
@@ -63,12 +53,10 @@ class ConflictProfiler {
     return sample_period_;
   }
   [[nodiscard]] std::uint64_t total_conflicts() const noexcept;
-  [[nodiscard]] std::uint64_t total_arb_wait_ns() const noexcept;
 
   struct Hotspot {
     std::uint32_t item = 0;
     std::uint64_t conflicts = 0;
-    std::uint64_t arb_wait_ns = 0;
     std::uint32_t degree = 0;
   };
 
@@ -86,7 +74,6 @@ class ConflictProfiler {
     std::uint64_t degree_hi = 0;  ///< inclusive
     std::uint64_t items = 0;      ///< items in the degree range
     std::uint64_t conflicts = 0;
-    std::uint64_t arb_wait_ns = 0;
   };
 
   /// Conflicts rolled up by power-of-two degree buckets ([0,0], [1,1],
@@ -94,7 +81,7 @@ class ConflictProfiler {
   /// view. Empty buckets are omitted.
   [[nodiscard]] std::vector<DegreeBucket> degree_buckets() const;
 
-  /// Machine-readable report: {"schema":"optipar.profile.v1",...} with the
+  /// Machine-readable report: {"schema":"optipar.profile.v2",...} with the
   /// top-K hotspot list and the degree rollup.
   void write_json(std::ostream& os, std::size_t k) const;
 
@@ -112,7 +99,6 @@ class ConflictProfiler {
 
   std::uint32_t sample_period_;
   std::vector<std::atomic<std::uint64_t>> conflicts_;
-  std::vector<std::atomic<std::uint64_t>> arb_wait_ns_;
   std::vector<std::uint32_t> degrees_;
 };
 

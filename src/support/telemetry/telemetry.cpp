@@ -194,8 +194,6 @@ TelemetryTotals RuntimeTelemetry::totals() const {
     t.retried += lane->retried;
     t.quarantined += lane->quarantined;
     t.lock_failures += lane->lock_failures;
-    t.arb_poisons += lane->arb_poisons;
-    t.arb_waits += lane->arb_waits;
     t.dropped_events += lane->ring.dropped();
     t.work.merge(lane->work);
   }
@@ -246,10 +244,6 @@ void RuntimeTelemetry::export_metrics(MetricsRegistry& reg) const {
     add_lane_counter(reg, "optipar_lane_lock_failures_total",
                      "Failed abstract-lock acquires (conflicts seen)", l,
                      lane.lock_failures);
-    add_lane_counter(reg, "optipar_lane_arbitration_poisons_total",
-                     "Priority-wins poisons issued", l, lane.arb_poisons);
-    add_lane_counter(reg, "optipar_lane_arbitration_waits_total",
-                     "Priority-wins wait loops entered", l, lane.arb_waits);
   }
   for (std::size_t l = 0; l < lanes_.size(); ++l) {
     const LaneTelemetry& lane = *lanes_[l];
@@ -257,8 +251,6 @@ void RuntimeTelemetry::export_metrics(MetricsRegistry& reg) const {
     add_phase_seconds(reg, l, "speculate", lane.exec_ns);
     add_phase_seconds(reg, l, "rollback", lane.rollback_ns);
     add_phase_seconds(reg, l, "commit", lane.commit_ns);
-    add_phase_seconds(reg, l, "arbitrate", lane.arb_wait_ns);
-    add_phase_seconds(reg, l, "precheck", lane.precheck_ns);
   }
 
   const TelemetryTotals t = totals();

@@ -185,16 +185,12 @@ struct alignas(kCacheLine) LaneTelemetry {
 
   // Lock-layer observations (item_lock).
   std::uint64_t lock_failures = 0;  ///< failed item acquires (conflicts)
-  std::uint64_t arb_poisons = 0;    ///< priority-wins poisons issued
-  std::uint64_t arb_waits = 0;      ///< priority-wins wait loops entered
 
   // Per-phase nanoseconds spent by this lane.
   std::uint64_t draw_ns = 0;      ///< shard pops / steals
   std::uint64_t exec_ns = 0;      ///< operator execution + commit decision
   std::uint64_t rollback_ns = 0;  ///< undo-log unwinds (subset of exec wall)
   std::uint64_t commit_ns = 0;    ///< epilogue: publish, requeue, release
-  std::uint64_t arb_wait_ns = 0;  ///< priority-wins spin-waiting
-  std::uint64_t precheck_ns = 0;  ///< pipelined draw + conflict pre-check
 
   WorkHistogram work;  ///< items held per executed task
 
@@ -225,8 +221,6 @@ struct TelemetryTotals {
   std::uint64_t retried = 0;
   std::uint64_t quarantined = 0;
   std::uint64_t lock_failures = 0;
-  std::uint64_t arb_poisons = 0;
-  std::uint64_t arb_waits = 0;
   std::uint64_t dropped_events = 0;
   WorkHistogram work;
 };

@@ -67,51 +67,48 @@ void ThreadPool::worker_loop(std::size_t id) {
   tl_worker_pool = this;
   std::uint64_t seen_epoch = 0;
   for (;;) {
-    // 1) A fork-join job published since we last looked? The acquire load
-    //    pairs with the dispatcher's release bump and publishes job_fn_ /
-    //    job_worker_lanes_. A worker can observe at most one outstanding
-    //    job: the next dispatch cannot start until this one fully joins.
-    const std::uint64_t epoch = job_epoch_.load(std::memory_order_acquire);
-    if (epoch != seen_epoch) {
-      seen_epoch = epoch;
-      if (id < job_worker_lanes_) {
-        {
-          const ForkDepthGuard nested;
-          try {
-            (*job_fn_)(id + 1);
-          } catch (...) {
-            record_error();
-          }
-        }
-        if (job_remaining_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-          // Last lane out: wake the dispatcher. Taking the mutex (empty
-          // critical section) closes the race with a dispatcher that is
-          // between its predicate check and its wait.
-          { const std::lock_guard lock(wake_mutex_); }
-          done_cv_.notify_all();
-        }
-      }
-      continue;
-    }
-    // 2) A queued one-off task?
+    // One wait point for both kinds of work. The epoch, the lane count and
+    // the callable are read together under wake_mutex_, so a worker that
+    // sat out epoch E can never pair E with E+1's lane count (which would
+    // run an E+1 lane twice and corrupt the join count). A fork-join job
+    // wins over queued one-off tasks: its dispatcher is waiting on us.
+    const WorkFnRef* fn = nullptr;
     std::packaged_task<void()> task;
     {
       std::unique_lock lock(wake_mutex_);
       wake_cv_.wait(lock, [&] {
-        return stopping_ || !tasks_.empty() ||
-               job_epoch_.load(std::memory_order_relaxed) != seen_epoch;
+        return stopping_ || !tasks_.empty() || job_epoch_ != seen_epoch;
       });
-      if (job_epoch_.load(std::memory_order_relaxed) != seen_epoch) {
-        continue;  // re-read with acquire at the top of the loop
-      }
-      if (!tasks_.empty()) {
+      if (job_epoch_ != seen_epoch) {
+        seen_epoch = job_epoch_;
+        if (id >= job_worker_lanes_) continue;  // this job needs fewer lanes
+        fn = job_fn_;
+      } else if (!tasks_.empty()) {
         task = std::move(tasks_.front());
         tasks_.pop();
       } else {
         return;  // stopping and drained
       }
     }
-    task();
+    if (fn == nullptr) {
+      task();
+      continue;
+    }
+    {
+      const ForkDepthGuard nested;
+      try {
+        (*fn)(id + 1);
+      } catch (...) {
+        record_error();
+      }
+    }
+    if (job_remaining_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      // Last lane out: wake the dispatcher. Taking the mutex (empty
+      // critical section) closes the race with a dispatcher that is
+      // between its predicate check and its wait.
+      { const std::lock_guard lock(wake_mutex_); }
+      done_cv_.notify_all();
+    }
   }
 }
 
@@ -143,7 +140,7 @@ void ThreadPool::fork_join(std::size_t participants, const WorkFnRef& fn) {
     const std::lock_guard lock(wake_mutex_);
     job_fn_ = &fn;
     job_worker_lanes_ = worker_lanes;
-    job_epoch_.fetch_add(1, std::memory_order_release);
+    ++job_epoch_;
   }
   wake_cv_.notify_all();
 

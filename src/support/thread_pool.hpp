@@ -116,12 +116,13 @@ class ThreadPool {
   bool stopping_ = false;
 
   // --- fork-join broadcast state ------------------------------------------
-  // job_fn_ / job_worker_lanes_ are written by the dispatcher under
-  // wake_mutex_ before the release bump of job_epoch_; workers read them
-  // after an acquire load of job_epoch_ (publication via the epoch).
+  // job_fn_ / job_worker_lanes_ / job_epoch_ are guarded by wake_mutex_:
+  // the dispatcher writes all three in one critical section and a worker
+  // reads all three in one, so a worker always sees one job's consistent
+  // (epoch, lanes, callable) triple.
   const WorkFnRef* job_fn_ = nullptr;
   std::size_t job_worker_lanes_ = 0;
-  alignas(64) std::atomic<std::uint64_t> job_epoch_{0};
+  std::uint64_t job_epoch_ = 0;
   alignas(64) std::atomic<std::size_t> job_remaining_{0};
   std::exception_ptr job_error_;  // first lane exception (error_mutex_)
   std::mutex error_mutex_;

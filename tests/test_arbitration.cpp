@@ -1,10 +1,8 @@
-// Conflict-arbitration policies: abort-self (the paper's model) vs
-// KDG-style priority-wins with cooperative poisoning.
+// Conflict arbitration: abort-self, the paper's model. The later arrival
+// at a held item aborts itself, whatever the two tasks' priorities.
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <numeric>
-#include <thread>
 #include <vector>
 
 #include "rt/spec_executor.hpp"
@@ -14,77 +12,10 @@
 namespace optipar {
 namespace {
 
-TEST(PriorityWins, IndependentTasksAllCommit) {
-  ThreadPool pool(4);
-  std::atomic<int> commits{0};
-  SpeculativeExecutor ex(
-      pool, 32,
-      [&](TaskId t, IterationContext& ctx) {
-        ctx.acquire(static_cast<std::uint32_t>(t));
-        commits.fetch_add(1);
-      },
-      1, WorklistPolicy::kRandom, ArbitrationPolicy::kPriorityWins);
-  std::vector<TaskId> tasks(32);
-  std::iota(tasks.begin(), tasks.end(), TaskId{0});
-  ex.push_initial(tasks);
-  while (!ex.done()) (void)ex.run_round(32);
-  EXPECT_EQ(commits.load(), 32);
-  EXPECT_TRUE(ex.locks().all_free());
-}
-
-TEST(PriorityWins, EarlierPriorityTaskWinsTheContendedItem) {
-  // Two tasks collide on item 0. The later-priority task grabs it first
-  // (forced by a barrier choreography), then the earlier one poisons it
-  // and must commit this very round.
-  ThreadPool pool(2);
-  SpinBarrier barrier(2);
-  std::atomic<int> winner{-1};
-  std::atomic<bool> first_9{true};
-  std::atomic<bool> first_1{true};
-  SpeculativeExecutor ex(
-      pool, 8,
-      [&](TaskId t, IterationContext& ctx) {
-        // Retries of the aborted task must skip the two-party barrier
-        // choreography (their partner is gone).
-        if (t == 9) {
-          if (!first_9.exchange(false)) {
-            ctx.acquire(0);
-            return;
-          }
-          ctx.acquire(0);            // grabs the item first...
-          barrier.arrive_and_wait(); // ...then lets the earlier task try
-          // Busy section with a cancellation point: the poisoned owner
-          // must notice and abort here (acquire re-checks status).
-          for (int spin = 0; spin < 100000; ++spin) ctx.acquire(0);
-          winner.store(9);
-        } else {                     // t == 1: earlier priority
-          if (!first_1.exchange(false)) {
-            ctx.acquire(0);
-            return;
-          }
-          barrier.arrive_and_wait();
-          ctx.acquire(0);            // poisons task 9, waits, then takes it
-          winner.store(1);
-        }
-      },
-      2, WorklistPolicy::kFifo, ArbitrationPolicy::kPriorityWins);
-  // The two-party barrier choreography needs both tasks running
-  // concurrently; override the core-count lane cap.
-  ex.set_pipeline({.max_lanes = 2});
-  std::vector<TaskId> tasks{9, 1};  // FIFO: 9 launches first
-  ex.push_initial(tasks);
-  const auto stats = ex.run_round(2);
-  EXPECT_EQ(stats.committed, 1u);
-  EXPECT_EQ(stats.aborted, 1u);
-  EXPECT_EQ(winner.load(), 1);  // the earlier task won
-  // Task 9 was requeued; with nobody contending it commits now.
-  while (!ex.done()) (void)ex.run_round(2);
-  EXPECT_TRUE(ex.locks().all_free());
-}
-
 TEST(AbortSelf, LaterArrivalAbortsRegardlessOfPriority) {
-  // Same choreography under abort-self: the earlier-priority task arrives
-  // second and therefore aborts.
+  // Task 9 grabs item 0 and only then lets task 1 (the smaller id, i.e.
+  // the earlier priority) try it. Which lane draws which task does not
+  // matter: the barrier forces the arrival order either way.
   ThreadPool pool(2);
   SpinBarrier barrier(2);
   std::atomic<int> aborted_task{-1};
@@ -114,7 +45,7 @@ TEST(AbortSelf, LaterArrivalAbortsRegardlessOfPriority) {
           }
         }
       },
-      3, WorklistPolicy::kFifo, ArbitrationPolicy::kAbortSelf);
+      3);
   ex.set_pipeline({.max_lanes = 2});  // barrier choreography needs 2 lanes
   std::vector<TaskId> tasks{9, 1};
   ex.push_initial(tasks);
@@ -123,142 +54,6 @@ TEST(AbortSelf, LaterArrivalAbortsRegardlessOfPriority) {
   EXPECT_EQ(stats.aborted, 1u);
   EXPECT_EQ(aborted_task.load(), 1);  // earlier priority lost anyway
   while (!ex.done()) (void)ex.run_round(2);
-}
-
-TEST(PriorityWins, PoisonedFinisherFailsItsCommit) {
-  // The owner finishes its operator body without another acquire; the
-  // poison must still prevent its commit (the final CAS catches it).
-  ThreadPool pool(2);
-  SpinBarrier barrier(2);
-  std::atomic<bool> owner_finished{false};
-  std::atomic<bool> first_9{true};
-  std::atomic<bool> first_1{true};
-  SpeculativeExecutor ex(
-      pool, 4,
-      [&](TaskId t, IterationContext& ctx) {
-        if (t == 9) {
-          if (!first_9.exchange(false)) {
-            ctx.acquire(0);
-            return;
-          }
-          ctx.acquire(0);
-          barrier.arrive_and_wait();
-          // Wait until the earlier task is (very likely) inside its
-          // poison-and-wait loop, then return — no cancellation point.
-          while (!owner_finished.load()) {
-            std::this_thread::yield();
-          }
-        } else {
-          if (!first_1.exchange(false)) {
-            ctx.acquire(0);
-            return;
-          }
-          barrier.arrive_and_wait();
-          owner_finished.store(true);
-          ctx.acquire(0);  // poisons 9; 9 returns; CAS fails; we proceed
-        }
-      },
-      4, WorklistPolicy::kFifo, ArbitrationPolicy::kPriorityWins);
-  ex.set_pipeline({.max_lanes = 2});  // barrier choreography needs 2 lanes
-  std::vector<TaskId> tasks{9, 1};
-  ex.push_initial(tasks);
-  const auto stats = ex.run_round(2);
-  EXPECT_EQ(stats.committed, 1u);
-  EXPECT_EQ(stats.aborted, 1u);
-  while (!ex.done()) (void)ex.run_round(2);
-  EXPECT_EQ(ex.totals().committed, 2u);
-}
-
-TEST(PriorityWins, PoisonedMutationsRollBack) {
-  // All tasks mutate a private counter then collide on item 0. Under
-  // priority-wins every aborted attempt (poisoned or arbitration-lost)
-  // must leave no trace.
-  ThreadPool pool(4);
-  std::atomic<int> counter{0};
-  SpeculativeExecutor ex(
-      pool, 17,
-      [&](TaskId t, IterationContext& ctx) {
-        ctx.acquire(1 + static_cast<std::uint32_t>(t));
-        counter.fetch_add(1);
-        ctx.on_abort([&] { counter.fetch_sub(1); });
-        ctx.acquire(0);
-      },
-      5, WorklistPolicy::kRandom, ArbitrationPolicy::kPriorityWins);
-  std::vector<TaskId> tasks(16);
-  std::iota(tasks.begin(), tasks.end(), TaskId{0});
-  ex.push_initial(tasks);
-  int rounds = 0;
-  while (!ex.done() && rounds++ < 1000) (void)ex.run_round(16);
-  ASSERT_TRUE(ex.done());
-  EXPECT_EQ(counter.load(), 16);
-  EXPECT_EQ(ex.totals().committed, 16u);
-  EXPECT_TRUE(ex.locks().all_free());
-}
-
-TEST(PriorityWins, ChaosAgainstSequentialOracle) {
-  // Same chaos invariant as the abort-self suite: randomized overlapping
-  // effects, final state must match the once-each oracle.
-  constexpr std::uint32_t kCells = 24;
-  constexpr std::uint32_t kTasks = 150;
-  Rng gen_rng(99);
-  struct Effect {
-    std::uint32_t first;
-    std::uint32_t count;
-    std::int64_t delta;
-  };
-  std::vector<Effect> effects(kTasks);
-  for (auto& e : effects) {
-    e.first = static_cast<std::uint32_t>(gen_rng.below(kCells));
-    e.count = 1 + static_cast<std::uint32_t>(gen_rng.below(3));
-    e.delta = gen_rng.between(-4, 4);
-  }
-  std::vector<std::int64_t> oracle(kCells, 0);
-  for (const auto& e : effects) {
-    for (std::uint32_t i = 0; i < e.count; ++i) {
-      oracle[(e.first + i) % kCells] += e.delta;
-    }
-  }
-  std::vector<std::int64_t> cells(kCells, 0);
-  ThreadPool pool(4);
-  SpeculativeExecutor ex(
-      pool, kCells,
-      [&](TaskId t, IterationContext& ctx) {
-        const Effect& e = effects[t];
-        for (std::uint32_t i = 0; i < e.count; ++i) {
-          const std::uint32_t cell = (e.first + i) % kCells;
-          ctx.acquire(cell);
-          cells[cell] += e.delta;
-          ctx.on_abort([&cells, cell, d = e.delta] { cells[cell] -= d; });
-        }
-      },
-      6, WorklistPolicy::kRandom, ArbitrationPolicy::kPriorityWins);
-  std::vector<TaskId> tasks(kTasks);
-  std::iota(tasks.begin(), tasks.end(), TaskId{0});
-  ex.push_initial(tasks);
-  int rounds = 0;
-  while (!ex.done() && rounds++ < 100000) (void)ex.run_round(16);
-  ASSERT_TRUE(ex.done());
-  EXPECT_EQ(cells, oracle);
-}
-
-TEST(PriorityWins, ForeignLockFallsBackToAbortSelf) {
-  ThreadPool pool(1);
-  std::atomic<int> attempts{0};
-  SpeculativeExecutor ex(
-      pool, 2,
-      [&](TaskId, IterationContext& ctx) {
-        attempts.fetch_add(1);
-        ctx.acquire(1);  // held by a foreign owner below
-      },
-      7, WorklistPolicy::kRandom, ArbitrationPolicy::kPriorityWins);
-  ASSERT_TRUE(ex.locks().try_acquire(1, 123456789));
-  std::vector<TaskId> tasks{0};
-  ex.push_initial(tasks);
-  const auto stats = ex.run_round(1);
-  EXPECT_EQ(stats.aborted, 1u);  // no deadlock, no wait
-  ex.locks().release(1, 123456789);
-  while (!ex.done()) (void)ex.run_round(1);
-  EXPECT_EQ(ex.totals().committed, 1u);
 }
 
 }  // namespace

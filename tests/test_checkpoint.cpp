@@ -393,6 +393,37 @@ TEST(StateRoundTrip, ExecutorShapeMismatchIsRejected) {
   }
 }
 
+TEST(StateRoundTrip, RetiredArbitrationValueIsRejected) {
+  // Shape header: u64 seed derivative, u64 shard count, u8 worklist, then
+  // the u8 arbitration byte. Abort-self (0) is the only rule; 1 was the
+  // retired priority-wins rule and must stay refused.
+  constexpr std::size_t kArbitrationOffset = 8 + 8 + 1;
+  const CsrGraph g = gen::union_of_cliques(49, 6);
+  RunRig a(g, 99);
+  (void)a.ex.run_round(4);
+  Writer w;
+  a.ex.save_state(w);
+  auto payload = w.take();
+  ASSERT_GT(payload.size(), kArbitrationOffset);
+  ASSERT_EQ(payload[kArbitrationOffset], std::byte{0});
+
+  // Unmodified, the snapshot loads into a twin.
+  {
+    RunRig twin(g, 99);
+    Reader r(payload);
+    EXPECT_NO_THROW(twin.ex.load_state(r));
+  }
+  payload[kArbitrationOffset] = std::byte{1};
+  RunRig twin(g, 99);
+  Reader r(payload);
+  try {
+    twin.ex.load_state(r);
+    FAIL() << "expected kMismatch";
+  } catch (const SnapshotError& e) {
+    EXPECT_EQ(e.kind(), SnapshotError::Kind::kMismatch);
+  }
+}
+
 TEST(StateRoundTrip, ControllersResumeTheirDecisionSequence) {
   // Feed a prefix of observations, save, restore into a fresh instance,
   // then feed an identical suffix to both: decisions must coincide.

@@ -77,7 +77,7 @@ TEST_P(ExecutorChaosTest, FinalStateMatchesSequentialOracle) {
           ctx.on_abort([&cells, cell, d = e.delta] { cells[cell] -= d; });
         }
       },
-      param.seed * 7 + 1, param.policy);
+      param.seed * 7 + 1, RoundOptions{.worklist = param.policy});
   // The sweep's multi-thread cases should exercise real multi-lane
   // rounds even when the host has fewer cores than the pool.
   ex.set_pipeline({.max_lanes = param.threads});
@@ -180,7 +180,7 @@ TEST(ExecutorChaos, QuarantinedTasksAreNotReExecutedAfterRecovery) {
     // chunk tickets), and this test compares ledgers entry-for-entry.
     ThreadPool pool(1);
     SpeculativeExecutor ex(pool, kCells, make_operator(kCells), kSeed,
-                           WorklistPolicy::kFifo);
+                           RoundOptions{.worklist = WorklistPolicy::kFifo});
     ex.set_failure_policy(policy);
     std::vector<TaskId> tasks(kTasks);
     std::iota(tasks.begin(), tasks.end(), TaskId{0});
@@ -202,7 +202,7 @@ TEST(ExecutorChaos, QuarantinedTasksAreNotReExecutedAfterRecovery) {
   // Resume in a fresh executor: the ledger comes back from the snapshot...
   ThreadPool pool(1);
   SpeculativeExecutor ex(pool, kCells, make_operator(kCells), kSeed,
-                         WorklistPolicy::kFifo);
+                         RoundOptions{.worklist = WorklistPolicy::kFifo});
   ex.set_failure_policy(policy);
   std::vector<TaskId> tasks(kTasks);
   std::iota(tasks.begin(), tasks.end(), TaskId{0});

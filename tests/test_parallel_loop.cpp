@@ -1,52 +1,64 @@
-#include "rt/parallel_loop.hpp"
-
+// The hand-wired adaptive loop every app uses: a SpeculativeExecutor over
+// an initial work-set, driven to quiescence by run_adaptive with the
+// hybrid controller choosing each round's parallelism.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <span>
 
+#include "control/hybrid.hpp"
 #include "graph/algos.hpp"
 #include "graph/generators.hpp"
+#include "rt/adaptive_executor.hpp"
+#include "rt/spec_executor.hpp"
+#include "support/thread_pool.hpp"
 
 namespace optipar {
 namespace {
 
-TEST(ForEachAdaptive, RunsEveryTaskExactlyOnceWhenIndependent) {
+Trace run_loop(SpeculativeExecutor& executor,
+               std::span<const TaskId> initial,
+               const ControllerParams& params = {},
+               const AdaptiveRunConfig& config = {}) {
+  executor.push_initial(initial);
+  HybridController controller(params);
+  return run_adaptive(executor, controller, config);
+}
+
+TEST(AdaptiveLoop, RunsEveryTaskExactlyOnceWhenIndependent) {
   ThreadPool pool(2);
   std::vector<std::atomic<int>> hits(64);
   std::vector<TaskId> initial;
   for (TaskId t = 0; t < 64; ++t) initial.push_back(t);
-  ForEachOptions options;
-  options.items = 64;
-  const auto trace = for_each_adaptive(
-      pool, initial,
+  SpeculativeExecutor ex(
+      pool, 64,
       [&](TaskId t, IterationContext& ctx) {
         ctx.acquire(static_cast<std::uint32_t>(t));
         hits[t].fetch_add(1);
       },
-      options);
+      1);
+  const auto trace = run_loop(ex, initial);
   for (auto& h : hits) EXPECT_EQ(h.load(), 1);
   EXPECT_EQ(trace.total_committed(), 64u);
 }
 
-TEST(ForEachAdaptive, PushedWorkIsExecuted) {
+TEST(AdaptiveLoop, PushedWorkIsExecuted) {
   ThreadPool pool(2);
   std::atomic<int> total{0};
   const TaskId initial[] = {0};
-  ForEachOptions options;
-  options.items = 1;
-  (void)for_each_adaptive(
-      pool, initial,
+  SpeculativeExecutor ex(
+      pool, 1,
       [&](TaskId t, IterationContext& ctx) {
         ctx.acquire(0);
         total.fetch_add(1);
         if (t < 5) ctx.push(t + 1);
       },
-      options);
+      1);
+  (void)run_loop(ex, initial);
   EXPECT_EQ(total.load(), 6);
 }
 
-TEST(ForEachAdaptive, SolvesMisEndToEnd) {
-  // The whole MIS app re-expressed through the one-call API.
+TEST(AdaptiveLoop, SolvesMisEndToEnd) {
   Rng rng(1);
   const auto g = gen::gnm_random(300, 1200, rng);
   std::vector<std::uint8_t> state(300, 0);  // 0 undecided, 1 in, 2 out
@@ -54,11 +66,8 @@ TEST(ForEachAdaptive, SolvesMisEndToEnd) {
   for (TaskId v = 0; v < 300; ++v) initial.push_back(v);
 
   ThreadPool pool(4);
-  ForEachOptions options;
-  options.items = 300;
-  options.controller.rho = 0.25;
-  const auto trace = for_each_adaptive(
-      pool, initial,
+  SpeculativeExecutor ex(
+      pool, 300,
       [&](TaskId task, IterationContext& ctx) {
         const auto v = static_cast<NodeId>(task);
         ctx.acquire(v);
@@ -77,7 +86,10 @@ TEST(ForEachAdaptive, SolvesMisEndToEnd) {
           }
         }
       },
-      options);
+      1);
+  ControllerParams params;
+  params.rho = 0.25;
+  const auto trace = run_loop(ex, initial, params);
 
   std::vector<NodeId> in_set;
   for (NodeId v = 0; v < 300; ++v) {
@@ -87,70 +99,29 @@ TEST(ForEachAdaptive, SolvesMisEndToEnd) {
   EXPECT_GT(trace.steps.size(), 0u);
 }
 
-TEST(ForEachAdaptive, PriorityWinsArbitrationSolvesColoringProperly) {
-  Rng rng(2);
-  const auto g = gen::gnm_random(200, 900, rng);
-  std::vector<std::uint32_t> color(200, UINT32_MAX);
-  std::vector<TaskId> initial;
-  for (TaskId v = 0; v < 200; ++v) initial.push_back(v);
-
-  ThreadPool pool(4);
-  ForEachOptions options;
-  options.items = 200;
-  options.arbitration = ArbitrationPolicy::kPriorityWins;
-  (void)for_each_adaptive(
-      pool, initial,
-      [&](TaskId task, IterationContext& ctx) {
-        const auto v = static_cast<NodeId>(task);
-        ctx.acquire(v);
-        if (color[v] != UINT32_MAX) return;
-        for (const NodeId w : g.neighbors(v)) ctx.acquire(w);
-        std::vector<bool> taken(g.degree(v) + 1, false);
-        for (const NodeId w : g.neighbors(v)) {
-          if (color[w] != UINT32_MAX && color[w] < taken.size()) {
-            taken[color[w]] = true;
-          }
-        }
-        std::uint32_t c = 0;
-        while (c < taken.size() && taken[c]) ++c;
-        color[v] = c;
-        ctx.on_abort([&color, v] { color[v] = UINT32_MAX; });
-      },
-      options);
-
-  for (NodeId v = 0; v < 200; ++v) {
-    ASSERT_NE(color[v], UINT32_MAX);
-    for (const NodeId w : g.neighbors(v)) EXPECT_NE(color[v], color[w]);
-  }
-}
-
-TEST(ForEachAdaptive, SoftPriorityPolicyOrdersExecution) {
+TEST(AdaptiveLoop, SoftPriorityPolicyOrdersExecution) {
   ThreadPool pool(1);
   std::vector<TaskId> order;
   std::vector<TaskId> initial{30, 10, 20};
-  ForEachOptions options;
-  options.items = 1;
-  options.policy = WorklistPolicy::kPriority;
-  options.priority = [](TaskId t) { return t; };
-  (void)for_each_adaptive(
-      pool, initial,
-      [&order](TaskId t, IterationContext&) { order.push_back(t); },
-      options);
+  SpeculativeExecutor ex(
+      pool, 1, [&order](TaskId t, IterationContext&) { order.push_back(t); },
+      1, RoundOptions{.worklist = WorklistPolicy::kPriority});
+  ex.set_priority_function([](TaskId t) { return t; });
+  (void)run_loop(ex, initial);
   EXPECT_EQ(order, (std::vector<TaskId>{10, 20, 30}));
 }
 
-TEST(ForEachAdaptive, BeforeRoundHookAndMaxRounds) {
+TEST(AdaptiveLoop, BeforeRoundHookAndMaxRounds) {
   ThreadPool pool(1);
   int hooks = 0;
   const TaskId initial[] = {0};
-  ForEachOptions options;
-  options.items = 1;
-  options.max_rounds = 3;
-  options.before_round = [&](SpeculativeExecutor&) { ++hooks; };
-  (void)for_each_adaptive(
-      pool, initial,
-      [](TaskId, IterationContext&) -> void { throw AbortIteration{}; },
-      options);
+  SpeculativeExecutor ex(
+      pool, 1,
+      [](TaskId, IterationContext&) -> void { throw AbortIteration{}; }, 1);
+  AdaptiveRunConfig config;
+  config.max_rounds = 3;
+  config.before_round = [&](SpeculativeExecutor&) { ++hooks; };
+  (void)run_loop(ex, initial, {}, config);
   EXPECT_EQ(hooks, 3);
 }
 

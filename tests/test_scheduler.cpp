@@ -114,8 +114,8 @@ sched::FootprintFn cell_footprint() {
 }
 
 /// Run the cell workload to quiescence at one lane. `legacy` selects the
-/// pre-RoundOptions constructor (which must behave identically for the
-/// random backend).
+/// four-argument constructor call (default RoundOptions), which must
+/// behave identically to passing the random backend's options explicitly.
 GoldenRun run_cells(bool legacy, sched::Backend backend,
                     std::uint64_t seed) {
   GoldenRun out;
@@ -443,7 +443,7 @@ TEST(ChromaticZeroAbort, DelaunayRefinement) {
 // ---------------------------------------------------------------------------
 
 TEST(RelaxedScheduler, DrawIsAPermutationWithBoundedRankError) {
-  sched::RelaxedScheduler rs(123, 4, 4);  // 16 queues
+  sched::RelaxedScheduler rs(123, 4);  // 4 lanes x 4 = 16 queues
   rs.set_priority_function([](TaskId t) { return t; });
   constexpr std::size_t kN = 1000;
   std::vector<TaskId> tasks(kN);

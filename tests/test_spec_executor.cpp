@@ -265,7 +265,7 @@ TEST(SpecExecutor, RecycledContextsStayCleanAcrossThousandsOfRounds) {
         }
         if (t % 7 == 0) throw AbortIteration{};  // voluntary churn
       },
-      /*seed=*/77, WorklistPolicy::kRandom);
+      /*seed=*/77);
   std::uint64_t waves = 0;
   std::uint64_t expected_total = 0;
   for (int wave = 0; wave < 40; ++wave) {

@@ -4,6 +4,7 @@
 
 #include <dirent.h>
 
+#include <array>
 #include <atomic>
 #include <numeric>
 #include <set>
@@ -167,6 +168,25 @@ TEST(ThreadPool, FortyThousandForkJoinsReuseResidentWorkers) {
   burst();
   EXPECT_EQ(count_threads(), threads_after_warmup);
   EXPECT_EQ(total.load(), 2u * 10000u * 6u);
+}
+
+TEST(ThreadPool, AlternatingLaneCountsRunEveryLaneExactlyOnce) {
+  // Regression for the fork-join publication race: a worker that sat out
+  // a narrow dispatch must never pair that epoch with the next, wider
+  // dispatch's lane count — it would run a lane twice and break the join.
+  // Alternating narrow and wide dispatches keeps idle workers racing the
+  // next publication on every other call.
+  ThreadPool pool(4);
+  constexpr std::size_t kMaxLanes = 5;  // 4 workers + the caller
+  std::array<std::atomic<int>, kMaxLanes> runs{};
+  for (int call = 0; call < 20000; ++call) {
+    const std::size_t k = call % 2 == 0 ? 2 : 2 + (call / 2) % 4;
+    pool.run_on_workers(k, [&](std::size_t lane) { runs[lane].fetch_add(1); });
+    for (std::size_t lane = 0; lane < kMaxLanes; ++lane) {
+      ASSERT_EQ(runs[lane].exchange(0), lane < k ? 1 : 0)
+          << "dispatch " << call << " with " << k << " lanes, lane " << lane;
+    }
+  }
 }
 
 TEST(SpinBarrier, SynchronizesPhases) {

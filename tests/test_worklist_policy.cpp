@@ -26,7 +26,8 @@ struct OrderRecorder {
 TEST(WorklistPolicy, FifoPreservesPushOrder) {
   ThreadPool pool(1);
   OrderRecorder rec;
-  SpeculativeExecutor ex(pool, 1, rec.op(), 1, WorklistPolicy::kFifo);
+  SpeculativeExecutor ex(pool, 1, rec.op(), 1,
+                         RoundOptions{.worklist = WorklistPolicy::kFifo});
   std::vector<TaskId> tasks{10, 20, 30, 40, 50};
   ex.push_initial(tasks);
   (void)ex.run_round(2);
@@ -37,7 +38,8 @@ TEST(WorklistPolicy, FifoPreservesPushOrder) {
 TEST(WorklistPolicy, LifoTakesNewestFirst) {
   ThreadPool pool(1);
   OrderRecorder rec;
-  SpeculativeExecutor ex(pool, 1, rec.op(), 2, WorklistPolicy::kLifo);
+  SpeculativeExecutor ex(pool, 1, rec.op(), 2,
+                         RoundOptions{.worklist = WorklistPolicy::kLifo});
   std::vector<TaskId> tasks{1, 2, 3};
   ex.push_initial(tasks);
   (void)ex.run_round(2);
@@ -59,7 +61,7 @@ TEST(WorklistPolicy, FifoPushedWorkRunsAfterInitialWork) {
         }
         if (t == 1) ctx.push(99);
       },
-      3, WorklistPolicy::kFifo);
+      3, RoundOptions{.worklist = WorklistPolicy::kFifo});
   std::vector<TaskId> tasks{1, 2};
   ex.push_initial(tasks);
   while (!ex.done()) (void)ex.run_round(1);
@@ -79,7 +81,7 @@ TEST(WorklistPolicy, AllPoliciesDrainEverything) {
           const std::lock_guard lock(mu);
           seen.insert(t);
         },
-        4, policy);
+        4, RoundOptions{.worklist = policy});
     std::vector<TaskId> tasks;
     for (TaskId t = 0; t < 200; ++t) tasks.push_back(t);
     ex.push_initial(tasks);
@@ -94,7 +96,8 @@ TEST(WorklistPolicy, FifoCompactionKeepsPendingCorrect) {
   // Push enough work that the head-cursor compaction path triggers.
   ThreadPool pool(1);
   SpeculativeExecutor ex(
-      pool, 1, [](TaskId, IterationContext&) {}, 5, WorklistPolicy::kFifo);
+      pool, 1, [](TaskId, IterationContext&) {}, 5,
+      RoundOptions{.worklist = WorklistPolicy::kFifo});
   std::vector<TaskId> tasks(5000);
   for (TaskId t = 0; t < 5000; ++t) tasks[t] = t;
   ex.push_initial(tasks);
@@ -109,7 +112,7 @@ TEST(WorklistPolicy, FifoCompactionKeepsPendingCorrect) {
 TEST(WorklistPolicy, PriorityRequiresPriorityFunction) {
   ThreadPool pool(1);
   SpeculativeExecutor ex(pool, 1, [](TaskId, IterationContext&) {}, 6,
-                         WorklistPolicy::kPriority);
+                         RoundOptions{.worklist = WorklistPolicy::kPriority});
   std::vector<TaskId> tasks{1};
   EXPECT_THROW((void)ex.push_initial(tasks), std::logic_error);
 }
@@ -117,7 +120,8 @@ TEST(WorklistPolicy, PriorityRequiresPriorityFunction) {
 TEST(WorklistPolicy, PriorityRunsSmallestFirst) {
   ThreadPool pool(1);
   OrderRecorder rec;
-  SpeculativeExecutor ex(pool, 1, rec.op(), 7, WorklistPolicy::kPriority);
+  SpeculativeExecutor ex(pool, 1, rec.op(), 7,
+                         RoundOptions{.worklist = WorklistPolicy::kPriority});
   // Priority = the task id modulo 10, so 23 (3) beats 41 (1)... careful:
   // smaller runs first.
   ex.set_priority_function([](TaskId t) { return t % 10; });
@@ -135,7 +139,8 @@ TEST(WorklistPolicy, PriorityReevaluatedOnPush) {
   ThreadPool pool(1);
   std::vector<std::uint64_t> dynamic_priority = {5, 1};
   OrderRecorder rec;
-  SpeculativeExecutor ex(pool, 2, rec.op(), 8, WorklistPolicy::kPriority);
+  SpeculativeExecutor ex(pool, 2, rec.op(), 8,
+                         RoundOptions{.worklist = WorklistPolicy::kPriority});
   ex.set_priority_function(
       [&dynamic_priority](TaskId t) { return dynamic_priority[t]; });
   std::vector<TaskId> tasks{0};
@@ -149,7 +154,7 @@ TEST(WorklistPolicy, RandomPolicyIsSeedDeterministic) {
   auto run = [](std::uint64_t seed) {
     ThreadPool pool(1);
     OrderRecorder rec;
-    SpeculativeExecutor ex(pool, 1, rec.op(), seed, WorklistPolicy::kRandom);
+    SpeculativeExecutor ex(pool, 1, rec.op(), seed);
     std::vector<TaskId> tasks{1, 2, 3, 4, 5, 6, 7, 8};
     ex.push_initial(tasks);
     while (!ex.done()) (void)ex.run_round(3);
@@ -188,7 +193,7 @@ GoldenTrace run_golden_workload(WorklistPolicy policy) {
         ctx.acquire(static_cast<std::uint32_t>(t % 8));
         if (t < 40) ctx.push(t + 100);
       },
-      /*seed=*/12345, policy);
+      /*seed=*/12345, RoundOptions{.worklist = policy});
   std::vector<TaskId> tasks;
   for (TaskId t = 0; t < 20; ++t) tasks.push_back(t);
   ex.push_initial(tasks);
