@@ -114,7 +114,7 @@ void BM_ExecutorRound(benchmark::State& state) {
     SpeculativeExecutor ex(
         pool, 4096,
         [](TaskId t, IterationContext& ctx) {
-          ctx.acquire(static_cast<std::uint32_t>(t));
+          if (!ctx.acquire(static_cast<std::uint32_t>(t))) return;
         },
         5);
     std::vector<TaskId> tasks(4096);
@@ -139,7 +139,7 @@ void BM_SpecExecutorRound(benchmark::State& state) {
   SpeculativeExecutor ex(
       pool, 4096,
       [](TaskId t, IterationContext& ctx) {
-        ctx.acquire(static_cast<std::uint32_t>(t));
+        if (!ctx.acquire(static_cast<std::uint32_t>(t))) return;
         ctx.push(t);  // keep the worklist at steady state
       },
       5);
@@ -153,6 +153,31 @@ void BM_SpecExecutorRound(benchmark::State& state) {
 }
 BENCHMARK(BM_SpecExecutorRound)->Arg(16)->Arg(256)->Arg(2048);
 
+// The same steady-state round on the abort path: task t locks item t/2, so
+// of each pair the task drawn second conflicts and exactly half of every
+// round aborts. Aborted tasks are requeued and committed ones re-push
+// themselves, so the worklist stays at m. CI holds its time to a multiple
+// of BM_SpecExecutorRound's (scripts/check_bench_sentinel.py --ratio-to).
+void BM_SpecExecutorRoundConflicted(benchmark::State& state) {
+  const auto m = static_cast<std::uint32_t>(state.range(0));
+  ThreadPool pool(2);
+  SpeculativeExecutor ex(
+      pool, 4096,
+      [](TaskId t, IterationContext& ctx) {
+        if (!ctx.acquire(static_cast<std::uint32_t>(t / 2))) return;
+        ctx.push(t);
+      },
+      5);
+  std::vector<TaskId> tasks(m);
+  for (std::uint32_t t = 0; t < m; ++t) tasks[t] = t;
+  ex.push_initial(tasks);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ex.run_round(m).committed);
+  }
+  state.SetItemsProcessed(state.iterations() * m);
+}
+BENCHMARK(BM_SpecExecutorRoundConflicted)->Arg(256)->Arg(2048);
+
 // The same steady-state round with a RuntimeTelemetry sink attached — the
 // enabled-path cost of the per-lane counters, phase clocks, and work
 // histogram. scripts/run_bench.sh compares this bench's median against
@@ -164,7 +189,7 @@ void BM_SpecExecutorRoundTelemetry(benchmark::State& state) {
   SpeculativeExecutor ex(
       pool, 4096,
       [](TaskId t, IterationContext& ctx) {
-        ctx.acquire(static_cast<std::uint32_t>(t));
+        if (!ctx.acquire(static_cast<std::uint32_t>(t))) return;
         ctx.push(t);  // keep the worklist at steady state
       },
       5);

@@ -72,7 +72,7 @@ std::uint32_t ContractionGraph::chosen_count() const {
 TaskOperator make_boruvka_operator(ContractionGraph& graph) {
   return [&graph](TaskId task, IterationContext& ctx) {
     const auto v = static_cast<NodeId>(task);
-    ctx.acquire(v);
+    if (!ctx.acquire(v)) return;
     if (!graph.is_alive(v)) return;  // contracted by someone else: no-op
 
     const auto best = graph.lightest_edge(v);
@@ -84,13 +84,15 @@ TaskOperator make_boruvka_operator(ContractionGraph& graph) {
     }
     const NodeId u = best->v;
     const double w = best->w;
-    ctx.acquire(u);
+    if (!ctx.acquire(u)) return;
 
     // Snapshot v's neighborhood, then merge it into u. Every neighbor's
     // adjacency is rewritten, so each must be acquired first.
     const std::vector<std::pair<NodeId, double>> nbrs(
         graph.adjacency(v).begin(), graph.adjacency(v).end());
-    for (const auto& [x, wx] : nbrs) ctx.acquire(x);
+    for (const auto& [x, wx] : nbrs) {
+      if (!ctx.acquire(x)) return;
+    }
 
     for (const auto& [x, wx] : nbrs) {
       auto& adj_x = graph.mutable_adjacency(x);
@@ -118,11 +120,12 @@ TaskOperator make_boruvka_operator(ContractionGraph& graph) {
         });
       }
     }
-    // v's own adjacency empties out; restore it wholesale on abort.
+    // v's own adjacency empties out; restore it wholesale on abort. The
+    // closure takes the map by move: a commit must not copy it.
     auto saved = std::move(graph.mutable_adjacency(v));
     graph.mutable_adjacency(v).clear();
-    ctx.on_abort([&graph, v, saved] {
-      graph.mutable_adjacency(v) = saved;
+    ctx.on_abort([&graph, v, saved = std::move(saved)]() mutable {
+      graph.mutable_adjacency(v) = std::move(saved);
     });
 
     graph.record_choice(v, w, true);

@@ -30,16 +30,20 @@ TaskOperator make_coloring_operator(const CsrGraph& graph,
                                     ColoringState& state) {
   return [&graph, &state](TaskId task, IterationContext& ctx) {
     const auto v = static_cast<NodeId>(task);
-    ctx.acquire(v);
+    if (!ctx.acquire(v)) return;
     if (state.color(v) != kUncolored) return;  // no-op commit
 
-    for (const NodeId w : graph.neighbors(v)) ctx.acquire(w);
+    for (const NodeId w : graph.neighbors(v)) {
+      if (!ctx.acquire(w)) return;
+    }
 
-    // Smallest color not used by any neighbor.
-    std::vector<bool> taken(graph.degree(v) + 1, false);
+    // Smallest color not used by any neighbor. The flags live in a
+    // per-thread buffer so that a task allocates nothing.
+    thread_local std::vector<std::uint8_t> taken;
+    taken.assign(graph.degree(v) + 1, 0);
     for (const NodeId w : graph.neighbors(v)) {
       const std::uint32_t c = state.color(w);
-      if (c != kUncolored && c < taken.size()) taken[c] = true;
+      if (c != kUncolored && c < taken.size()) taken[c] = 1;
     }
     std::uint32_t chosen = 0;
     while (chosen < taken.size() && taken[chosen]) ++chosen;

@@ -129,7 +129,11 @@ TaskOperator make_refine_operator(Mesh& mesh, const RefineQuality& q) {
   return [&mesh, q](TaskId task, IterationContext& ctx) {
     const auto t = static_cast<TriId>(task);
     InsertHooks hooks;
-    hooks.touch = [&ctx](TriId tri) { ctx.acquire(tri); };
+    // The cavity walk runs deep inside refine_one, so a failed acquire
+    // unwinds it with a throw rather than a return through every frame.
+    hooks.touch = [&ctx](TriId tri) {
+      if (!ctx.acquire(tri)) throw AbortIteration{};
+    };
     hooks.on_undo = [&ctx](std::function<void()> inverse) {
       ctx.on_abort(std::move(inverse));
     };

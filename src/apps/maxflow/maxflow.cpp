@@ -105,13 +105,15 @@ TaskOperator make_push_relabel_operator(FlowNetwork& net,
   return [&net, &state, s, t](TaskId task, IterationContext& ctx) {
     const auto v = static_cast<NodeId>(task);
     if (v == s || v == t) return;
-    ctx.acquire(v);
+    if (!ctx.acquire(v)) return;
     if (state.excess(v) <= 0.0) return;  // discharged by someone else
 
     // Acquire the full neighborhood up front: discharge reads neighbor
     // heights and may touch any residual arc.
     auto& arcs = net.arcs(v);
-    for (const auto& a : arcs) ctx.acquire(a.to);
+    for (const auto& a : arcs) {
+      if (!ctx.acquire(a.to)) return;
+    }
 
     const std::uint32_t h_v = state.height(v);
     bool progressed = false;

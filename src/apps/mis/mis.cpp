@@ -48,11 +48,13 @@ bool MisState::all_decided() const {
 TaskOperator make_mis_operator(const CsrGraph& graph, MisState& state) {
   return [&graph, &state](TaskId task, IterationContext& ctx) {
     const auto v = static_cast<NodeId>(task);
-    ctx.acquire(v);
+    if (!ctx.acquire(v)) return;
     if (state.get(v) != NodeState::kUndecided) return;  // no-op commit
 
     // Acquire the full neighborhood before reading any of it.
-    for (const NodeId w : graph.neighbors(v)) ctx.acquire(w);
+    for (const NodeId w : graph.neighbors(v)) {
+      if (!ctx.acquire(w)) return;
+    }
 
     bool blocked = false;
     for (const NodeId w : graph.neighbors(v)) {

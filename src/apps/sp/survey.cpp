@@ -152,7 +152,7 @@ Trace run_survey_propagation_adaptive(SurveyState& state,
   auto op = [&state, &formula, tolerance, scheduled](TaskId task,
                                                      IterationContext& ctx) {
     const auto a = static_cast<std::uint32_t>(task);
-    ctx.acquire(a);
+    if (!ctx.acquire(a)) return;
     (*scheduled)[a] = 0;  // we are running; re-arm on abort (auto-requeue)
     ctx.on_abort([scheduled, a] { (*scheduled)[a] = 1; });
 
@@ -164,7 +164,9 @@ Trace run_survey_propagation_adaptive(SurveyState& state,
         if (b != a) neighborhood.insert(b);
       }
     }
-    for (const std::uint32_t b : neighborhood) ctx.acquire(b);
+    for (const std::uint32_t b : neighborhood) {
+      if (!ctx.acquire(b)) return;
+    }
 
     const auto fresh = state.compute_clause(a);
     double delta = 0.0;

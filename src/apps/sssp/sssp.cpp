@@ -41,11 +41,11 @@ DistanceTable::DistanceTable(NodeId n, NodeId source)
 TaskOperator make_sssp_operator(const WeightedGraph& g, DistanceTable& dist) {
   return [&g, &dist](TaskId task, IterationContext& ctx) {
     const auto v = static_cast<NodeId>(task);
-    ctx.acquire(v);
+    if (!ctx.acquire(v)) return;
     const double dv = dist.get(v);
     if (dv == kUnreachable) return;  // no useful relaxation yet: no-op
     for (const Arc& a : g.arcs(v)) {
-      ctx.acquire(a.to);
+      if (!ctx.acquire(a.to)) return;
       const double candidate = dv + a.weight;
       const double old = dist.get(a.to);
       if (candidate < old) {

@@ -3,8 +3,9 @@
 // is registered under an item id; the first iteration to acquire an item
 // owns it for the round, and any later iteration that needs it aborts
 // itself (abort-self arbitration: deadlock-free because no task ever
-// waits). Owners are cache-line padded to avoid false sharing between
-// concurrently acquiring threads.
+// waits). The table is one 4-byte owner word per item (DESIGN.md §12):
+// dense, so a 10^6-item table is 4 MB, at the price of lanes that may
+// share a cache line when they lock neighbouring items.
 #pragma once
 
 #include <atomic>
@@ -13,12 +14,15 @@
 #include <memory>
 #include <stdexcept>
 
-#include "support/padded.hpp"
-
 namespace optipar {
+
+/// What an acquire found. kHeld (the caller already owns the item) is how
+/// an iteration learns that it need not record the item again.
+enum class LockResult : std::uint8_t { kTaken, kHeld, kConflict };
 
 class LockManager {
  public:
+  /// Owner word of a free item. No iteration may use it as its tag.
   static constexpr std::uint32_t kFree = UINT32_MAX;
 
   explicit LockManager(std::size_t items);
@@ -29,50 +33,41 @@ class LockManager {
   /// acquire/release; the executor only grows between rounds.
   void grow(std::size_t items);
 
-  /// Try to take `item` for iteration `iter`. Succeeds if free or already
-  /// owned by `iter` (re-entrant). Returns false on conflict.
-  [[nodiscard]] bool try_acquire(std::uint32_t item, std::uint32_t iter);
+  /// Try to take `item` for the iteration tagged `owner`: kTaken if it was
+  /// free, kHeld if `owner` already owns it, kConflict otherwise.
+  [[nodiscard]] LockResult acquire(std::uint32_t item, std::uint32_t owner);
 
   /// Current owner (kFree if unowned). For assertions and tests.
   [[nodiscard]] std::uint32_t owner(std::uint32_t item) const;
 
-  /// Release one item owned by `iter` (asserts ownership in debug builds).
-  void release(std::uint32_t item, std::uint32_t iter);
+  /// Release one item owned by `owner` (asserts ownership in debug builds).
+  void release(std::uint32_t item, std::uint32_t owner);
 
   // --- single-lane fast-path variants (DESIGN.md §12) ---------------------
-  // Same ownership semantics and bounds checks as try_acquire/release, but
+  // Same ownership semantics and bounds checks as acquire/release, but
   // relaxed loads/plain stores instead of a CAS and a release fence. Legal
   // ONLY while exactly one thread touches the table (the executor's serial
   // round path); mixing them with concurrent acquires is a data race by
   // construction. Inline: the serial round calls these per held item.
 
-  [[nodiscard]] bool try_acquire_relaxed(std::uint32_t item,
-                                         std::uint32_t iter) {
-    if (item >= size_) {
-      throw std::out_of_range("LockManager::try_acquire: unknown item");
-    }
-    auto& owner = owners_[item].value;
-    const std::uint32_t cur = owner.load(std::memory_order_relaxed);
+  [[nodiscard]] LockResult acquire_relaxed(std::uint32_t item,
+                                           std::uint32_t owner) {
+    assert(owner != kFree && "an owner tag must differ from kFree");
+    auto& word = word_at(item);
+    const std::uint32_t cur = word.load(std::memory_order_relaxed);
     if (cur == kFree) {
-      owner.store(iter, std::memory_order_relaxed);
-      return true;
+      word.store(owner, std::memory_order_relaxed);
+      return LockResult::kTaken;
     }
-    if (cur == iter) return true;  // re-entrant acquire
-    if (contention_ != nullptr) {
-      contention_->fetch_add(1, std::memory_order_relaxed);
-    }
-    return false;
+    return cur == owner ? LockResult::kHeld : LockResult::kConflict;
   }
 
-  void release_relaxed(std::uint32_t item, std::uint32_t iter) {
-    if (item >= size_) {
-      throw std::out_of_range("LockManager::release: unknown item");
-    }
-    auto& owner = owners_[item].value;
-    assert(owner.load(std::memory_order_relaxed) == iter &&
+  void release_relaxed(std::uint32_t item, std::uint32_t owner) {
+    auto& word = word_at(item);
+    assert(word.load(std::memory_order_relaxed) == owner &&
            "releasing an item not owned by this iteration");
-    (void)iter;
-    owner.store(kFree, std::memory_order_relaxed);
+    (void)owner;
+    word.store(kFree, std::memory_order_relaxed);
   }
 
   /// True iff no item is owned — the executor checks this between rounds.
@@ -83,21 +78,19 @@ class LockManager {
   /// assert in release builds where asserts are compiled out).
   [[nodiscard]] std::size_t owned_count() const;
 
-  /// Telemetry hook (DESIGN.md §10): count every failed (conflicting)
-  /// try_acquire into `counter`. nullptr (the default) detaches — the
-  /// fast path then pays one predictable branch on the FAILED acquire
-  /// only, never on the success path. Not safe to swap mid-round.
-  void set_contention_counter(std::atomic<std::uint64_t>* counter) noexcept {
-    contention_ = counter;
+ private:
+  std::atomic<std::uint32_t>& word_at(std::uint32_t item) const {
+    if (item >= size_) {
+      throw std::out_of_range("LockManager: unknown item");
+    }
+    return owners_[item];
   }
 
- private:
   // Atomics are neither copyable nor movable, so growth re-creates the
   // array and copies the raw values — safe because grow() is only legal
   // between rounds, when no acquire/release is in flight.
-  std::unique_ptr<Padded<std::atomic<std::uint32_t>>[]> owners_;
+  std::unique_ptr<std::atomic<std::uint32_t>[]> owners_;
   std::size_t size_ = 0;
-  std::atomic<std::uint64_t>* contention_ = nullptr;  // non-owning
 };
 
 }  // namespace optipar

@@ -835,8 +835,10 @@ void Server::activate(std::uint64_t job_id) {
         *pool_, g->num_nodes(),
         [g](TaskId t, IterationContext& ctx) {
           const auto v = static_cast<NodeId>(t);
-          ctx.acquire(v);
-          for (const NodeId u : g->neighbors(v)) ctx.acquire(u);
+          if (!ctx.acquire(v)) return;
+          for (const NodeId u : g->neighbors(v)) {
+            if (!ctx.acquire(u)) return;
+          }
         },
         spec.seed * 11 + 3, ropts);
     if (*backend == sched::Backend::kChromatic) {

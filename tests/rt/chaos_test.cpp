@@ -186,7 +186,7 @@ TEST(ChaosHardened, OracleHoldsUnderInjectedFaults) {
           const Effect& e = effects[t];
           for (std::uint32_t i = 0; i < e.count; ++i) {
             const std::uint32_t cell = (e.first + i) % kCells;
-            ctx.acquire(cell);
+            if (!ctx.acquire(cell)) return;
             cells[cell] += e.delta;
             ctx.on_abort([&cells, cell, d = e.delta] { cells[cell] -= d; });
           }
@@ -247,7 +247,7 @@ TEST(ChaosHardened, SameFaultSeedReplaysByteIdentically) {
           const Effect& e = effects[t];
           for (std::uint32_t i = 0; i < e.count; ++i) {
             const std::uint32_t cell = (e.first + i) % kCells;
-            ctx.acquire(cell);
+            if (!ctx.acquire(cell)) return;
             cells[cell] += e.delta;
             ctx.on_abort([&cells, cell, d = e.delta] { cells[cell] -= d; });
           }
@@ -302,7 +302,7 @@ TEST(ChaosHardened, ZeroRateInjectorIsByteTransparent) {
           const Effect& e = effects[t];
           for (std::uint32_t i = 0; i < e.count; ++i) {
             const std::uint32_t cell = (e.first + i) % kCells;
-            ctx.acquire(cell);
+            if (!ctx.acquire(cell)) return;
             cells[cell] += e.delta;
             ctx.on_abort([&cells, cell, d = e.delta] { cells[cell] -= d; });
           }
@@ -371,7 +371,7 @@ TEST(FailureHandling, PermanentFaultIsQuarantinedWithContext) {
   SpeculativeExecutor ex(
       pool, 4,
       [&](TaskId t, IterationContext& ctx) {
-        ctx.acquire(static_cast<std::uint32_t>(t));
+        if (!ctx.acquire(static_cast<std::uint32_t>(t))) return;
         if (t == 2) throw std::runtime_error("task two is poisoned");
       },
       1);
@@ -412,7 +412,7 @@ TEST(FailureHandling, RollbackInverseFaultIsAbsorbedTwoPhase) {
   SpeculativeExecutor ex(
       pool, 1,
       [&](TaskId, IterationContext& ctx) {
-        ctx.acquire(0);
+        if (!ctx.acquire(0)) return;
         cell += 7;
         ctx.on_abort([&] { cell -= 7; });
         throw std::runtime_error("always fails");
@@ -470,7 +470,7 @@ TEST(FailureHandling, PoolLaneDeathDegradesToSerialAndCompletes) {
       pool, kCells,
       [&](TaskId t, IterationContext& ctx) {
         const std::uint32_t cell = static_cast<std::uint32_t>(t % kCells);
-        ctx.acquire(cell);
+        if (!ctx.acquire(cell)) return;
         cells[cell] += 1;
         ctx.on_abort([&cells, cell] { cells[cell] -= 1; });
       },
@@ -545,7 +545,7 @@ TEST(Watchdog, AbortStormDegradesToSerialAndCompletes) {
   SpeculativeExecutor ex(
       pool, kTasks,
       [&](TaskId t, IterationContext& ctx) {
-        ctx.acquire(static_cast<std::uint32_t>(t));
+        if (!ctx.acquire(static_cast<std::uint32_t>(t))) return;
         if (applied_m.load(std::memory_order_acquire) > 1) {
           throw AbortIteration{};
         }
@@ -650,7 +650,7 @@ TEST(TelemetrySurfacing, FirstErrorAndQuarantinesReachTraceAndEvents) {
   SpeculativeExecutor ex(
       pool, 8,
       [&](TaskId t, IterationContext& ctx) {
-        ctx.acquire(static_cast<std::uint32_t>(t));
+        if (!ctx.acquire(static_cast<std::uint32_t>(t))) return;
         if (t == 5) throw std::runtime_error("task five is poisoned");
       },
       21);
@@ -713,7 +713,7 @@ TEST(TelemetrySurfacing, InjectedFaultsEmitFaultFiredEvents) {
   SpeculativeExecutor ex(
       pool, 4,
       [](TaskId t, IterationContext& ctx) {
-        ctx.acquire(static_cast<std::uint32_t>(t));
+        if (!ctx.acquire(static_cast<std::uint32_t>(t))) return;
       },
       7);
   telemetry::RuntimeTelemetry tel;

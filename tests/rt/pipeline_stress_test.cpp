@@ -53,7 +53,7 @@ TEST(PipelineStress, MultiLaneRoundsKeepOracleAcrossManyRounds) {
           const Effect& e = effects[t];
           for (std::uint32_t i = 0; i < e.count; ++i) {
             const std::uint32_t cell = (e.first + i) % kCells;
-            ctx.acquire(cell);
+            if (!ctx.acquire(cell)) return;
             cells[cell] += e.delta;
             ctx.on_abort([&cells, cell, d = e.delta] { cells[cell] -= d; });
           }

@@ -46,8 +46,10 @@ struct RunRig {
             pool, graph.num_nodes(),
             [&graph](TaskId t, IterationContext& ctx) {
               const auto v = static_cast<NodeId>(t);
-              ctx.acquire(v);
-              for (const NodeId u : graph.neighbors(v)) ctx.acquire(u);
+              if (!ctx.acquire(v)) return;
+              for (const NodeId u : graph.neighbors(v)) {
+                if (!ctx.acquire(u)) return;
+              }
             },
             seed) {
     std::vector<TaskId> tasks(graph.num_nodes());

@@ -72,7 +72,7 @@ TEST_P(ExecutorChaosTest, FinalStateMatchesSequentialOracle) {
         const Effect& e = effects[t];
         for (std::uint32_t i = 0; i < e.count; ++i) {
           const std::uint32_t cell = (e.first + i) % kCells;
-          ctx.acquire(cell);
+          if (!ctx.acquire(cell)) return;
           cells[cell] += e.delta;
           ctx.on_abort([&cells, cell, d = e.delta] { cells[cell] -= d; });
         }
@@ -155,7 +155,7 @@ TEST(ExecutorChaos, QuarantinedTasksAreNotReExecutedAfterRecovery) {
         ++poison_runs;
         throw std::runtime_error("poisoned task");
       }
-      ctx.acquire(static_cast<std::uint32_t>(t % cells));
+      if (!ctx.acquire(static_cast<std::uint32_t>(t % cells))) return;
       // Early healthy tasks spawn a second wave so the worklist stays
       // non-empty past the quarantine round: retried tasks re-enter at the
       // BACK of the FIFO, so with 56 healthy initial tasks the poison

@@ -33,7 +33,7 @@ TEST(AdaptiveLoop, RunsEveryTaskExactlyOnceWhenIndependent) {
   SpeculativeExecutor ex(
       pool, 64,
       [&](TaskId t, IterationContext& ctx) {
-        ctx.acquire(static_cast<std::uint32_t>(t));
+        if (!ctx.acquire(static_cast<std::uint32_t>(t))) return;
         hits[t].fetch_add(1);
       },
       1);
@@ -49,7 +49,7 @@ TEST(AdaptiveLoop, PushedWorkIsExecuted) {
   SpeculativeExecutor ex(
       pool, 1,
       [&](TaskId t, IterationContext& ctx) {
-        ctx.acquire(0);
+        if (!ctx.acquire(0)) return;
         total.fetch_add(1);
         if (t < 5) ctx.push(t + 1);
       },
@@ -70,9 +70,11 @@ TEST(AdaptiveLoop, SolvesMisEndToEnd) {
       pool, 300,
       [&](TaskId task, IterationContext& ctx) {
         const auto v = static_cast<NodeId>(task);
-        ctx.acquire(v);
+        if (!ctx.acquire(v)) return;
         if (state[v] != 0) return;
-        for (const NodeId w : g.neighbors(v)) ctx.acquire(w);
+        for (const NodeId w : g.neighbors(v)) {
+          if (!ctx.acquire(w)) return;
+        }
         bool blocked = false;
         for (const NodeId w : g.neighbors(v)) blocked |= (state[w] == 1);
         state[v] = blocked ? 2 : 1;

@@ -46,10 +46,10 @@ GoldenRun run_workload(std::size_t pool_threads,
       [&out](TaskId t, IterationContext& ctx) {
         const auto a = static_cast<std::uint32_t>(t % kCells);
         const auto b = static_cast<std::uint32_t>((t * 7 + 3) % kCells);
-        ctx.acquire(a);
+        if (!ctx.acquire(a)) return;
         out.cells[a] += 1;
         ctx.on_abort([&out, a] { out.cells[a] -= 1; });
-        ctx.acquire(b);
+        if (!ctx.acquire(b)) return;
         out.cells[b] -= 2;
         ctx.on_abort([&out, b] { out.cells[b] += 2; });
       },

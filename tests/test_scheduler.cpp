@@ -97,10 +97,10 @@ TaskOperator cell_operator(std::vector<std::int64_t>& cells) {
   return [&cells](TaskId t, IterationContext& ctx) {
     const auto a = static_cast<std::uint32_t>(t % kCells);
     const auto b = static_cast<std::uint32_t>((t * 7 + 3) % kCells);
-    ctx.acquire(a);
+    if (!ctx.acquire(a)) return;
     cells[a] += 1;
     ctx.on_abort([&cells, a] { cells[a] -= 1; });
-    ctx.acquire(b);
+    if (!ctx.acquire(b)) return;
     cells[b] -= 2;
     ctx.on_abort([&cells, b] { cells[b] += 2; });
   };
@@ -329,7 +329,7 @@ TEST(ChromaticZeroAbort, SurveyPropagation) {
   auto op = [&state, &formula, &scheduled](TaskId task,
                                            IterationContext& ctx) {
     const auto a = static_cast<std::uint32_t>(task);
-    ctx.acquire(a);
+    if (!ctx.acquire(a)) return;
     scheduled[a] = 0;
     ctx.on_abort([&scheduled, a] { scheduled[a] = 1; });
     std::set<std::uint32_t> neighborhood;
@@ -338,7 +338,9 @@ TEST(ChromaticZeroAbort, SurveyPropagation) {
         if (b != a) neighborhood.insert(b);
       }
     }
-    for (const std::uint32_t b : neighborhood) ctx.acquire(b);
+    for (const std::uint32_t b : neighborhood) {
+      if (!ctx.acquire(b)) return;
+    }
     const auto fresh = state.compute_clause(a);
     double delta = 0.0;
     for (std::uint32_t slot = 0; slot < fresh.size(); ++slot) {

@@ -276,7 +276,7 @@ RunResult run_with_telemetry(std::size_t threads, std::uint32_t tasks_n,
   SpeculativeExecutor ex(
       pool, tasks_n,
       [stride](TaskId t, IterationContext& ctx) {
-        ctx.acquire(static_cast<std::uint32_t>(t * stride));
+        if (!ctx.acquire(static_cast<std::uint32_t>(t * stride))) return;
       },
       /*seed=*/12345);
   RuntimeTelemetry tel;
@@ -335,7 +335,7 @@ TEST(RuntimeTelemetry, RoundEventsAndDetach) {
   SpeculativeExecutor ex(
       pool, 16,
       [](TaskId t, IterationContext& ctx) {
-        ctx.acquire(static_cast<std::uint32_t>(t));
+        if (!ctx.acquire(static_cast<std::uint32_t>(t))) return;
       },
       1);
   RuntimeTelemetry tel;

@@ -450,7 +450,7 @@ TEST(ExecutorCert, ChaosRunCertifiesAfterRecovery) {
       pool, kCells,
       [&](TaskId t, IterationContext& ctx) {
         const Effect& e = effects[t];
-        ctx.acquire(e.cell);
+        if (!ctx.acquire(e.cell)) return;
         cells[e.cell] += e.delta;
         ctx.on_abort([&cells, &e] { cells[e.cell] -= e.delta; });
       },

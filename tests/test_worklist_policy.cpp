@@ -77,7 +77,7 @@ TEST(WorklistPolicy, AllPoliciesDrainEverything) {
     SpeculativeExecutor ex(
         pool, 64,
         [&](TaskId t, IterationContext& ctx) {
-          ctx.acquire(static_cast<std::uint32_t>(t % 64));
+          if (!ctx.acquire(static_cast<std::uint32_t>(t % 64))) return;
           const std::lock_guard lock(mu);
           seen.insert(t);
         },
@@ -190,7 +190,7 @@ GoldenTrace run_golden_workload(WorklistPolicy policy) {
           const std::lock_guard lock(mu);
           out.exec_order.push_back(t);
         }
-        ctx.acquire(static_cast<std::uint32_t>(t % 8));
+        if (!ctx.acquire(static_cast<std::uint32_t>(t % 8))) return;
         if (t < 40) ctx.push(t + 100);
       },
       /*seed=*/12345, RoundOptions{.worklist = policy});

@@ -543,7 +543,7 @@ int cmd_chaos(const Options& opt) {
         const Effect& e = effects[t];
         for (std::uint32_t i = 0; i < e.count; ++i) {
           const std::uint32_t cell = (e.first + i) % cells_n;
-          ctx.acquire(cell);
+          if (!ctx.acquire(cell)) return;
           cells[cell] += e.delta;
           ctx.on_abort([&cells, cell, d = e.delta] { cells[cell] -= d; });
         }
@@ -830,8 +830,10 @@ int cmd_run(const Options& opt) {
       pool, g.num_nodes(),
       [&g](TaskId t, IterationContext& ctx) {
         const auto v = static_cast<NodeId>(t);
-        ctx.acquire(v);
-        for (const NodeId u : g.neighbors(v)) ctx.acquire(u);
+        if (!ctx.acquire(v)) return;
+        for (const NodeId u : g.neighbors(v)) {
+          if (!ctx.acquire(u)) return;
+        }
       },
       seed * 11 + 3, ropts);
   if (*backend == sched::Backend::kChromatic) {
@@ -1007,8 +1009,10 @@ int cmd_profile(const Options& opt) {
       pool, g.num_nodes(),
       [&g](TaskId t, IterationContext& ctx) {
         const auto v = static_cast<NodeId>(t);
-        ctx.acquire(v);
-        for (const NodeId u : g.neighbors(v)) ctx.acquire(u);
+        if (!ctx.acquire(v)) return;
+        for (const NodeId u : g.neighbors(v)) {
+          if (!ctx.acquire(u)) return;
+        }
       },
       seed * 11 + 3, ropts);
   if (*backend == sched::Backend::kChromatic) {
@@ -1082,8 +1086,10 @@ int cmd_metrics(const Options& opt) {
       pool, g.num_nodes(),
       [&g](TaskId t, IterationContext& ctx) {
         const auto v = static_cast<NodeId>(t);
-        ctx.acquire(v);
-        for (const NodeId u : g.neighbors(v)) ctx.acquire(u);
+        if (!ctx.acquire(v)) return;
+        for (const NodeId u : g.neighbors(v)) {
+          if (!ctx.acquire(u)) return;
+        }
       },
       seed);
 
