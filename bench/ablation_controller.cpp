@@ -10,10 +10,10 @@
 // Usage: ablation_controller [--n=2000] [--d=16] [--steps=280] [--reps=3]
 #include <iostream>
 
+#include "apps/app_spec.hpp"
 #include "apps/mis/mis.hpp"
 #include "bench_common.hpp"
 #include "model/conflict_ratio.hpp"
-#include "rt/adaptive_executor.hpp"
 
 using namespace optipar;
 
@@ -236,15 +236,12 @@ int main(int argc, char** argv) {
         {"lifo", WorklistPolicy::kLifo}};
     for (const auto& [label, policy] : policies) {
       mis::MisState state(mis_graph.num_nodes());
-      SpeculativeExecutor ex(pool, mis_graph.num_nodes(),
-                             mis::make_mis_operator(mis_graph, state), 77,
-                             RoundOptions{.worklist = policy});
-      std::vector<TaskId> tasks(mis_graph.num_nodes());
-      for (NodeId v = 0; v < mis_graph.num_nodes(); ++v) tasks[v] = v;
-      ex.push_initial(tasks);
+      const AppSpec spec = mis::make_spec(mis_graph, state);
+      const auto ex =
+          build_executor(pool, spec, 77, RoundOptions{.worklist = policy});
       auto p = base;
       HybridController c(p);
-      const auto trace = run_adaptive(ex, c);
+      const auto trace = drain(*ex, spec, c).trace;
       t.add_row({std::string(label),
                  static_cast<std::int64_t>(trace.steps.size()),
                  trace.wasted_fraction(), trace.mean_conflict_ratio()});

@@ -10,6 +10,7 @@
 // Usage: app_workloads [--points=250] [--nodes=1500] [--threads=4]
 #include <iostream>
 
+#include "apps/app_spec.hpp"
 #include "apps/boruvka/boruvka.hpp"
 #include "apps/coloring/coloring.hpp"
 #include "apps/dmr/refine.hpp"
@@ -76,7 +77,8 @@ int main(int argc, char** argv) {
     ControllerParams p;
     p.rho = rho;
     auto c = bench::make_controller(cname, p);
-    const auto trace = dmr::refine_adaptive(mesh, q, *c, pool, 7);
+    const AppSpec spec = dmr::make_spec(mesh, q);
+    const auto trace = drain(*build_executor(pool, spec, 7), spec, *c).trace;
     const bool ok = dmr::bad_triangles(mesh, q).empty() && mesh.validate() &&
                     mesh.is_locally_delaunay();
     add_trace_row(results, "dmr", cname, trace, ok ? "yes" : "NO");
@@ -97,9 +99,12 @@ int main(int argc, char** argv) {
     ControllerParams p;
     p.rho = rho;
     auto c = bench::make_controller(cname, p);
-    const auto res = boruvka::boruvka_adaptive(nodes, edges, *c, pool, 11);
-    const bool ok = std::abs(res.mst_weight - kruskal) < 1e-6 * kruskal;
-    add_trace_row(results, "boruvka", cname, res.trace, ok ? "yes" : "NO");
+    boruvka::ContractionGraph graph(nodes, edges);
+    const AppSpec spec = boruvka::make_spec(graph);
+    const auto trace = drain(*build_executor(pool, spec, 11), spec, *c).trace;
+    const bool ok =
+        std::abs(graph.chosen_weight() - kruskal) < 1e-6 * kruskal;
+    add_trace_row(results, "boruvka", cname, trace, ok ? "yes" : "NO");
   }
 
   // ------------------------------------------------------------- MIS
@@ -110,10 +115,11 @@ int main(int argc, char** argv) {
     ControllerParams p;
     p.rho = rho;
     auto c = bench::make_controller(cname, p);
-    const auto res = mis::mis_adaptive(mis_graph, *c, pool, 13);
-    const bool ok =
-        is_maximal_independent_set(mis_graph, res.independent_set);
-    add_trace_row(results, "mis", cname, res.trace, ok ? "yes" : "NO");
+    mis::MisState state(mis_graph.num_nodes());
+    const AppSpec spec = mis::make_spec(mis_graph, state);
+    const auto trace = drain(*build_executor(pool, spec, 13), spec, *c).trace;
+    const bool ok = is_maximal_independent_set(mis_graph, state.in_set());
+    add_trace_row(results, "mis", cname, trace, ok ? "yes" : "NO");
   }
 
   // -------------------------------------------------------- Coloring
@@ -125,10 +131,12 @@ int main(int argc, char** argv) {
     ControllerParams p;
     p.rho = rho;
     auto c = bench::make_controller(cname, p);
-    const auto res = coloring::coloring_adaptive(col_graph, *c, pool, 17);
-    const bool ok =
-        res.proper && res.colors_used <= col_graph.max_degree() + 1;
-    add_trace_row(results, "coloring", cname, res.trace, ok ? "yes" : "NO");
+    coloring::ColoringState state(col_graph.num_nodes());
+    const AppSpec spec = coloring::make_spec(col_graph, state);
+    const auto trace = drain(*build_executor(pool, spec, 17), spec, *c).trace;
+    const bool ok = state.is_proper(col_graph) &&
+                    state.colors_used() <= col_graph.max_degree() + 1;
+    add_trace_row(results, "coloring", cname, trace, ok ? "yes" : "NO");
   }
 
   // ------------------------------------------------------------ SSSP
@@ -151,24 +159,28 @@ int main(int argc, char** argv) {
       }
       return true;
     };
-    for (const auto& cname : kControllers) {
+    // Relaxation starts from the source alone; `worklist` picks the draw.
+    auto run = [&](const std::string& cname, WorklistPolicy worklist) {
       ControllerParams p;
       p.rho = rho;
       auto c = bench::make_controller(cname, p);
-      const auto res = sssp::sssp_adaptive(wg, 0, *c, pool, 19);
-      add_trace_row(results, "sssp", cname, res.trace,
-                    check(res.dist) ? "yes" : "NO");
+      sssp::DistanceTable dist(nodes, 0);
+      AppSpec spec = sssp::make_spec(wg, dist);
+      spec.initial = {0};
+      spec.priority = sssp::distance_priority(dist);
+      const auto ex =
+          build_executor(pool, spec, 19, RoundOptions{.worklist = worklist});
+      const auto trace = drain(*ex, spec, *c).trace;
+      return std::pair{trace, check(dist.all())};
+    };
+    for (const auto& cname : kControllers) {
+      const auto [trace, ok] = run(cname, WorklistPolicy::kRandom);
+      add_trace_row(results, "sssp", cname, trace, ok ? "yes" : "NO");
     }
     // The soft-priority (OBIM-style) scheduler: same answer, far less
     // committed work than random order.
-    {
-      ControllerParams p;
-      p.rho = rho;
-      auto c = bench::make_controller("hybrid", p);
-      const auto res = sssp::sssp_priority_adaptive(wg, 0, *c, pool, 19);
-      add_trace_row(results, "sssp(prio)", "hybrid", res.trace,
-                    check(res.dist) ? "yes" : "NO");
-    }
+    const auto [trace, ok] = run("hybrid", WorklistPolicy::kPriority);
+    add_trace_row(results, "sssp(prio)", "hybrid", trace, ok ? "yes" : "NO");
   }
 
   // --------------------------------------------------------- Max-flow
@@ -192,11 +204,13 @@ int main(int argc, char** argv) {
       ControllerParams p;
       p.rho = rho;
       auto c = bench::make_controller(cname, p);
-      const auto res = maxflow::maxflow_adaptive(net, 0, fn - 1, *c, pool,
-                                                 23);
-      const bool ok =
-          res.feasible && std::abs(res.flow_value - reference) < 1e-9;
-      add_trace_row(results, "maxflow", cname, res.trace, ok ? "yes" : "NO");
+      maxflow::PushRelabelState state(fn, 0);
+      const AppSpec spec = maxflow::make_spec(net, state, 0, fn - 1);
+      const auto trace =
+          drain(*build_executor(pool, spec, 23), spec, *c).trace;
+      const bool ok = net.is_feasible(0, fn - 1) &&
+                      std::abs(state.excess(fn - 1) - reference) < 1e-9;
+      add_trace_row(results, "maxflow", cname, trace, ok ? "yes" : "NO");
     }
   }
 

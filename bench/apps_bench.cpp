@@ -20,20 +20,23 @@
 //
 // Usage: apps_bench [--nodes=4000] [--d=8] [--threads=4] [--seed=7]
 //                   [--m-ref=256] [--top=16] [--out=FILE]
+#include <algorithm>
 #include <chrono>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "apps/app_spec.hpp"
 #include "apps/coloring/coloring.hpp"
 #include "apps/mis/mis.hpp"
 #include "apps/sssp/sssp.hpp"
 #include "bench_common.hpp"
+#include "control/baselines.hpp"
 #include "graph/algos.hpp"
 #include "graph/weighted_graph.hpp"
-#include "rt/spec_executor.hpp"
 #include "support/telemetry/conflict_profiler.hpp"
 #include "support/telemetry/telemetry.hpp"
 #include "verify/app_certs.hpp"
@@ -66,15 +69,49 @@ void seed_degrees(telemetry::ConflictProfiler& prof,
   prof.set_degrees(std::move(deg));
 }
 
-/// Drain `ex` at fixed allocation `m`, then certify the answer through the
-/// app's independent oracle. A refuted certificate invalidates the bench.
-SweepPoint drain_certified(SpeculativeExecutor& ex, std::uint32_t m,
-                           const verify::Certifier& certify,
-                           const telemetry::ConflictProfiler& prof,
-                           const std::string& app) {
+/// Drain one fresh instance of `app` at fixed allocation `m` with the
+/// profiler attached, then certify the answer through the app's
+/// independent oracle. A refuted certificate invalidates the bench. SSSP
+/// runs on `wg`, the other apps on `g`.
+SweepPoint run_fixed(const std::string& app, const CsrGraph& g,
+                     const WeightedGraph& wg, ThreadPool& pool,
+                     std::uint32_t m, std::uint64_t seed,
+                     telemetry::ConflictProfiler& prof,
+                     double* answer = nullptr) {
+  mis::MisState mis_state(g.num_nodes());
+  coloring::ColoringState colors(g.num_nodes());
+  const NodeId source = 0;
+  sssp::DistanceTable dist(wg.num_nodes(), source);
+  AppSpec spec;
+  verify::Certifier certify;
+  std::function<double()> answer_of;
+  if (app == "mis") {
+    spec = mis::make_spec(g, mis_state);
+    certify = [&] { return verify::certify_mis(g, mis_state); };
+    answer_of = [&] {
+      return static_cast<double>(mis_state.in_set().size());
+    };
+  } else if (app == "coloring") {
+    spec = coloring::make_spec(g, colors);
+    certify = [&] { return verify::certify_coloring(g, colors); };
+    answer_of = [&] { return static_cast<double>(colors.colors_used()); };
+  } else {
+    spec = sssp::make_spec(wg, dist);
+    certify = [&] { return verify::certify_sssp(wg, source, dist.all()); };
+    answer_of = [&] {
+      return static_cast<double>(std::count_if(
+          dist.all().begin(), dist.all().end(),
+          [](double d) { return d != sssp::kUnreachable; }));
+    };
+  }
+  const auto ex = build_executor(pool, spec, seed);
+  telemetry::RuntimeTelemetry tel;
+  tel.set_profiler(&prof);
+  ex->set_telemetry(&tel);
+
   const auto t0 = std::chrono::steady_clock::now();
-  std::uint64_t guard = 0;
-  while (!ex.done() && guard++ < 1000000) (void)ex.run_round(m);
+  FixedController controller(m);
+  (void)drain(*ex, spec, controller);
   const auto t1 = std::chrono::steady_clock::now();
   const verify::Certificate cert = certify();
   if (!cert.ok()) {
@@ -83,83 +120,16 @@ SweepPoint drain_certified(SpeculativeExecutor& ex, std::uint32_t m,
   }
   SweepPoint p;
   p.m = m;
-  p.rounds = ex.totals().rounds;
-  p.committed = ex.totals().committed;
-  p.r = ex.totals().launched == 0
+  p.rounds = ex->totals().rounds;
+  p.committed = ex->totals().committed;
+  p.r = ex->totals().launched == 0
             ? 0.0
-            : static_cast<double>(ex.totals().aborted) /
-                  static_cast<double>(ex.totals().launched);
+            : static_cast<double>(ex->totals().aborted) /
+                  static_cast<double>(ex->totals().launched);
   p.top16_share = prof.top_share(16);
   p.elapsed_ms =
       std::chrono::duration<double, std::milli>(t1 - t0).count();
-  return p;
-}
-
-void push_all(SpeculativeExecutor& ex, NodeId n) {
-  std::vector<TaskId> initial(n);
-  for (NodeId v = 0; v < n; ++v) initial[v] = v;
-  ex.push_initial(initial);
-}
-
-SweepPoint run_mis_fixed(const CsrGraph& g, ThreadPool& pool,
-                         std::uint32_t m, std::uint64_t seed,
-                         telemetry::ConflictProfiler& prof,
-                         double* answer = nullptr) {
-  mis::MisState state(g.num_nodes());
-  SpeculativeExecutor ex(pool, g.num_nodes(),
-                         mis::make_mis_operator(g, state), seed);
-  telemetry::RuntimeTelemetry tel;
-  tel.set_profiler(&prof);
-  ex.set_telemetry(&tel);
-  push_all(ex, g.num_nodes());
-  const SweepPoint p = drain_certified(
-      ex, m, [&] { return verify::certify_mis(g, state); }, prof, "mis");
-  if (answer != nullptr) {
-    *answer = static_cast<double>(state.in_set().size());
-  }
-  return p;
-}
-
-SweepPoint run_coloring_fixed(const CsrGraph& g, ThreadPool& pool,
-                              std::uint32_t m, std::uint64_t seed,
-                              telemetry::ConflictProfiler& prof,
-                              double* answer = nullptr) {
-  coloring::ColoringState state(g.num_nodes());
-  SpeculativeExecutor ex(pool, g.num_nodes(),
-                         coloring::make_coloring_operator(g, state), seed);
-  telemetry::RuntimeTelemetry tel;
-  tel.set_profiler(&prof);
-  ex.set_telemetry(&tel);
-  push_all(ex, g.num_nodes());
-  const SweepPoint p = drain_certified(
-      ex, m, [&] { return verify::certify_coloring(g, state); }, prof,
-      "coloring");
-  if (answer != nullptr) *answer = static_cast<double>(state.colors_used());
-  return p;
-}
-
-SweepPoint run_sssp_fixed(const WeightedGraph& g, ThreadPool& pool,
-                          std::uint32_t m, std::uint64_t seed,
-                          telemetry::ConflictProfiler& prof,
-                          double* answer = nullptr) {
-  const NodeId source = 0;
-  sssp::DistanceTable dist(g.num_nodes(), source);
-  SpeculativeExecutor ex(pool, g.num_nodes(),
-                         sssp::make_sssp_operator(g, dist), seed);
-  telemetry::RuntimeTelemetry tel;
-  tel.set_profiler(&prof);
-  ex.set_telemetry(&tel);
-  push_all(ex, g.num_nodes());
-  const SweepPoint p = drain_certified(
-      ex, m, [&] { return verify::certify_sssp(g, source, dist.all()); },
-      prof, "sssp");
-  if (answer != nullptr) {
-    double reached = 0.0;
-    for (const double d : dist.all()) {
-      if (d != sssp::kUnreachable) reached += 1.0;
-    }
-    *answer = reached;
-  }
+  if (answer != nullptr) *answer = answer_of();
   return p;
 }
 
@@ -221,28 +191,15 @@ int main(int argc, char** argv) {
     for (std::uint32_t m = 1; m <= nodes; m *= 4) {
       telemetry::ConflictProfiler prof(g.num_nodes());
       seed_degrees(prof, degrees);
-      SweepPoint p;
-      if (app == "mis") {
-        p = run_mis_fixed(g, pool, m, seed, prof);
-      } else if (app == "coloring") {
-        p = run_coloring_fixed(g, pool, m, seed, prof);
-      } else {
-        p = run_sssp_fixed(wg, pool, m, seed, prof);
-      }
+      const SweepPoint p = run_fixed(app, g, wg, pool, m, seed, prof);
       series.curve.push_back(p);
       print_point(p);
     }
     // Time-to-solution + answer at the reference allocation.
     telemetry::ConflictProfiler prof(g.num_nodes());
     seed_degrees(prof, degrees);
-    SweepPoint ref;
-    if (app == "mis") {
-      ref = run_mis_fixed(g, pool, m_ref, seed, prof, &series.answer);
-    } else if (app == "coloring") {
-      ref = run_coloring_fixed(g, pool, m_ref, seed, prof, &series.answer);
-    } else {
-      ref = run_sssp_fixed(wg, pool, m_ref, seed, prof, &series.answer);
-    }
+    const SweepPoint ref =
+        run_fixed(app, g, wg, pool, m_ref, seed, prof, &series.answer);
     series.time_to_solution_ms = ref.elapsed_ms;
     std::cout << "  m_ref=" << m_ref << " answer=" << series.answer
               << " time_to_solution_ms=" << series.time_to_solution_ms
@@ -254,7 +211,7 @@ int main(int argc, char** argv) {
   // strongest degree/conflict correlation on RMAT).
   telemetry::ConflictProfiler prof(g.num_nodes());
   seed_degrees(prof, degrees);
-  const SweepPoint ref = run_mis_fixed(g, pool, m_ref, seed, prof);
+  const SweepPoint ref = run_fixed("mis", g, wg, pool, m_ref, seed, prof);
   bench::banner("mis hotspots at m=" + std::to_string(m_ref));
   prof.write_report(std::cout, top);
 

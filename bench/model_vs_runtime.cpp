@@ -17,6 +17,7 @@
 // Usage: model_vs_runtime [--n=800] [--d=8] [--points=250] [--reps=30]
 #include <iostream>
 
+#include "apps/app_spec.hpp"
 #include "apps/dmr/refine.hpp"
 #include "apps/mis/mis.hpp"
 #include "bench_common.hpp"
@@ -63,13 +64,10 @@ int main(int argc, char** argv) {
       StreamingStats observed;
       for (int rep = 0; rep < reps; ++rep) {
         mis::MisState state(g.num_nodes());
-        SpeculativeExecutor ex(pool, g.num_nodes(),
-                               mis::make_mis_operator(g, state),
-                               1000 + static_cast<std::uint64_t>(rep) * 17);
-        std::vector<TaskId> tasks(g.num_nodes());
-        for (NodeId v = 0; v < g.num_nodes(); ++v) tasks[v] = v;
-        ex.push_initial(tasks);
-        const auto stats = ex.run_round(m);
+        const auto stats =
+            build_executor(pool, mis::make_spec(g, state),
+                           1000 + static_cast<std::uint64_t>(rep) * 17)
+                ->run_round(m);
         observed.add(stats.conflict_ratio());
       }
       t.add_row({static_cast<std::int64_t>(m), predicted.r_bar(m),
@@ -103,13 +101,10 @@ int main(int argc, char** argv) {
       for (int rep = 0; rep < std::max(4, reps / 3); ++rep) {
         dmr::Mesh mesh;  // fresh mesh per repetition (rounds mutate it)
         dmr::build_delaunay(mesh, pts, 16.0);
-        SpeculativeExecutor ex(pool, mesh.num_triangle_slots(),
-                               dmr::make_refine_operator(mesh, q),
-                               2000 + static_cast<std::uint64_t>(rep) * 23);
-        const auto fresh_bad = dmr::bad_triangles(mesh, q);
-        std::vector<TaskId> tasks(fresh_bad.begin(), fresh_bad.end());
-        ex.push_initial(tasks);
-        const auto stats = ex.run_round(m);
+        const auto stats =
+            build_executor(pool, dmr::make_spec(mesh, q),
+                           2000 + static_cast<std::uint64_t>(rep) * 23)
+                ->run_round(m);
         observed.add(stats.conflict_ratio());
       }
       t.add_row({static_cast<std::int64_t>(m), predicted.r_bar(m),

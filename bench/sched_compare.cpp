@@ -20,11 +20,12 @@
 #include <string>
 #include <vector>
 
+#include "apps/app_spec.hpp"
 #include "apps/coloring/coloring.hpp"
 #include "apps/mis/mis.hpp"
 #include "bench_common.hpp"
+#include "control/baselines.hpp"
 #include "graph/algos.hpp"
-#include "rt/spec_executor.hpp"
 #include "sched/scheduler.hpp"
 #include "support/telemetry/conflict_profiler.hpp"
 #include "support/telemetry/telemetry.hpp"
@@ -66,18 +67,16 @@ struct SchedWorkload {
 CellResult run_cell(const SchedWorkload& wl, sched::Backend backend,
                     ThreadPool& pool, std::uint32_t m, std::uint64_t seed) {
   const CsrGraph& g = *wl.graph;
-  RoundOptions opts;
-  opts.scheduler = backend;
-
   coloring::ColoringState colors(g.num_nodes());
   mis::MisState mis_state(g.num_nodes());
-  TaskOperator op = wl.app == "coloring"
-                        ? coloring::make_coloring_operator(g, colors)
-                        : mis::make_mis_operator(g, mis_state);
+  const AppSpec spec = wl.app == "coloring"
+                           ? coloring::make_spec(g, colors)
+                           : mis::make_spec(g, mis_state);
 
   CellResult out;
   const auto t0 = std::chrono::steady_clock::now();
-  SpeculativeExecutor ex(pool, g.num_nodes(), op, seed, opts);
+  const auto ex = build_executor(pool, spec, seed,
+                                 RoundOptions{.scheduler = backend});
   // Conflict attribution rides every rep: recording is one relaxed
   // fetch_add per abort, so it does not disturb the min-of-reps timing, and
   // the reported cell keeps the locality measured in its own run.
@@ -89,30 +88,17 @@ CellResult run_cell(const SchedWorkload& wl, sched::Backend backend,
     prof.set_degrees(std::move(degrees));
   }
   tel.set_profiler(&prof);
-  ex.set_telemetry(&tel);
-  if (backend == sched::Backend::kChromatic) {
-    ex.set_footprint_function(
-        [&g](TaskId t, std::vector<std::uint32_t>& fp) {
-          const auto v = static_cast<NodeId>(t);
-          fp.push_back(v);
-          for (const NodeId u : g.neighbors(v)) fp.push_back(u);
-        });
-  } else if (backend == sched::Backend::kRelaxed) {
-    ex.set_priority_function([](TaskId t) { return t; });
-  }
-  std::vector<TaskId> initial(g.num_nodes());
-  for (NodeId v = 0; v < g.num_nodes(); ++v) initial[v] = v;
-  ex.push_initial(initial);
-  std::uint64_t guard = 0;
-  while (!ex.done() && guard++ < 1000000) (void)ex.run_round(m);
+  ex->set_telemetry(&tel);
+  FixedController controller(m);
+  (void)drain(*ex, spec, controller);
   const auto t1 = std::chrono::steady_clock::now();
 
   out.time_ms =
       std::chrono::duration<double, std::milli>(t1 - t0).count();
-  out.rounds = ex.totals().rounds;
-  out.launched = ex.totals().launched;
-  out.committed = ex.totals().committed;
-  out.aborted = ex.totals().aborted;
+  out.rounds = ex->totals().rounds;
+  out.launched = ex->totals().launched;
+  out.committed = ex->totals().committed;
+  out.aborted = ex->totals().aborted;
   out.top16_share = prof.top_share(16);
   out.profiled_conflicts = prof.total_conflicts();
   out.correct = wl.app == "coloring"

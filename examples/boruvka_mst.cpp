@@ -7,6 +7,7 @@
 // Run: ./examples/boruvka_mst [--nodes=2000] [--degree=8] [--threads=4]
 #include <iostream>
 
+#include "apps/app_spec.hpp"
 #include "apps/boruvka/boruvka.hpp"
 #include "control/hybrid.hpp"
 #include "graph/generators.hpp"
@@ -44,25 +45,26 @@ int main(int argc, char** argv) {
   HybridController controller(params);
 
   Timer boruvka_timer;
-  const auto result =
-      boruvka::boruvka_adaptive(nodes, edges, controller, pool, 31337);
-  std::cout << "speculative Boruvka:          weight = " << result.mst_weight
-            << " (" << boruvka_timer.millis() << " ms)\n"
+  boruvka::ContractionGraph graph(nodes, edges);
+  const AppSpec spec = boruvka::make_spec(graph);
+  const Trace trace =
+      drain(*build_executor(pool, spec, 31337), spec, controller).trace;
+  const double weight = graph.chosen_weight();
+  std::cout << "speculative Boruvka:          weight = " << weight << " ("
+            << boruvka_timer.millis() << " ms)\n"
             << "  match: "
-            << (std::abs(result.mst_weight - reference) <
-                        1e-6 * std::max(1.0, reference)
+            << (std::abs(weight - reference) < 1e-6 * std::max(1.0, reference)
                     ? "EXACT"
                     : "MISMATCH!")
-            << "\n  tree edges chosen: " << result.edges_chosen
-            << "\n  rounds: " << result.trace.steps.size()
-            << "\n  wasted-work fraction: "
-            << result.trace.wasted_fraction()
-            << "\n  mean conflict ratio:  "
-            << result.trace.mean_conflict_ratio() << "\n";
+            << "\n  tree edges chosen: " << graph.chosen_count()
+            << "\n  rounds: " << trace.steps.size()
+            << "\n  wasted-work fraction: " << trace.wasted_fraction()
+            << "\n  mean conflict ratio:  " << trace.mean_conflict_ratio()
+            << "\n";
 
   std::cout << "\ncontraction trace (every 8th round):\nround    m pending "
                "committed aborted\n";
-  for (const auto& s : result.trace.steps) {
+  for (const auto& s : trace.steps) {
     if (s.step % 8 == 0) {
       std::printf("%5u %4u %7u %9u %7u\n", s.step, s.m, s.pending_after,
                   s.committed, s.aborted);

@@ -8,6 +8,7 @@
 //      [--min-edge=2.0] [--threads=4] [--rho=0.25]
 #include <iostream>
 
+#include "apps/app_spec.hpp"
 #include "apps/dmr/refine.hpp"
 #include "control/hybrid.hpp"
 #include "support/options.hpp"
@@ -55,8 +56,9 @@ int main(int argc, char** argv) {
   HybridController controller(params);
 
   Timer refine_timer;
+  const AppSpec spec = make_spec(mesh, quality);
   const Trace trace =
-      refine_adaptive(mesh, quality, controller, pool, /*seed=*/7);
+      drain(*build_executor(pool, spec, /*seed=*/7), spec, controller).trace;
   std::cout << "refinement finished in " << trace.steps.size()
             << " rounds (" << refine_timer.millis() << " ms)\n"
             << "  committed refinements: " << trace.total_committed()

@@ -137,23 +137,20 @@ TaskOperator make_boruvka_operator(ContractionGraph& graph) {
   };
 }
 
-BoruvkaResult boruvka_adaptive(NodeId n,
-                               const std::vector<WeightedEdge>& edges,
-                               Controller& controller, ThreadPool& pool,
-                               std::uint64_t seed, std::uint32_t max_rounds) {
-  ContractionGraph graph(n, edges);
-  SpeculativeExecutor executor(pool, n, make_boruvka_operator(graph), seed);
-  std::vector<TaskId> initial(n);
-  for (NodeId v = 0; v < n; ++v) initial[v] = v;
-  executor.push_initial(initial);
-
-  AdaptiveRunConfig config;
-  config.max_rounds = max_rounds;
-  BoruvkaResult result;
-  result.trace = run_adaptive(executor, controller, config);
-  result.mst_weight = graph.chosen_weight();
-  result.edges_chosen = graph.chosen_count();
-  return result;
+AppSpec make_spec(ContractionGraph& graph) {
+  AppSpec spec;
+  spec.items = graph.num_nodes();
+  spec.initial = all_tasks(graph.num_nodes());
+  spec.op = make_boruvka_operator(graph);
+  spec.footprint = [&graph](TaskId t, std::vector<std::uint32_t>& fp) {
+    const auto v = static_cast<NodeId>(t);
+    fp.push_back(v);
+    for (const auto& [x, w] : graph.adjacency(v)) fp.push_back(x);
+  };
+  spec.before_round = [](SpeculativeExecutor& ex) {
+    ex.invalidate_schedule();
+  };
+  return spec;
 }
 
 }  // namespace optipar::boruvka

@@ -11,12 +11,9 @@
 #include <unordered_map>
 #include <vector>
 
-#include "control/controller.hpp"
+#include "apps/app_spec.hpp"
 #include "graph/csr_graph.hpp"
-#include "rt/adaptive_executor.hpp"
 #include "rt/spec_executor.hpp"
-#include "sim/trace.hpp"
-#include "support/thread_pool.hpp"
 
 namespace optipar::boruvka {
 
@@ -77,15 +74,10 @@ class ContractionGraph {
 /// The speculative contraction operator (tasks are node ids).
 [[nodiscard]] TaskOperator make_boruvka_operator(ContractionGraph& graph);
 
-struct BoruvkaResult {
-  Trace trace;
-  double mst_weight = 0.0;
-  std::uint32_t edges_chosen = 0;
-};
-
-/// Full adaptive run: contract the whole graph under the controller.
-[[nodiscard]] BoruvkaResult boruvka_adaptive(
-    NodeId n, const std::vector<WeightedEdge>& edges, Controller& controller,
-    ThreadPool& pool, std::uint64_t seed, std::uint32_t max_rounds = 100000);
+/// Contract the whole graph: every node is a task. The footprint is v's
+/// live closed neighbourhood in the contraction graph, which changes as
+/// supernodes merge, so the hook invalidates the standing schedule before
+/// every round (a no-op off the chromatic backend).
+[[nodiscard]] AppSpec make_spec(ContractionGraph& graph);
 
 }  // namespace optipar::boruvka

@@ -53,24 +53,13 @@ TaskOperator make_coloring_operator(const CsrGraph& graph,
   };
 }
 
-ColoringResult coloring_adaptive(const CsrGraph& graph,
-                                 Controller& controller, ThreadPool& pool,
-                                 std::uint64_t seed,
-                                 std::uint32_t max_rounds) {
-  ColoringState state(graph.num_nodes());
-  SpeculativeExecutor executor(pool, graph.num_nodes(),
-                               make_coloring_operator(graph, state), seed);
-  std::vector<TaskId> initial(graph.num_nodes());
-  for (NodeId v = 0; v < graph.num_nodes(); ++v) initial[v] = v;
-  executor.push_initial(initial);
-
-  AdaptiveRunConfig config;
-  config.max_rounds = max_rounds;
-  ColoringResult result;
-  result.trace = run_adaptive(executor, controller, config);
-  result.colors_used = state.colors_used();
-  result.proper = state.is_proper(graph);
-  return result;
+AppSpec make_spec(const CsrGraph& graph, ColoringState& state) {
+  AppSpec spec;
+  spec.items = graph.num_nodes();
+  spec.initial = all_tasks(graph.num_nodes());
+  spec.op = make_coloring_operator(graph, state);
+  spec.footprint = closed_neighborhood(graph);
+  return spec;
 }
 
 }  // namespace optipar::coloring

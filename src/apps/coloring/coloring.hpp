@@ -8,12 +8,9 @@
 #include <cstdint>
 #include <vector>
 
-#include "control/controller.hpp"
+#include "apps/app_spec.hpp"
 #include "graph/csr_graph.hpp"
-#include "rt/adaptive_executor.hpp"
 #include "rt/spec_executor.hpp"
-#include "sim/trace.hpp"
-#include "support/thread_pool.hpp"
 
 namespace optipar::coloring {
 
@@ -40,14 +37,7 @@ class ColoringState {
 [[nodiscard]] TaskOperator make_coloring_operator(const CsrGraph& graph,
                                                   ColoringState& state);
 
-struct ColoringResult {
-  Trace trace;
-  std::uint32_t colors_used = 0;
-  bool proper = false;
-};
-
-[[nodiscard]] ColoringResult coloring_adaptive(
-    const CsrGraph& graph, Controller& controller, ThreadPool& pool,
-    std::uint64_t seed, std::uint32_t max_rounds = 100000);
+/// Every node is a task; each acquires its closed neighbourhood.
+[[nodiscard]] AppSpec make_spec(const CsrGraph& graph, ColoringState& state);
 
 }  // namespace optipar::coloring

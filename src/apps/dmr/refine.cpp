@@ -23,6 +23,23 @@ void RefineQuality::set_domain(std::span<const Point2> pts, double margin) {
   domain_hi_y += margin;
 }
 
+namespace {
+
+/// The fallback insertion point: strictly interior to t.
+Point2 centroid_of(const Mesh& mesh, TriId t) {
+  return {(mesh.corner(t, 0).x + mesh.corner(t, 1).x + mesh.corner(t, 2).x) /
+              3.0,
+          (mesh.corner(t, 0).y + mesh.corner(t, 1).y + mesh.corner(t, 2).y) /
+              3.0};
+}
+
+/// True when p is a usable insertion point (finite, inside the domain).
+bool insertable(const RefineQuality& q, const Point2& p) {
+  return std::isfinite(p.x) && std::isfinite(p.y) && q.in_domain(p);
+}
+
+}  // namespace
+
 bool is_bad(const Mesh& mesh, TriId t, const RefineQuality& q) {
   if (!mesh.is_alive(t)) return false;
   const Triangle& tri = mesh.tri(t);
@@ -50,8 +67,7 @@ std::vector<TriId> refine_one(Mesh& mesh, TriId t, const RefineQuality& q,
   if (hooks != nullptr && hooks->touch) hooks->touch(t);
   if (!is_bad(mesh, t, q)) return {};
   const Point2 center = mesh.circumcenter_of(t);
-  if (std::isfinite(center.x) && std::isfinite(center.y) &&
-      q.in_domain(center)) {
+  if (insertable(q, center)) {
     // The circumcenter is inside the bad triangle's own circumcircle by
     // definition, so t seeds the Bowyer–Watson cavity directly — no point
     // location needed (Chew's kernel).
@@ -63,13 +79,7 @@ std::vector<TriId> refine_one(Mesh& mesh, TriId t, const RefineQuality& q,
   // domain, where the fan would be rejected. Fall back to the centroid:
   // strictly interior to t, so its insertion always splits t and makes
   // progress toward the min_edge floor.
-  const Point2 centroid{(mesh.corner(t, 0).x + mesh.corner(t, 1).x +
-                         mesh.corner(t, 2).x) /
-                            3.0,
-                        (mesh.corner(t, 0).y + mesh.corner(t, 1).y +
-                         mesh.corner(t, 2).y) /
-                            3.0};
-  const PointId pid = mesh.add_point(centroid);
+  const PointId pid = mesh.add_point(centroid_of(mesh, t));
   const InsertResult res = insert_point(mesh, pid, t, hooks);
   return res.created;  // empty only in pathological degeneracies
 }
@@ -99,16 +109,8 @@ CsrGraph refinement_conflict_graph(const Mesh& mesh, const RefineQuality& q,
   for (NodeId task = 0; task < static_cast<NodeId>(bad.size()); ++task) {
     const TriId t = bad[task];
     Point2 center = mesh.circumcenter_of(t);
-    if (!std::isfinite(center.x) || !std::isfinite(center.y) ||
-        !q.in_domain(center)) {
-      // Centroid fallback mirrors refine_one's insertion point choice.
-      center = {(mesh.corner(t, 0).x + mesh.corner(t, 1).x +
-                 mesh.corner(t, 2).x) /
-                    3.0,
-                (mesh.corner(t, 0).y + mesh.corner(t, 1).y +
-                 mesh.corner(t, 2).y) /
-                    3.0};
-    }
+    // Centroid fallback mirrors refine_one's insertion point choice.
+    if (!insertable(q, center)) center = centroid_of(mesh, t);
     auto footprint = probe_cavity(mesh, center, t);
     footprint.cavity.push_back(t);  // the task always locks its own target
     for (const TriId tri : footprint.cavity) owners[tri].push_back(task);
@@ -125,8 +127,12 @@ CsrGraph refinement_conflict_graph(const Mesh& mesh, const RefineQuality& q,
   return CsrGraph::from_edges(static_cast<NodeId>(bad.size()), edges);
 }
 
-TaskOperator make_refine_operator(Mesh& mesh, const RefineQuality& q) {
-  return [&mesh, q](TaskId task, IterationContext& ctx) {
+AppSpec make_spec(Mesh& mesh, const RefineQuality& q) {
+  AppSpec spec;
+  spec.items = mesh.num_triangle_slots();
+  const std::vector<TriId> bad = bad_triangles(mesh, q);
+  spec.initial.assign(bad.begin(), bad.end());
+  spec.op = [&mesh, q](TaskId task, IterationContext& ctx) {
     const auto t = static_cast<TriId>(task);
     InsertHooks hooks;
     // The cavity walk runs deep inside refine_one, so a failed acquire
@@ -142,23 +148,23 @@ TaskOperator make_refine_operator(Mesh& mesh, const RefineQuality& q) {
       if (is_bad(mesh, nt, q)) ctx.push(nt);
     }
   };
-}
-
-Trace refine_adaptive(Mesh& mesh, const RefineQuality& q,
-                      Controller& controller, ThreadPool& pool,
-                      std::uint64_t seed, std::uint32_t max_rounds) {
-  SpeculativeExecutor executor(pool, mesh.num_triangle_slots(),
-                               make_refine_operator(mesh, q), seed);
-  const auto initial = bad_triangles(mesh, q);
-  std::vector<TaskId> tasks(initial.begin(), initial.end());
-  executor.push_initial(tasks);
-
-  AdaptiveRunConfig config;
-  config.max_rounds = max_rounds;
-  config.before_round = [&mesh](SpeculativeExecutor& ex) {
-    ex.grow_items(mesh.num_triangle_slots());
+  spec.footprint = [&mesh, q](TaskId task, std::vector<std::uint32_t>& fp) {
+    const auto t = static_cast<TriId>(task);
+    fp.push_back(t);
+    if (!is_bad(mesh, t, q)) return;
+    const auto add = [&fp](const CavityFootprint& c) {
+      fp.insert(fp.end(), c.cavity.begin(), c.cavity.end());
+      fp.insert(fp.end(), c.ring.begin(), c.ring.end());
+    };
+    const Point2 center = mesh.circumcenter_of(t);
+    if (insertable(q, center)) add(probe_cavity(mesh, center, t));
+    add(probe_cavity(mesh, centroid_of(mesh, t), t));
   };
-  return run_adaptive(executor, controller, config);
+  spec.before_round = [&mesh](SpeculativeExecutor& ex) {
+    ex.grow_items(mesh.num_triangle_slots());
+    ex.invalidate_schedule();
+  };
+  return spec;
 }
 
 }  // namespace optipar::dmr

@@ -2,20 +2,15 @@
 // parallelism (§2). Bad triangles (small minimum angle) are fixed by
 // inserting their circumcenter, which re-triangulates the surrounding
 // cavity; refinements whose cavities overlap conflict. Provided both as a
-// sequential reference and as a speculative operator for the runtime, plus
-// the full adaptive driver (controller in the loop).
+// sequential reference and as an application spec for the runtime.
 #pragma once
 
 #include <cstdint>
 
+#include "apps/app_spec.hpp"
 #include "apps/dmr/delaunay.hpp"
 #include "apps/dmr/mesh.hpp"
-#include "control/controller.hpp"
 #include "graph/csr_graph.hpp"
-#include "rt/adaptive_executor.hpp"
-#include "rt/spec_executor.hpp"
-#include "sim/trace.hpp"
-#include "support/thread_pool.hpp"
 
 namespace optipar::dmr {
 
@@ -62,10 +57,15 @@ std::vector<TriId> refine_one(Mesh& mesh, TriId t, const RefineQuality& q,
 std::size_t refine_sequential(Mesh& mesh, const RefineQuality& q,
                               std::size_t max_insertions = SIZE_MAX);
 
-/// Speculative task operator over triangle ids for SpeculativeExecutor.
-/// Commits push any new bad triangles back onto the work-set.
-[[nodiscard]] TaskOperator make_refine_operator(Mesh& mesh,
-                                                const RefineQuality& q);
+/// Speculative refinement over triangle ids, starting from the current bad
+/// triangles; commits push any new bad triangles back onto the work-set.
+/// The footprint of a bad triangle is the Bowyer–Watson cavity and ring of
+/// BOTH candidate insertion points (circumcenter, centroid): refine_one
+/// falls back from the first to the second, so their union covers whatever
+/// it ends up locking. The hook grows the lock table over the triangles
+/// the last round allocated and, since the mesh changes every round,
+/// invalidates the standing schedule.
+[[nodiscard]] AppSpec make_spec(Mesh& mesh, const RefineQuality& q);
 
 /// The instantaneous CC (conflict) graph of the refinement work-set:
 /// nodes = the current bad triangles, edge iff their speculative lock
@@ -76,12 +76,5 @@ std::size_t refine_sequential(Mesh& mesh, const RefineQuality& q,
 [[nodiscard]] CsrGraph refinement_conflict_graph(
     const Mesh& mesh, const RefineQuality& q,
     const std::vector<TriId>& bad);
-
-/// Full closed loop: refine `mesh` under `controller`'s allocation policy
-/// on `pool`. Returns the per-round trace.
-[[nodiscard]] Trace refine_adaptive(Mesh& mesh, const RefineQuality& q,
-                                    Controller& controller, ThreadPool& pool,
-                                    std::uint64_t seed,
-                                    std::uint32_t max_rounds = 100000);
 
 }  // namespace optipar::dmr

@@ -99,65 +99,6 @@ PushRelabelState::PushRelabelState(NodeId n, NodeId s)
   height_.at(s) = n;  // the classic initialization
 }
 
-TaskOperator make_push_relabel_operator(FlowNetwork& net,
-                                        PushRelabelState& state, NodeId s,
-                                        NodeId t) {
-  return [&net, &state, s, t](TaskId task, IterationContext& ctx) {
-    const auto v = static_cast<NodeId>(task);
-    if (v == s || v == t) return;
-    if (!ctx.acquire(v)) return;
-    if (state.excess(v) <= 0.0) return;  // discharged by someone else
-
-    // Acquire the full neighborhood up front: discharge reads neighbor
-    // heights and may touch any residual arc.
-    auto& arcs = net.arcs(v);
-    for (const auto& a : arcs) {
-      if (!ctx.acquire(a.to)) return;
-    }
-
-    const std::uint32_t h_v = state.height(v);
-    bool progressed = false;
-    for (std::uint32_t i = 0; i < arcs.size() && state.excess(v) > 0.0;
-         ++i) {
-      auto& a = arcs[i];
-      if (a.residual() <= 0.0 || h_v != state.height(a.to) + 1) continue;
-      const double delta = std::min(state.excess(v), a.residual());
-
-      const double old_excess_v = state.excess(v);
-      const double old_excess_w = state.excess(a.to);
-      net.push(v, i, delta);
-      state.set_excess(v, old_excess_v - delta);
-      state.set_excess(a.to, old_excess_w + delta);
-      ctx.on_abort([&net, &state, v, i, delta, old_excess_v, old_excess_w,
-                    w = a.to] {
-        net.push(v, i, -delta);
-        state.set_excess(v, old_excess_v);
-        state.set_excess(w, old_excess_w);
-      });
-      if (a.to != s && a.to != t) ctx.push(a.to);
-      progressed = true;
-    }
-
-    (void)progressed;
-    if (state.excess(v) > 0.0) {
-      // The scan above left no admissible arc, so a relabel is sound:
-      // lift v just above its lowest residual neighbor (all held).
-      std::uint32_t lowest = UINT32_MAX;
-      for (const auto& a : arcs) {
-        if (a.residual() > 0.0) {
-          lowest = std::min(lowest, state.height(a.to));
-        }
-      }
-      if (lowest != UINT32_MAX && lowest + 1 > state.height(v)) {
-        const std::uint32_t old_h = state.height(v);
-        state.set_height(v, lowest + 1);
-        ctx.on_abort([&state, v, old_h] { state.set_height(v, old_h); });
-      }
-      ctx.push(v);  // still active
-    }
-  };
-}
-
 void global_relabel(const FlowNetwork& net, PushRelabelState& state, NodeId s,
                     NodeId t) {
   const NodeId n = net.num_nodes();
@@ -203,15 +144,12 @@ void global_relabel(const FlowNetwork& net, PushRelabelState& state, NodeId s,
   }
 }
 
-MaxflowResult maxflow_adaptive(FlowNetwork& net, NodeId s, NodeId t,
-                               Controller& controller, ThreadPool& pool,
-                               std::uint64_t seed, std::uint32_t max_rounds,
-                               std::uint32_t global_relabel_interval) {
-  if (s == t) throw std::invalid_argument("maxflow_adaptive: s == t");
-  PushRelabelState state(net.num_nodes(), s);
-
+AppSpec make_spec(FlowNetwork& net, PushRelabelState& state, NodeId s,
+                  NodeId t) {
+  if (s == t) throw std::invalid_argument("maxflow::make_spec: s == t");
+  AppSpec spec;
+  spec.items = net.num_nodes();
   // Saturating pre-push out of the source.
-  std::vector<TaskId> initial;
   auto& source_arcs = net.arcs(s);
   for (std::uint32_t i = 0; i < source_arcs.size(); ++i) {
     auto& a = source_arcs[i];
@@ -219,32 +157,74 @@ MaxflowResult maxflow_adaptive(FlowNetwork& net, NodeId s, NodeId t,
       net.push(s, i, a.capacity);
       state.set_excess(a.to, state.excess(a.to) + a.capacity);
       state.set_excess(s, state.excess(s) - a.capacity);
-      if (a.to != t) initial.push_back(a.to);
+      if (a.to != t) spec.initial.push_back(a.to);
     }
   }
+  spec.op = [&net, &state, s, t](TaskId task, IterationContext& ctx) {
+    const auto v = static_cast<NodeId>(task);
+    if (v == s || v == t) return;
+    if (!ctx.acquire(v)) return;
+    if (state.excess(v) <= 0.0) return;  // discharged by someone else
 
-  SpeculativeExecutor executor(pool, net.num_nodes(),
-                               make_push_relabel_operator(net, state, s, t),
-                               seed);
-  executor.push_initial(initial);
+    // Acquire the full neighborhood up front: discharge reads neighbor
+    // heights and may touch any residual arc.
+    auto& arcs = net.arcs(v);
+    for (const auto& a : arcs) {
+      if (!ctx.acquire(a.to)) return;
+    }
 
-  AdaptiveRunConfig config;
-  config.max_rounds = max_rounds;
-  if (global_relabel_interval > 0) {
-    auto rounds_since = std::make_shared<std::uint32_t>(0);
-    config.before_round = [&net, &state, s, t, global_relabel_interval,
-                           rounds_since](SpeculativeExecutor&) {
-      if (++*rounds_since >= global_relabel_interval) {
-        *rounds_since = 0;
-        global_relabel(net, state, s, t);
+    const std::uint32_t h_v = state.height(v);
+    for (std::uint32_t i = 0; i < arcs.size() && state.excess(v) > 0.0;
+         ++i) {
+      auto& a = arcs[i];
+      if (a.residual() <= 0.0 || h_v != state.height(a.to) + 1) continue;
+      const double delta = std::min(state.excess(v), a.residual());
+
+      const double old_excess_v = state.excess(v);
+      const double old_excess_w = state.excess(a.to);
+      net.push(v, i, delta);
+      state.set_excess(v, old_excess_v - delta);
+      state.set_excess(a.to, old_excess_w + delta);
+      ctx.on_abort([&net, &state, v, i, delta, old_excess_v, old_excess_w,
+                    w = a.to] {
+        net.push(v, i, -delta);
+        state.set_excess(v, old_excess_v);
+        state.set_excess(w, old_excess_w);
+      });
+      if (a.to != s && a.to != t) ctx.push(a.to);
+    }
+
+    if (state.excess(v) > 0.0) {
+      // The scan above left no admissible arc, so a relabel is sound:
+      // lift v just above its lowest residual neighbor (all held).
+      std::uint32_t lowest = UINT32_MAX;
+      for (const auto& a : arcs) {
+        if (a.residual() > 0.0) {
+          lowest = std::min(lowest, state.height(a.to));
+        }
       }
-    };
-  }
-  MaxflowResult result;
-  result.trace = run_adaptive(executor, controller, config);
-  result.flow_value = state.excess(t);
-  result.feasible = net.is_feasible(s, t);
-  return result;
+      if (lowest != UINT32_MAX && lowest + 1 > state.height(v)) {
+        const std::uint32_t old_h = state.height(v);
+        state.set_height(v, lowest + 1);
+        ctx.on_abort([&state, v, old_h] { state.set_height(v, old_h); });
+      }
+      ctx.push(v);  // still active
+    }
+  };
+  spec.footprint = [&net](TaskId task, std::vector<std::uint32_t>& fp) {
+    const auto v = static_cast<NodeId>(task);
+    fp.push_back(v);
+    for (const auto& a : net.arcs(v)) fp.push_back(a.to);
+  };
+  auto rounds_since = std::make_shared<std::uint32_t>(0);
+  spec.before_round = [&net, &state, s, t,
+                       rounds_since](SpeculativeExecutor&) {
+    if (++*rounds_since >= 64) {
+      *rounds_since = 0;
+      global_relabel(net, state, s, t);
+    }
+  };
+  return spec;
 }
 
 }  // namespace optipar::maxflow

@@ -10,12 +10,8 @@
 #include <cstdint>
 #include <vector>
 
-#include "control/controller.hpp"
+#include "apps/app_spec.hpp"
 #include "graph/csr_graph.hpp"
-#include "rt/adaptive_executor.hpp"
-#include "rt/spec_executor.hpp"
-#include "sim/trace.hpp"
-#include "support/thread_pool.hpp"
 
 namespace optipar::maxflow {
 
@@ -83,10 +79,6 @@ class PushRelabelState {
   std::vector<double> excess_;
 };
 
-[[nodiscard]] TaskOperator make_push_relabel_operator(FlowNetwork& net,
-                                                      PushRelabelState& state,
-                                                      NodeId s, NodeId t);
-
 /// The classic global-relabeling heuristic: recompute every height as the
 /// exact BFS distance to t in the residual graph (n + distance-to-s for
 /// nodes that cannot reach t). Must run between rounds (no locks held).
@@ -95,18 +87,14 @@ class PushRelabelState {
 void global_relabel(const FlowNetwork& net, PushRelabelState& state, NodeId s,
                     NodeId t);
 
-struct MaxflowResult {
-  Trace trace;
-  double flow_value = 0.0;
-  bool feasible = false;
-};
-
-/// Run speculative push-relabel to completion under the controller.
-/// `global_relabel_interval` = rounds between global relabels (0 = never);
-/// the heuristic typically cuts the round count by orders of magnitude.
-[[nodiscard]] MaxflowResult maxflow_adaptive(
-    FlowNetwork& net, NodeId s, NodeId t, Controller& controller,
-    ThreadPool& pool, std::uint64_t seed, std::uint32_t max_rounds = 1000000,
-    std::uint32_t global_relabel_interval = 64);
+/// Speculative push-relabel from s to t. Building the spec saturates every
+/// arc out of s (the preflow), so `net` and `state` must be fresh; the
+/// initial work-set is the preflow's targets other than t. A task
+/// discharges one active node: it acquires v and every arc target, pushes
+/// along admissible arcs and relabels when stuck. The hook runs
+/// global_relabel every 64 rounds, which typically cuts the round count by
+/// orders of magnitude. Throws std::invalid_argument when s == t.
+[[nodiscard]] AppSpec make_spec(FlowNetwork& net, PushRelabelState& state,
+                                NodeId s, NodeId t);
 
 }  // namespace optipar::maxflow

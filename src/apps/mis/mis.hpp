@@ -9,12 +9,9 @@
 #include <span>
 #include <vector>
 
-#include "control/controller.hpp"
+#include "apps/app_spec.hpp"
 #include "graph/csr_graph.hpp"
-#include "rt/adaptive_executor.hpp"
 #include "rt/spec_executor.hpp"
-#include "sim/trace.hpp"
-#include "support/thread_pool.hpp"
 
 namespace optipar::mis {
 
@@ -40,6 +37,9 @@ class MisState {
 [[nodiscard]] TaskOperator make_mis_operator(const CsrGraph& graph,
                                              MisState& state);
 
+/// Every node is a task; each acquires its closed neighbourhood.
+[[nodiscard]] AppSpec make_spec(const CsrGraph& graph, MisState& state);
+
 /// Sequential greedy MIS over `order` (every node exactly once), as a
 /// branchless SIMD sweep: v enters the set iff no earlier neighbor did.
 /// This is the serial oracle the speculative runtime is compared against
@@ -50,15 +50,5 @@ class MisState {
 /// data-dependent branch.
 [[nodiscard]] std::vector<NodeId> greedy_sweep(const CsrGraph& graph,
                                                std::span<const NodeId> order);
-
-struct MisResult {
-  Trace trace;
-  std::vector<NodeId> independent_set;
-};
-
-[[nodiscard]] MisResult mis_adaptive(const CsrGraph& graph,
-                                     Controller& controller, ThreadPool& pool,
-                                     std::uint64_t seed,
-                                     std::uint32_t max_rounds = 100000);
 
 }  // namespace optipar::mis

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <set>
 #include <stdexcept>
 
@@ -136,12 +137,11 @@ std::optional<std::uint32_t> run_survey_propagation(SurveyState& state,
   return std::nullopt;
 }
 
-Trace run_survey_propagation_adaptive(SurveyState& state,
-                                      const SpConfig& config,
-                                      Controller& controller,
-                                      ThreadPool& pool, std::uint64_t seed) {
-  const auto& formula = state.formula();
-  const double tolerance = config.tolerance;
+AppSpec make_spec(SurveyState& state, double tolerance) {
+  const Formula& formula = state.formula();
+  AppSpec spec;
+  spec.items = formula.num_clauses();
+  spec.initial = all_tasks(formula.num_clauses());
 
   // Pending-membership flags keep the work-set duplicate-free: a clause is
   // scheduled at most once at a time. Each flag is only touched while the
@@ -149,7 +149,7 @@ Trace run_survey_propagation_adaptive(SurveyState& state,
   auto scheduled = std::make_shared<std::vector<std::uint8_t>>(
       formula.num_clauses(), 1);
 
-  auto op = [&state, &formula, tolerance, scheduled](TaskId task,
+  spec.op = [&state, &formula, tolerance, scheduled](TaskId task,
                                                      IterationContext& ctx) {
     const auto a = static_cast<std::uint32_t>(task);
     if (!ctx.acquire(a)) return;
@@ -191,34 +191,16 @@ Trace run_survey_propagation_adaptive(SurveyState& state,
       }
     }
   };
-
-  RoundOptions options;
-  options.scheduler = config.scheduler;
-  SpeculativeExecutor executor(pool, formula.num_clauses(), op, seed,
-                               options);
-  if (config.scheduler == sched::Backend::kChromatic) {
-    // Declared footprint = the acquisition set above: clause a plus every
-    // clause sharing a variable with it.
-    executor.set_footprint_function(
-        [&formula](TaskId task, std::vector<std::uint32_t>& fp) {
-          const auto a = static_cast<std::uint32_t>(task);
-          fp.push_back(a);
-          for (const Literal& lit : formula.clause(a).literals) {
-            for (const std::uint32_t b : formula.clauses_of(lit.var)) {
-              fp.push_back(b);
-            }
-          }
-        });
-  } else if (config.scheduler == sched::Backend::kRelaxed) {
-    executor.set_priority_function([](TaskId t) { return t; });
-  }
-  std::vector<TaskId> initial(formula.num_clauses());
-  for (std::uint32_t a = 0; a < formula.num_clauses(); ++a) initial[a] = a;
-  executor.push_initial(initial);
-
-  AdaptiveRunConfig run_config;
-  run_config.max_rounds = 100000;
-  return run_adaptive(executor, controller, run_config);
+  spec.footprint = [&formula](TaskId task, std::vector<std::uint32_t>& fp) {
+    const auto a = static_cast<std::uint32_t>(task);
+    fp.push_back(a);
+    for (const Literal& lit : formula.clause(a).literals) {
+      for (const std::uint32_t b : formula.clauses_of(lit.var)) {
+        fp.push_back(b);
+      }
+    }
+  };
+  return spec;
 }
 
 SidResult solve_with_sid(const Formula& formula, const SpConfig& config,
@@ -235,8 +217,12 @@ SidResult solve_with_sid(const Formula& formula, const SpConfig& config,
     bool converged = false;
     if (controller != nullptr && pool != nullptr) {
       controller->reset();
-      Trace t = run_survey_propagation_adaptive(state, config, *controller,
-                                                *pool, rng());
+      const AppSpec spec = make_spec(state, config.tolerance);
+      const auto ex = build_executor(
+          *pool, spec, rng(), RoundOptions{.scheduler = config.scheduler});
+      AdaptiveRunConfig run_config;
+      run_config.max_rounds = 100000;
+      Trace t = drain(*ex, spec, *controller, run_config).trace;
       // Converged iff the work-set drained before the round cap.
       converged = t.steps.empty() || t.steps.back().pending_after == 0;
       result.trace.steps.insert(result.trace.steps.end(), t.steps.begin(),

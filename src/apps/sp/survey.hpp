@@ -11,12 +11,8 @@
 #include <optional>
 #include <vector>
 
+#include "apps/app_spec.hpp"
 #include "apps/sp/formula.hpp"
-#include "control/controller.hpp"
-#include "rt/adaptive_executor.hpp"
-#include "rt/spec_executor.hpp"
-#include "sim/trace.hpp"
-#include "support/thread_pool.hpp"
 
 namespace optipar::sp {
 
@@ -93,12 +89,11 @@ struct SpConfig {
 std::optional<std::uint32_t> run_survey_propagation(SurveyState& state,
                                                     const SpConfig& config);
 
-/// Speculative SP: clause-update tasks under the given controller.
-/// Returns the per-round trace (the work-set drains at convergence).
-Trace run_survey_propagation_adaptive(SurveyState& state,
-                                      const SpConfig& config,
-                                      Controller& controller,
-                                      ThreadPool& pool, std::uint64_t seed);
+/// Speculative SP: one task per clause, starting from every clause. A
+/// task acquires clause a and every clause sharing a variable with it,
+/// recomputes a's surveys, and re-pushes those neighbours when a's surveys
+/// moved by at least `tolerance`; the work-set drains at convergence.
+[[nodiscard]] AppSpec make_spec(SurveyState& state, double tolerance);
 
 struct SidResult {
   bool satisfied = false;

@@ -1,6 +1,5 @@
 #include "apps/sssp/sssp.hpp"
 
-#include <memory>
 #include <queue>
 #include <stdexcept>
 
@@ -38,8 +37,11 @@ DistanceTable::DistanceTable(NodeId n, NodeId source)
   dist_.at(source) = 0.0;
 }
 
-TaskOperator make_sssp_operator(const WeightedGraph& g, DistanceTable& dist) {
-  return [&g, &dist](TaskId task, IterationContext& ctx) {
+AppSpec make_spec(const WeightedGraph& g, DistanceTable& dist) {
+  AppSpec spec;
+  spec.items = g.num_nodes();
+  spec.initial = all_tasks(g.num_nodes());
+  spec.op = [&g, &dist](TaskId task, IterationContext& ctx) {
     const auto v = static_cast<NodeId>(task);
     if (!ctx.acquire(v)) return;
     const double dv = dist.get(v);
@@ -55,54 +57,22 @@ TaskOperator make_sssp_operator(const WeightedGraph& g, DistanceTable& dist) {
       }
     }
   };
+  spec.footprint = [&g](TaskId task, std::vector<std::uint32_t>& fp) {
+    const auto v = static_cast<NodeId>(task);
+    fp.push_back(v);
+    for (const Arc& a : g.arcs(v)) fp.push_back(a.to);
+  };
+  return spec;
 }
 
-namespace {
-
-SsspResult run_sssp(const WeightedGraph& g, NodeId source,
-                    Controller& controller, ThreadPool& pool,
-                    std::uint64_t seed, std::uint32_t max_rounds,
-                    WorklistPolicy policy) {
-  auto dist = std::make_shared<DistanceTable>(g.num_nodes(), source);
-  SpeculativeExecutor executor(pool, g.num_nodes(),
-                               make_sssp_operator(g, *dist), seed,
-                               RoundOptions{.worklist = policy});
-  if (policy == WorklistPolicy::kPriority) {
-    // Priority = quantized tentative distance at (re)insertion time. The
-    // executor evaluates this outside the parallel section, so the
-    // unlocked read is safe.
-    executor.set_priority_function([dist](TaskId t) {
-      const double d = dist->get(static_cast<NodeId>(t));
-      if (d == kUnreachable) return UINT64_MAX;
-      return static_cast<std::uint64_t>(d * 1024.0);
-    });
-  }
-  const TaskId initial[] = {source};
-  executor.push_initial(initial);
-
-  AdaptiveRunConfig config;
-  config.max_rounds = max_rounds;
-  SsspResult result;
-  result.trace = run_adaptive(executor, controller, config);
-  result.dist = dist->all();
-  return result;
-}
-
-}  // namespace
-
-SsspResult sssp_adaptive(const WeightedGraph& g, NodeId source,
-                         Controller& controller, ThreadPool& pool,
-                         std::uint64_t seed, std::uint32_t max_rounds) {
-  return run_sssp(g, source, controller, pool, seed, max_rounds,
-                  WorklistPolicy::kRandom);
-}
-
-SsspResult sssp_priority_adaptive(const WeightedGraph& g, NodeId source,
-                                  Controller& controller, ThreadPool& pool,
-                                  std::uint64_t seed,
-                                  std::uint32_t max_rounds) {
-  return run_sssp(g, source, controller, pool, seed, max_rounds,
-                  WorklistPolicy::kPriority);
+std::function<std::uint64_t(TaskId)> distance_priority(
+    const DistanceTable& dist) {
+  // Quantized tentative distance at (re)insertion time.
+  return [&dist](TaskId t) {
+    const double d = dist.get(static_cast<NodeId>(t));
+    if (d == kUnreachable) return UINT64_MAX;
+    return static_cast<std::uint64_t>(d * 1024.0);
+  };
 }
 
 }  // namespace optipar::sssp

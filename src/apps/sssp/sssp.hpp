@@ -9,12 +9,8 @@
 #include <limits>
 #include <vector>
 
-#include "control/controller.hpp"
+#include "apps/app_spec.hpp"
 #include "graph/weighted_graph.hpp"
-#include "rt/adaptive_executor.hpp"
-#include "rt/spec_executor.hpp"
-#include "sim/trace.hpp"
-#include "support/thread_pool.hpp"
 
 namespace optipar::sssp {
 
@@ -41,28 +37,19 @@ class DistanceTable {
   std::vector<double> dist_;
 };
 
-/// Speculative relaxation operator (tasks are node ids).
-[[nodiscard]] TaskOperator make_sssp_operator(const WeightedGraph& g,
-                                              DistanceTable& dist);
+/// Speculative relaxation over every node (tasks are node ids): a task
+/// acquires v and every arc target, and pushes each target it improves.
+/// The initial work-set is every node; set it to {source} to start from
+/// the source alone.
+[[nodiscard]] AppSpec make_spec(const WeightedGraph& g, DistanceTable& dist);
 
-struct SsspResult {
-  Trace trace;
-  std::vector<double> dist;
-};
-
-[[nodiscard]] SsspResult sssp_adaptive(const WeightedGraph& g, NodeId source,
-                                       Controller& controller,
-                                       ThreadPool& pool, std::uint64_t seed,
-                                       std::uint32_t max_rounds = 1000000);
-
-/// Same computation under the OBIM-style soft-priority scheduler: nodes
-/// with smaller tentative distance relax first (delta-stepping spirit) —
-/// the paper's "ordered algorithms" future-work direction, realized as a
-/// best-effort priority that needs no commit-order machinery because
-/// chaotic relaxation is order-independent. Usually commits far fewer
-/// relaxations than random order (compare the traces).
-[[nodiscard]] SsspResult sssp_priority_adaptive(
-    const WeightedGraph& g, NodeId source, Controller& controller,
-    ThreadPool& pool, std::uint64_t seed, std::uint32_t max_rounds = 1000000);
+/// Draw priority for WorklistPolicy::kPriority (OBIM-style soft priority):
+/// nodes with a smaller tentative distance relax first, in the spirit of
+/// delta-stepping. Chaotic relaxation is order-independent, so the order
+/// is best effort and needs no commit-order machinery; it usually commits
+/// far fewer relaxations than random order. The executor evaluates it
+/// outside the parallel section, so the unlocked read is safe.
+[[nodiscard]] std::function<std::uint64_t(TaskId)> distance_priority(
+    const DistanceTable& dist);
 
 }  // namespace optipar::sssp

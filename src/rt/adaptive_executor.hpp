@@ -17,8 +17,9 @@
 //
 // The loop also hosts the livelock watchdog (DESIGN.md §8): speculation can
 // wedge — every round launches, every iteration aborts — when the conflict
-// structure is denser than any allocation the controller can reach (e.g. a
-// clique bundle under priority-wins churn, or a pathological operator).
+// structure is denser than any allocation the controller can reach (e.g.
+// tasks that acquire shared items in opposite orders and abort each other
+// every round, or a pathological operator).
 // After `watchdog_rounds` consecutive zero-progress rounds the loop
 // degrades gracefully: it caps the controller at m = 1 (serial execution is
 // conflict-free by construction, so if the workload CAN commit, it will).

@@ -12,11 +12,11 @@
 #include <cstdio>
 #include <cstring>
 #include <iostream>
-#include <numeric>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
 
+#include "apps/app_spec.hpp"
 #include "control/factory.hpp"
 #include "graph/csr_graph.hpp"
 #include "graph/graph_io.hpp"
@@ -819,38 +819,17 @@ void Server::activate(std::uint64_t job_id) {
       throw std::runtime_error("unknown controller '" + spec.controller +
                                "'");
     }
-    // The job construction mirrors `optipar_cli run` exactly (operator =
-    // acquire the closed neighborhood; executor seed = seed*11+3; all
-    // nodes pushed; same per-backend footprint/priority hooks), so a
-    // one-lane daemon run traces byte-identically to the CLI — the resume
-    // smoke test's ground truth.
+    // The job runs the same lock-only spec and executor seed (seed*11+3)
+    // as `optipar_cli run`, so a one-lane daemon run traces
+    // byte-identically to the CLI — the resume smoke test's ground truth.
     const auto backend = sched::parse_backend(spec.scheduler);
     if (!backend) {
       throw std::runtime_error("unknown scheduler '" + spec.scheduler + "'");
     }
     const CsrGraph* g = &aj->graph;
-    RoundOptions ropts;
-    ropts.scheduler = *backend;
-    aj->exec = std::make_unique<SpeculativeExecutor>(
-        *pool_, g->num_nodes(),
-        [g](TaskId t, IterationContext& ctx) {
-          const auto v = static_cast<NodeId>(t);
-          if (!ctx.acquire(v)) return;
-          for (const NodeId u : g->neighbors(v)) {
-            if (!ctx.acquire(u)) return;
-          }
-        },
-        spec.seed * 11 + 3, ropts);
-    if (*backend == sched::Backend::kChromatic) {
-      aj->exec->set_footprint_function(
-          [g](TaskId t, std::vector<std::uint32_t>& fp) {
-            const auto v = static_cast<NodeId>(t);
-            fp.push_back(v);
-            for (const NodeId u : g->neighbors(v)) fp.push_back(u);
-          });
-    } else if (*backend == sched::Backend::kRelaxed) {
-      aj->exec->set_priority_function([](TaskId t) { return t; });
-    }
+    const AppSpec app = lock_only_spec(*g);
+    aj->exec = build_executor(*pool_, app, spec.seed * 11 + 3,
+                              RoundOptions{.scheduler = *backend});
     aj->tel = std::make_unique<telemetry::RuntimeTelemetry>();
     aj->tel->set_target_rho(spec.rho);
     // Every run job is traced (DESIGN.md §15): the collector's pid is the
@@ -876,9 +855,6 @@ void Server::activate(std::uint64_t job_id) {
     aj->job_span = aj->spans->begin("job", 0, spec.id, spec.steps);
     aj->tel->set_spans(aj->spans.get());
     aj->exec->set_telemetry(aj->tel.get());
-    std::vector<TaskId> tasks(g->num_nodes());
-    std::iota(tasks.begin(), tasks.end(), TaskId{0});
-    aj->exec->push_initial(tasks);
 
     const std::string dir = job_dir(spec.id);
     make_dir(dir);
@@ -900,6 +876,7 @@ void Server::activate(std::uint64_t job_id) {
 
     AdaptiveRunConfig rcfg;
     rcfg.max_rounds = spec.steps;
+    rcfg.before_round = app.before_round;
     rcfg.checkpoint = aj->checkpoint.get();
     rcfg.deadline = JobDeadline::after_ms(spec.timeout_ms);
     rcfg.cancel = &job->cancel;

@@ -120,7 +120,8 @@ __attribute__((target("avx512f"))) bool any_equal_gather_u32_avx512(
   std::size_t i = 0;
   for (; i + 16 <= n; i += 16) {
     const __m512i vidx = _mm512_loadu_si512(idx + i);
-    const __m512i vals = _mm512_i32gather_epi32(vidx, table, 4);
+    const __m512i vals = _mm512_mask_i32gather_epi32(
+        _mm512_setzero_si512(), 0xFFFF, vidx, table, 4);
     if (_mm512_cmpeq_epi32_mask(vals, needle) != 0) return true;
   }
   if (i < n) {
@@ -185,7 +186,7 @@ __attribute__((target("avx512f"))) void welford_step_u32_avx512(
   for (; i + 8 <= n; i += 8) {
     const __m256i xi = _mm256_loadu_si256(
         reinterpret_cast<const __m256i*>(x + i));
-    const __m512d v = _mm512_cvtepu32_pd(xi);
+    const __m512d v = _mm512_maskz_cvtepu32_pd(0xFF, xi);
     __m512d m = _mm512_loadu_pd(mean + i);
     const __m512d delta = _mm512_sub_pd(v, m);
     m = _mm512_add_pd(m, _mm512_div_pd(delta, vcount));
@@ -193,8 +194,10 @@ __attribute__((target("avx512f"))) void welford_step_u32_avx512(
     _mm512_storeu_pd(
         m2 + i, _mm512_add_pd(q, _mm512_mul_pd(delta, _mm512_sub_pd(v, m))));
     _mm512_storeu_pd(mean + i, m);
-    _mm512_storeu_pd(mn + i, _mm512_min_pd(_mm512_loadu_pd(mn + i), v));
-    _mm512_storeu_pd(mx + i, _mm512_max_pd(_mm512_loadu_pd(mx + i), v));
+    _mm512_storeu_pd(mn + i,
+                     _mm512_maskz_min_pd(0xFF, _mm512_loadu_pd(mn + i), v));
+    _mm512_storeu_pd(mx + i,
+                     _mm512_maskz_max_pd(0xFF, _mm512_loadu_pd(mx + i), v));
   }
   welford_step_u32_scalar(mean + i, m2 + i, mn + i, mx + i, x + i, n - i,
                           count);

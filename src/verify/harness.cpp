@@ -1,12 +1,11 @@
 #include "verify/harness.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <numeric>
 #include <stdexcept>
 #include <utility>
 #include <vector>
 
+#include "apps/app_spec.hpp"
 #include "apps/boruvka/boruvka.hpp"
 #include "apps/coloring/coloring.hpp"
 #include "apps/dmr/delaunay.hpp"
@@ -18,8 +17,6 @@
 #include "control/factory.hpp"
 #include "graph/generators.hpp"
 #include "graph/weighted_graph.hpp"
-#include "rt/adaptive_executor.hpp"
-#include "rt/spec_executor.hpp"
 #include "support/rng.hpp"
 #include "verify/app_certs.hpp"
 
@@ -48,38 +45,6 @@ std::optional<AppKind> parse_app(std::string_view name) {
 }
 
 namespace {
-
-RoundOptions options_for(sched::Backend backend) {
-  RoundOptions opts;
-  opts.scheduler = backend;
-  return opts;
-}
-
-/// Backend wiring shared by every graph kernel: chromatic needs the
-/// declared footprint, relaxed a priority (task id keeps runs
-/// deterministic and backend-comparable).
-void wire_backend(SpeculativeExecutor& ex, sched::Backend backend,
-                  sched::FootprintFn footprint) {
-  if (backend == sched::Backend::kChromatic) {
-    ex.set_footprint_function(std::move(footprint));
-  } else if (backend == sched::Backend::kRelaxed) {
-    ex.set_priority_function([](TaskId t) { return t; });
-  }
-}
-
-sched::FootprintFn closed_neighborhood(const CsrGraph& g) {
-  return [&g](TaskId t, std::vector<std::uint32_t>& fp) {
-    const auto v = static_cast<NodeId>(t);
-    fp.push_back(v);
-    for (const NodeId u : g.neighbors(v)) fp.push_back(u);
-  };
-}
-
-void push_all(SpeculativeExecutor& ex, std::size_t n) {
-  std::vector<TaskId> tasks(n);
-  std::iota(tasks.begin(), tasks.end(), TaskId{0});
-  ex.push_initial(tasks);
-}
 
 std::unique_ptr<Controller> make_run_controller(const AppRunOptions& opt) {
   ControllerParams params;
@@ -115,29 +80,30 @@ Certificate completeness_then(SpeculativeExecutor& ex,
   return cert;
 }
 
-/// Drive the stepper to completion and collect the common report fields.
-/// ensure_certified() covers the max_rounds exit, where step() never
-/// observes the finished state from a non-finished one.
-AppRunReport drive(SpeculativeExecutor& ex, Controller& controller,
-                   AdaptiveRunConfig config) {
-  AdaptiveRun run(ex, controller, std::move(config));
-  while (run.step()) {
-  }
-  run.ensure_certified();
-  AppRunReport report;
-  if (run.certificate().has_value()) report.certificate = *run.certificate();
-  report.trace = run.take_trace();
-  report.rounds = ex.totals().rounds;
-  report.launched = ex.totals().launched;
-  report.committed = ex.totals().committed;
-  report.aborted = ex.totals().aborted;
-  return report;
-}
-
-AdaptiveRunConfig base_config(const AppRunOptions& opt) {
+/// Run `spec` to drain on the chosen backend, certified by completeness
+/// and then `app_cert`, and collect the common report fields.
+AppRunReport run_spec(ThreadPool& pool, const AppRunOptions& opt,
+                      const AppSpec& spec, const Certifier& app_cert) {
+  const auto ex = build_executor(pool, spec, opt.seed * 11 + 3,
+                                 RoundOptions{.scheduler = opt.scheduler});
+  if (opt.telemetry != nullptr) ex->set_telemetry(opt.telemetry);
+  auto controller = make_run_controller(opt);
   AdaptiveRunConfig config;
   config.max_rounds = opt.max_rounds;
-  return config;
+  config.certifier = [&ex, &app_cert] {
+    return completeness_then(*ex, app_cert);
+  };
+  DrainResult drained = drain(*ex, spec, *controller, std::move(config));
+  AppRunReport report;
+  if (drained.certificate.has_value()) {
+    report.certificate = *drained.certificate;
+  }
+  report.trace = std::move(drained.trace);
+  report.rounds = ex->totals().rounds;
+  report.launched = ex->totals().launched;
+  report.committed = ex->totals().committed;
+  report.aborted = ex->totals().aborted;
+  return report;
 }
 
 AppRunReport run_mis(ThreadPool& pool, const AppRunOptions& opt) {
@@ -145,18 +111,8 @@ AppRunReport run_mis(ThreadPool& pool, const AppRunOptions& opt) {
   const CsrGraph g =
       gen::random_with_average_degree(opt.nodes, opt.degree, rng);
   mis::MisState state(g.num_nodes());
-  SpeculativeExecutor ex(pool, g.num_nodes(),
-                         mis::make_mis_operator(g, state), opt.seed * 11 + 3,
-                         options_for(opt.scheduler));
-  wire_backend(ex, opt.scheduler, closed_neighborhood(g));
-  if (opt.telemetry != nullptr) ex.set_telemetry(opt.telemetry);
-  push_all(ex, g.num_nodes());
-  auto controller = make_run_controller(opt);
-  AdaptiveRunConfig config = base_config(opt);
-  config.certifier = [&ex, &g, &state] {
-    return completeness_then(ex, [&] { return certify_mis(g, state); });
-  };
-  AppRunReport report = drive(ex, *controller, std::move(config));
+  AppRunReport report = run_spec(pool, opt, mis::make_spec(g, state),
+                                 [&] { return certify_mis(g, state); });
   report.answer = static_cast<double>(state.in_set().size());
   return report;
 }
@@ -166,18 +122,9 @@ AppRunReport run_coloring(ThreadPool& pool, const AppRunOptions& opt) {
   const CsrGraph g =
       gen::random_with_average_degree(opt.nodes, opt.degree, rng);
   coloring::ColoringState state(g.num_nodes());
-  SpeculativeExecutor ex(pool, g.num_nodes(),
-                         coloring::make_coloring_operator(g, state),
-                         opt.seed * 11 + 3, options_for(opt.scheduler));
-  wire_backend(ex, opt.scheduler, closed_neighborhood(g));
-  if (opt.telemetry != nullptr) ex.set_telemetry(opt.telemetry);
-  push_all(ex, g.num_nodes());
-  auto controller = make_run_controller(opt);
-  AdaptiveRunConfig config = base_config(opt);
-  config.certifier = [&ex, &g, &state] {
-    return completeness_then(ex, [&] { return certify_coloring(g, state); });
-  };
-  AppRunReport report = drive(ex, *controller, std::move(config));
+  AppRunReport report =
+      run_spec(pool, opt, coloring::make_spec(g, state),
+               [&] { return certify_coloring(g, state); });
   report.answer = static_cast<double>(state.colors_used());
   return report;
 }
@@ -193,24 +140,9 @@ AppRunReport run_sssp(ThreadPool& pool, const AppRunOptions& opt) {
   const WeightedGraph g = WeightedGraph::from_edges(base.num_nodes(), edges);
   const NodeId source = 0;
   sssp::DistanceTable dist(g.num_nodes(), source);
-  SpeculativeExecutor ex(pool, g.num_nodes(),
-                         sssp::make_sssp_operator(g, dist), opt.seed * 11 + 3,
-                         options_for(opt.scheduler));
-  wire_backend(ex, opt.scheduler,
-               [&g](TaskId t, std::vector<std::uint32_t>& fp) {
-                 const auto v = static_cast<NodeId>(t);
-                 fp.push_back(v);
-                 for (const Arc& a : g.arcs(v)) fp.push_back(a.to);
-               });
-  if (opt.telemetry != nullptr) ex.set_telemetry(opt.telemetry);
-  push_all(ex, g.num_nodes());
-  auto controller = make_run_controller(opt);
-  AdaptiveRunConfig config = base_config(opt);
-  config.certifier = [&ex, &g, &dist, source] {
-    return completeness_then(
-        ex, [&] { return certify_sssp(g, source, dist.all()); });
-  };
-  AppRunReport report = drive(ex, *controller, std::move(config));
+  AppRunReport report =
+      run_spec(pool, opt, sssp::make_spec(g, dist),
+               [&] { return certify_sssp(g, source, dist.all()); });
   double reached = 0.0;
   for (const double d : dist.all()) {
     if (d != sssp::kUnreachable) reached += 1.0;
@@ -228,35 +160,11 @@ AppRunReport run_boruvka(ThreadPool& pool, const AppRunOptions& opt) {
     edges.push_back({u, v, rng.uniform() * 100.0 + 1e-3});
   }
   boruvka::ContractionGraph graph(base.num_nodes(), edges);
-  SpeculativeExecutor ex(pool, base.num_nodes(),
-                         boruvka::make_boruvka_operator(graph),
-                         opt.seed * 11 + 3, options_for(opt.scheduler));
-  // Live closed neighborhood in the contraction graph; the adjacency
-  // mutates as supernodes merge, so the standing coloring is invalidated
-  // before every round (a no-op on non-chromatic backends).
-  wire_backend(ex, opt.scheduler,
-               [&graph](TaskId t, std::vector<std::uint32_t>& fp) {
-                 const auto v = static_cast<NodeId>(t);
-                 fp.push_back(v);
-                 for (const auto& [x, w] : graph.adjacency(v)) {
-                   fp.push_back(x);
-                 }
-               });
-  if (opt.telemetry != nullptr) ex.set_telemetry(opt.telemetry);
-  push_all(ex, base.num_nodes());
-  auto controller = make_run_controller(opt);
-  AdaptiveRunConfig config = base_config(opt);
-  config.before_round = [](SpeculativeExecutor& e) {
-    e.invalidate_schedule();
-  };
-  const NodeId n = base.num_nodes();
-  config.certifier = [&ex, &graph, &edges, n] {
-    return completeness_then(ex, [&] {
-      return certify_boruvka(n, edges, graph.chosen_weight(),
-                             graph.chosen_count());
-    });
-  };
-  AppRunReport report = drive(ex, *controller, std::move(config));
+  AppRunReport report =
+      run_spec(pool, opt, boruvka::make_spec(graph), [&] {
+        return certify_boruvka(base.num_nodes(), edges, graph.chosen_weight(),
+                               graph.chosen_count());
+      });
   report.answer = graph.chosen_weight();
   return report;
 }
@@ -282,46 +190,10 @@ AppRunReport run_maxflow(ThreadPool& pool, const AppRunOptions& opt) {
   for (NodeId w = width + 1; w <= 2 * width; ++w) {
     net.add_arc(w, t, rng.uniform() * 8.0 + 1.0);
   }
-
   maxflow::PushRelabelState state(n, s);
-  // Source-saturating preflow: the push-relabel starting point.
-  std::vector<TaskId> initial;
-  auto& source_arcs = net.arcs(s);
-  for (std::uint32_t i = 0; i < source_arcs.size(); ++i) {
-    auto& a = source_arcs[i];
-    if (a.capacity > 0.0) {
-      net.push(s, i, a.capacity);
-      state.set_excess(a.to, state.excess(a.to) + a.capacity);
-      state.set_excess(s, state.excess(s) - a.capacity);
-      if (a.to != t) initial.push_back(a.to);
-    }
-  }
-  SpeculativeExecutor ex(pool, n,
-                         maxflow::make_push_relabel_operator(net, state, s, t),
-                         opt.seed * 11 + 3, options_for(opt.scheduler));
-  wire_backend(ex, opt.scheduler,
-               [&net](TaskId task, std::vector<std::uint32_t>& fp) {
-                 const auto v = static_cast<NodeId>(task);
-                 fp.push_back(v);
-                 for (const auto& a : net.arcs(v)) fp.push_back(a.to);
-               });
-  if (opt.telemetry != nullptr) ex.set_telemetry(opt.telemetry);
-  ex.push_initial(initial);
-  auto controller = make_run_controller(opt);
-  AdaptiveRunConfig config = base_config(opt);
-  auto rounds_since = std::make_shared<int>(0);
-  config.before_round = [&net, &state, s, t,
-                         rounds_since](SpeculativeExecutor&) {
-    if (++*rounds_since >= 64) {
-      *rounds_since = 0;
-      maxflow::global_relabel(net, state, s, t);
-    }
-  };
-  config.certifier = [&ex, &net, &state, s, t] {
-    return completeness_then(
-        ex, [&] { return certify_maxflow(net, s, t, state.excess(t)); });
-  };
-  AppRunReport report = drive(ex, *controller, std::move(config));
+  AppRunReport report =
+      run_spec(pool, opt, maxflow::make_spec(net, state, s, t),
+               [&] { return certify_maxflow(net, s, t, state.excess(t)); });
   report.answer = state.excess(t);
   return report;
 }
@@ -365,55 +237,11 @@ AppRunReport run_dmr(ThreadPool& pool, const AppRunOptions& opt) {
   q.min_angle_deg = 25.0;
   q.min_edge = 2.0;
   q.set_domain(pts);
-
-  SpeculativeExecutor ex(pool, mesh.num_triangle_slots(),
-                         dmr::make_refine_operator(mesh, q),
-                         opt.seed * 11 + 3, options_for(opt.scheduler));
-  // Declared footprint of a bad triangle: the Bowyer–Watson cavity + ring
-  // of BOTH candidate insertion points (circumcenter, centroid) — a
-  // superset of whatever refine_one ends up locking.
-  wire_backend(
-      ex, opt.scheduler,
-      [&mesh, q](TaskId task, std::vector<std::uint32_t>& fp) {
-        const auto t = static_cast<dmr::TriId>(task);
-        fp.push_back(t);
-        if (!dmr::is_bad(mesh, t, q)) return;
-        const auto add = [&fp](const dmr::CavityFootprint& c) {
-          for (const dmr::TriId tri : c.cavity) fp.push_back(tri);
-          for (const dmr::TriId tri : c.ring) fp.push_back(tri);
-        };
-        const dmr::Point2 center = mesh.circumcenter_of(t);
-        if (std::isfinite(center.x) && std::isfinite(center.y) &&
-            q.in_domain(center)) {
-          add(dmr::probe_cavity(mesh, center, t));
-        }
-        const dmr::Point2 centroid{
-            (mesh.corner(t, 0).x + mesh.corner(t, 1).x +
-             mesh.corner(t, 2).x) /
-                3.0,
-            (mesh.corner(t, 0).y + mesh.corner(t, 1).y +
-             mesh.corner(t, 2).y) /
-                3.0};
-        add(dmr::probe_cavity(mesh, centroid, t));
-      });
-  if (opt.telemetry != nullptr) ex.set_telemetry(opt.telemetry);
-  const std::vector<dmr::TriId> initial = dmr::bad_triangles(mesh, q);
-  std::vector<TaskId> tasks(initial.begin(), initial.end());
-  ex.push_initial(tasks);
-  auto controller = make_run_controller(opt);
-  AdaptiveRunConfig config = base_config(opt);
-  config.before_round = [&mesh](SpeculativeExecutor& e) {
-    e.grow_items(mesh.num_triangle_slots());
-    e.invalidate_schedule();
-  };
   const std::uint64_t cert_seed = opt.seed ^ 0x5eedULL;
-  config.certifier = [&ex, &mesh, q, cert_seed] {
-    return completeness_then(ex, [&] {
-      return certify_mesh(mesh, q, dmr::kNumSuperVertices,
-                          /*spot_checks=*/64, cert_seed);
-    });
-  };
-  AppRunReport report = drive(ex, *controller, std::move(config));
+  AppRunReport report = run_spec(pool, opt, dmr::make_spec(mesh, q), [&] {
+    return certify_mesh(mesh, q, dmr::kNumSuperVertices,
+                        /*spot_checks=*/64, cert_seed);
+  });
   report.answer = static_cast<double>(mesh.num_alive_triangles());
   return report;
 }

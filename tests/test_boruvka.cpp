@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "apps/app_spec.hpp"
 #include "control/baselines.hpp"
 #include "control/hybrid.hpp"
 #include "graph/generators.hpp"
@@ -20,6 +21,19 @@ std::vector<WeightedEdge> random_weighted_graph(NodeId n,
     out.push_back({u, v, rng.uniform() * 100.0 + 0.001});
   }
   return out;
+}
+
+/// Contract the whole graph through its spec; returns the final graph,
+/// whose chosen edges are the spanning forest.
+ContractionGraph run_boruvka(NodeId n, const std::vector<WeightedEdge>& edges,
+                             Controller& controller, ThreadPool& pool,
+                             std::uint64_t seed, Trace* trace = nullptr) {
+  ContractionGraph graph(n, edges);
+  const AppSpec spec = make_spec(graph);
+  DrainResult drained =
+      drain(*build_executor(pool, spec, seed), spec, controller);
+  if (trace != nullptr) *trace = std::move(drained.trace);
+  return graph;
 }
 
 TEST(Kruskal, KnownTinyGraph) {
@@ -71,11 +85,13 @@ TEST_P(BoruvkaAdaptiveTest, MatchesKruskalWeight) {
   ThreadPool pool(4);
   ControllerParams p;
   HybridController controller(p);
-  const auto result =
-      boruvka_adaptive(n, edges, controller, pool, /*seed=*/n * 7 + 1);
+  Trace trace;
+  const auto graph =
+      run_boruvka(n, edges, controller, pool, /*seed=*/n * 7 + 1, &trace);
 
-  EXPECT_NEAR(result.mst_weight, expected, 1e-6 * std::max(1.0, expected));
-  EXPECT_GT(result.trace.total_committed(), 0u);
+  EXPECT_NEAR(graph.chosen_weight(), expected,
+              1e-6 * std::max(1.0, expected));
+  EXPECT_GT(trace.total_committed(), 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, BoruvkaAdaptiveTest,
@@ -91,18 +107,18 @@ TEST(BoruvkaAdaptive, DisconnectedGraphBuildsForest) {
   ThreadPool pool(2);
   ControllerParams p;
   HybridController controller(p);
-  const auto result = boruvka_adaptive(5, edges, controller, pool, 5);
-  EXPECT_DOUBLE_EQ(result.mst_weight, 10.0);
-  EXPECT_EQ(result.edges_chosen, 3u);  // n − #components = 5 − 2
+  const auto graph = run_boruvka(5, edges, controller, pool, 5);
+  EXPECT_DOUBLE_EQ(graph.chosen_weight(), 10.0);
+  EXPECT_EQ(graph.chosen_count(), 3u);  // n − #components = 5 − 2
 }
 
 TEST(BoruvkaAdaptive, EdgelessGraphChoosesNothing) {
   ThreadPool pool(2);
   ControllerParams p;
   HybridController controller(p);
-  const auto result = boruvka_adaptive(6, {}, controller, pool, 6);
-  EXPECT_DOUBLE_EQ(result.mst_weight, 0.0);
-  EXPECT_EQ(result.edges_chosen, 0u);
+  const auto graph = run_boruvka(6, {}, controller, pool, 6);
+  EXPECT_DOUBLE_EQ(graph.chosen_weight(), 0.0);
+  EXPECT_EQ(graph.chosen_count(), 0u);
 }
 
 TEST(BoruvkaAdaptive, FixedControllerAlsoCorrect) {
@@ -110,8 +126,8 @@ TEST(BoruvkaAdaptive, FixedControllerAlsoCorrect) {
   const double expected = kruskal_mst_weight(80, edges);
   ThreadPool pool(4);
   FixedController controller(16);
-  const auto result = boruvka_adaptive(80, edges, controller, pool, 9);
-  EXPECT_NEAR(result.mst_weight, expected, 1e-6 * expected);
+  const auto graph = run_boruvka(80, edges, controller, pool, 9);
+  EXPECT_NEAR(graph.chosen_weight(), expected, 1e-6 * expected);
 }
 
 TEST(BoruvkaAdaptive, EdgesChosenEqualsNodesMinusComponents) {
@@ -120,11 +136,11 @@ TEST(BoruvkaAdaptive, EdgesChosenEqualsNodesMinusComponents) {
   ThreadPool pool(2);
   ControllerParams p;
   HybridController controller(p);
-  const auto result = boruvka_adaptive(60, edges, controller, pool, 10);
+  const auto graph = run_boruvka(60, edges, controller, pool, 10);
   // Derive component count from edges with a fresh union-find.
   UnionFind uf(60);
   for (const auto& e : edges) uf.unite(e.u, e.v);
-  EXPECT_EQ(result.edges_chosen, 60u - uf.num_sets());
+  EXPECT_EQ(graph.chosen_count(), 60u - uf.num_sets());
 }
 
 }  // namespace

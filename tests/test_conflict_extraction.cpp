@@ -2,6 +2,7 @@
 // lock footprints) and DMR cavity footprints.
 #include <gtest/gtest.h>
 
+#include "apps/app_spec.hpp"
 #include "apps/dmr/refine.hpp"
 #include "graph/algos.hpp"
 #include "graph/generators.hpp"
@@ -153,13 +154,9 @@ TEST_F(DmrFootprintTest, ModelPredictsRuntimeOrderOfMagnitude) {
     dmr::Mesh mesh;
     dmr::build_delaunay(mesh, pts_);
     ThreadPool pool(2);
-    SpeculativeExecutor ex(pool, mesh.num_triangle_slots(),
-                           dmr::make_refine_operator(mesh, quality_),
-                           100 + static_cast<std::uint64_t>(rep));
-    const auto fresh = dmr::bad_triangles(mesh, quality_);
-    std::vector<TaskId> tasks(fresh.begin(), fresh.end());
-    ex.push_initial(tasks);
-    observed.add(ex.run_round(m).conflict_ratio());
+    const auto ex = build_executor(pool, dmr::make_spec(mesh, quality_),
+                                   100 + static_cast<std::uint64_t>(rep));
+    observed.add(ex->run_round(m).conflict_ratio());
   }
   EXPECT_NEAR(observed.mean(), predicted.r_bar(m),
               0.12 + 3 * observed.ci95());

@@ -4,6 +4,7 @@
 #include <span>
 #include <stdexcept>
 
+#include "apps/app_spec.hpp"
 #include "apps/coloring/coloring.hpp"
 #include "apps/mis/mis.hpp"
 #include "control/baselines.hpp"
@@ -31,6 +32,24 @@ std::vector<GraphCase> graph_cases() {
   return cases;
 }
 
+/// Drain the MIS spec on `g`; returns the independent set.
+std::vector<NodeId> run_mis(const CsrGraph& g, Controller& controller,
+                            ThreadPool& pool, std::uint64_t seed) {
+  mis::MisState state(g.num_nodes());
+  const AppSpec spec = mis::make_spec(g, state);
+  (void)drain(*build_executor(pool, spec, seed), spec, controller);
+  return state.in_set();
+}
+
+/// Drain the coloring spec on `g`; returns the final coloring.
+coloring::ColoringState run_coloring(const CsrGraph& g, Controller& controller,
+                                     ThreadPool& pool, std::uint64_t seed) {
+  coloring::ColoringState state(g.num_nodes());
+  const AppSpec spec = coloring::make_spec(g, state);
+  (void)drain(*build_executor(pool, spec, seed), spec, controller);
+  return state;
+}
+
 TEST(MisState, Accessors) {
   mis::MisState s(3);
   EXPECT_FALSE(s.all_decided());
@@ -46,11 +65,9 @@ TEST(MisAdaptive, ProducesMaximalIndependentSetOnAllFamilies) {
   for (auto& c : graph_cases()) {
     ControllerParams p;
     HybridController controller(p);
-    const auto result = mis::mis_adaptive(c.graph, controller, pool, 7);
-    EXPECT_TRUE(is_independent_set(c.graph, result.independent_set))
-        << c.name;
-    EXPECT_TRUE(is_maximal_independent_set(c.graph, result.independent_set))
-        << c.name;
+    const auto in_set = run_mis(c.graph, controller, pool, 7);
+    EXPECT_TRUE(is_independent_set(c.graph, in_set)) << c.name;
+    EXPECT_TRUE(is_maximal_independent_set(c.graph, in_set)) << c.name;
   }
 }
 
@@ -59,8 +76,8 @@ TEST(MisAdaptive, EdgelessGraphTakesEverything) {
   const auto g = CsrGraph::from_edges(30, {});
   ControllerParams p;
   HybridController controller(p);
-  const auto result = mis::mis_adaptive(g, controller, pool, 8);
-  EXPECT_EQ(result.independent_set.size(), 30u);
+  const auto in_set = run_mis(g, controller, pool, 8);
+  EXPECT_EQ(in_set.size(), 30u);
 }
 
 TEST(MisAdaptive, CompleteGraphTakesExactlyOne) {
@@ -68,8 +85,8 @@ TEST(MisAdaptive, CompleteGraphTakesExactlyOne) {
   const auto g = gen::complete(20);
   ControllerParams p;
   HybridController controller(p);
-  const auto result = mis::mis_adaptive(g, controller, pool, 9);
-  EXPECT_EQ(result.independent_set.size(), 1u);
+  const auto in_set = run_mis(g, controller, pool, 9);
+  EXPECT_EQ(in_set.size(), 1u);
 }
 
 TEST(MisAdaptive, RespectsTuranOnRegularGraph) {
@@ -78,9 +95,9 @@ TEST(MisAdaptive, RespectsTuranOnRegularGraph) {
   const auto g = gen::random_regular(120, 6, rng);
   ControllerParams p;
   HybridController controller(p);
-  const auto result = mis::mis_adaptive(g, controller, pool, 11);
+  const auto in_set = run_mis(g, controller, pool, 11);
   // Any maximal IS in a d-regular graph has at least n/(d+1) nodes.
-  EXPECT_GE(result.independent_set.size(), 120u / 7u);
+  EXPECT_GE(in_set.size(), 120u / 7u);
 }
 
 /// Branchy reference for the SIMD greedy sweep: first-come-first-served
@@ -152,10 +169,9 @@ TEST(ColoringAdaptive, ProperColoringOnAllFamilies) {
   for (auto& c : graph_cases()) {
     ControllerParams p;
     HybridController controller(p);
-    const auto result =
-        coloring::coloring_adaptive(c.graph, controller, pool, 12);
-    EXPECT_TRUE(result.proper) << c.name;
-    EXPECT_LE(result.colors_used, c.graph.max_degree() + 1) << c.name;
+    const auto colors = run_coloring(c.graph, controller, pool, 12);
+    EXPECT_TRUE(colors.is_proper(c.graph)) << c.name;
+    EXPECT_LE(colors.colors_used(), c.graph.max_degree() + 1) << c.name;
   }
 }
 
@@ -164,11 +180,11 @@ TEST(ColoringAdaptive, BipartiteGridUsesFewColors) {
   const auto g = gen::grid_2d(10, 10);
   ControllerParams p;
   HybridController controller(p);
-  const auto result = coloring::coloring_adaptive(g, controller, pool, 13);
-  EXPECT_TRUE(result.proper);
+  const auto colors = run_coloring(g, controller, pool, 13);
+  EXPECT_TRUE(colors.is_proper(g));
   // Greedy on a bipartite grid can exceed 2 but stays well under Δ+1 = 5
   // in practice; assert the hard Δ+1 bound and a sane typical value.
-  EXPECT_LE(result.colors_used, 5u);
+  EXPECT_LE(colors.colors_used(), 5u);
 }
 
 TEST(ColoringAdaptive, CompleteGraphNeedsExactlyN) {
@@ -176,9 +192,9 @@ TEST(ColoringAdaptive, CompleteGraphNeedsExactlyN) {
   const auto g = gen::complete(12);
   ControllerParams p;
   HybridController controller(p);
-  const auto result = coloring::coloring_adaptive(g, controller, pool, 14);
-  EXPECT_TRUE(result.proper);
-  EXPECT_EQ(result.colors_used, 12u);
+  const auto colors = run_coloring(g, controller, pool, 14);
+  EXPECT_TRUE(colors.is_proper(g));
+  EXPECT_EQ(colors.colors_used(), 12u);
 }
 
 TEST(ColoringAdaptive, FixedControllerAlsoProper) {
@@ -186,9 +202,9 @@ TEST(ColoringAdaptive, FixedControllerAlsoProper) {
   Rng rng(15);
   const auto g = gen::gnm_random(200, 1000, rng);
   FixedController controller(32);
-  const auto result = coloring::coloring_adaptive(g, controller, pool, 16);
-  EXPECT_TRUE(result.proper);
-  EXPECT_LE(result.colors_used, g.max_degree() + 1);
+  const auto colors = run_coloring(g, controller, pool, 16);
+  EXPECT_TRUE(colors.is_proper(g));
+  EXPECT_LE(colors.colors_used(), g.max_degree() + 1);
 }
 
 TEST(MisAndColoring, HighContentionStillTerminates) {
@@ -197,12 +213,11 @@ TEST(MisAndColoring, HighContentionStillTerminates) {
   const auto g = gen::star(100);
   ControllerParams p;
   HybridController c1(p);
-  const auto mis_result = mis::mis_adaptive(g, c1, pool, 17);
-  EXPECT_TRUE(is_maximal_independent_set(g, mis_result.independent_set));
+  EXPECT_TRUE(is_maximal_independent_set(g, run_mis(g, c1, pool, 17)));
   HybridController c2(p);
-  const auto col_result = coloring::coloring_adaptive(g, c2, pool, 18);
-  EXPECT_TRUE(col_result.proper);
-  EXPECT_EQ(col_result.colors_used, 2u);
+  const auto colors = run_coloring(g, c2, pool, 18);
+  EXPECT_TRUE(colors.is_proper(g));
+  EXPECT_EQ(colors.colors_used(), 2u);
 }
 
 }  // namespace

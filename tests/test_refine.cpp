@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "apps/app_spec.hpp"
 #include "control/hybrid.hpp"
 #include "control/baselines.hpp"
 #include "support/rng.hpp"
@@ -123,7 +124,9 @@ TEST_P(RefineAdaptiveTest, SpeculativeRefinementConvergesLikeSequential) {
   ControllerParams p;
   p.rho = rho;
   HybridController controller(p);
-  const auto trace = refine_adaptive(m, q, controller, pool, /*seed=*/99);
+  const AppSpec spec = make_spec(m, q);
+  const auto trace =
+      drain(*build_executor(pool, spec, /*seed=*/99), spec, controller).trace;
 
   EXPECT_TRUE(bad_triangles(m, q).empty());
   EXPECT_TRUE(m.validate());
@@ -144,10 +147,10 @@ TEST(RefineAdaptive, FixedAllocationAlsoCompletes) {
   const auto q = quality();
   ThreadPool pool(4);
   FixedController controller(8);
-  const auto trace = refine_adaptive(m, q, controller, pool, 123);
+  const AppSpec spec = make_spec(m, q);
+  (void)drain(*build_executor(pool, spec, 123), spec, controller);
   EXPECT_TRUE(bad_triangles(m, q).empty());
   EXPECT_TRUE(m.validate());
-  (void)trace;
 }
 
 TEST(RefineAdaptive, SameMeshStatisticsAsSequentialReference) {
@@ -161,17 +164,19 @@ TEST(RefineAdaptive, SameMeshStatisticsAsSequentialReference) {
   build_delaunay(seq, pts);
   refine_sequential(seq, q);
 
-  Mesh spec;
-  build_delaunay(spec, pts);
+  Mesh speculative;
+  build_delaunay(speculative, pts);
   ThreadPool pool(4);
   ControllerParams p;
   HybridController controller(p);
-  (void)refine_adaptive(spec, q, controller, pool, 321);
+  const AppSpec spec = make_spec(speculative, q);
+  (void)drain(*build_executor(pool, spec, 321), spec, controller);
 
   EXPECT_TRUE(bad_triangles(seq, q).empty());
-  EXPECT_TRUE(bad_triangles(spec, q).empty());
+  EXPECT_TRUE(bad_triangles(speculative, q).empty());
   const double seq_count = static_cast<double>(seq.num_alive_triangles());
-  const double spec_count = static_cast<double>(spec.num_alive_triangles());
+  const double spec_count =
+      static_cast<double>(speculative.num_alive_triangles());
   EXPECT_LT(std::abs(seq_count - spec_count) / seq_count, 0.35);
 }
 

@@ -1,9 +1,12 @@
-// Scheduler backend contracts (DESIGN.md §14). Four families:
+// Scheduler backend contracts (DESIGN.md §14). Five families:
 //  * random — the extracted backend replays the legacy constructor's draw
 //    byte-for-byte at one lane (round stats, shared state, snapshot bytes);
 //  * chromatic — zero aborts BY CONSTRUCTION on all seven application
 //    kernels (coloring, MIS, SSSP, Boruvka, maxflow, survey propagation,
-//    Delaunay refinement), with each app's correctness oracle intact;
+//    Delaunay refinement), each run through its app spec with the app's
+//    correctness oracle intact;
+//  * footprint contract — every spec's declared footprint covers every
+//    item its operator acquires;
 //  * relaxed — the MultiQueue draw is a permutation of the pushed work
 //    whose rank error stays within the expected O(queues) envelope;
 //  * every backend serializes through save_state/load_state so a
@@ -15,10 +18,13 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <numeric>
 #include <set>
+#include <utility>
 #include <vector>
 
+#include "apps/app_spec.hpp"
 #include "apps/boruvka/boruvka.hpp"
 #include "apps/coloring/coloring.hpp"
 #include "apps/dmr/delaunay.hpp"
@@ -27,6 +33,8 @@
 #include "apps/mis/mis.hpp"
 #include "apps/sp/survey.hpp"
 #include "apps/sssp/sssp.hpp"
+#include "control/baselines.hpp"
+#include "control/hybrid.hpp"
 #include "graph/algos.hpp"
 #include "graph/generators.hpp"
 #include "graph/weighted_graph.hpp"
@@ -44,37 +52,78 @@ RoundOptions options_for(sched::Backend backend) {
   return opts;
 }
 
-/// Closed-neighborhood footprint — the declared mirror of the coloring /
-/// MIS operators' acquisition set.
-sched::FootprintFn closed_neighborhood(const CsrGraph& g) {
-  return [&g](TaskId t, std::vector<std::uint32_t>& fp) {
-    const auto v = static_cast<NodeId>(t);
-    fp.push_back(v);
-    for (const NodeId u : g.neighbors(v)) fp.push_back(u);
-  };
+/// Drain `spec` on the chromatic backend at fixed allocation m on four
+/// lanes, with the spec's hook between rounds. Returns total aborts.
+std::uint64_t chromatic_aborts(const AppSpec& spec, std::uint32_t m,
+                               std::uint64_t seed) {
+  ThreadPool pool(4);
+  const auto ex =
+      build_executor(pool, spec, seed, options_for(sched::Backend::kChromatic));
+  FixedController controller(m);
+  (void)drain(*ex, spec, controller);
+  EXPECT_TRUE(ex->done());
+  return ex->totals().aborted;
 }
 
-/// Drive `ex` to drain with a per-round hook (invalidation, relabeling,
-/// lock-table growth). Returns total aborts.
-template <typename Hook>
-std::uint64_t drain(SpeculativeExecutor& ex, std::uint32_t m, Hook hook) {
-  int guard = 0;
-  while (!ex.done() && guard++ < 20000) {
-    hook(ex);
-    (void)ex.run_round(m);
+WeightedGraph weighted_graph(NodeId n, double degree, std::uint64_t seed) {
+  Rng rng(seed);
+  const CsrGraph base = gen::random_with_average_degree(n, degree, rng);
+  std::vector<WeightedEdgeTriple> edges;
+  for (const auto& [u, v] : base.edges()) {
+    edges.push_back({u, v, rng.uniform() * 10.0 + 0.1});
   }
-  EXPECT_TRUE(ex.done());
-  return ex.totals().aborted;
+  return WeightedGraph::from_edges(n, edges);
 }
 
-std::uint64_t drain(SpeculativeExecutor& ex, std::uint32_t m) {
-  return drain(ex, m, [](SpeculativeExecutor&) {});
+std::vector<boruvka::WeightedEdge> boruvka_edges(NodeId n, double degree,
+                                                 std::uint64_t seed) {
+  Rng rng(seed);
+  const CsrGraph base = gen::random_with_average_degree(n, degree, rng);
+  std::vector<boruvka::WeightedEdge> edges;
+  for (const auto& [u, v] : base.edges()) {
+    edges.push_back({u, v, rng.uniform() * 100.0 + 1e-3});
+  }
+  return edges;
 }
 
-void push_all(SpeculativeExecutor& ex, std::size_t n) {
-  std::vector<TaskId> tasks(n);
-  std::iota(tasks.begin(), tasks.end(), TaskId{0});
-  ex.push_initial(tasks);
+/// Layered random network s=0 -> L1 (1..20) -> L2 (21..40) -> t=41.
+maxflow::FlowNetwork layered_network(std::uint64_t seed) {
+  constexpr NodeId kN = 42;
+  const NodeId s = 0;
+  const NodeId t = kN - 1;
+  maxflow::FlowNetwork net(kN);
+  Rng rng(seed);
+  for (NodeId v = 1; v < 21; ++v) {
+    net.add_arc(s, v, rng.uniform() * 8.0 + 1.0);
+  }
+  for (NodeId v = 1; v < 21; ++v) {
+    for (int k = 0; k < 3; ++k) {
+      const NodeId w = 21 + static_cast<NodeId>(rng.below(20));
+      net.add_arc(v, w, rng.uniform() * 6.0 + 0.5);
+    }
+  }
+  for (NodeId w = 21; w < 41; ++w) {
+    net.add_arc(w, t, rng.uniform() * 8.0 + 1.0);
+  }
+  return net;
+}
+
+/// Delaunay mesh of `points` random points with the refinement quality
+/// the harness uses. The mesh is heap-held: a spec refers to it.
+std::pair<std::unique_ptr<dmr::Mesh>, dmr::RefineQuality> refinement_input(
+    int points, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<dmr::Point2> pts;
+  for (int i = 0; i < points; ++i) {
+    pts.push_back({rng.uniform() * 100.0, rng.uniform() * 100.0});
+  }
+  auto mesh = std::make_unique<dmr::Mesh>();
+  dmr::build_delaunay(*mesh, pts, 16.0);
+  dmr::RefineQuality q;
+  q.min_angle_deg = 25.0;
+  q.min_edge = 2.0;
+  q.set_domain(pts);
+  return {std::move(mesh), q};
 }
 
 // ---------------------------------------------------------------------------
@@ -135,7 +184,7 @@ GoldenRun run_cells(bool legacy, sched::Backend backend,
   } else if (backend == sched::Backend::kRelaxed) {
     ex.set_priority_function([](TaskId t) { return t; });
   }
-  push_all(ex, kTasks);
+  ex.push_initial(all_tasks(kTasks));
   int guard = 0;
   while (!ex.done() && guard++ < 10000) {
     const RoundStats s = ex.run_round(24);
@@ -172,13 +221,7 @@ TEST(ChromaticZeroAbort, GreedyColoring) {
   Rng rng(7);
   const CsrGraph g = gen::random_with_average_degree(300, 8, rng);
   coloring::ColoringState state(g.num_nodes());
-  ThreadPool pool(4);
-  SpeculativeExecutor ex(pool, g.num_nodes(),
-                         coloring::make_coloring_operator(g, state), 21,
-                         options_for(sched::Backend::kChromatic));
-  ex.set_footprint_function(closed_neighborhood(g));
-  push_all(ex, g.num_nodes());
-  EXPECT_EQ(drain(ex, 64), 0u);
+  EXPECT_EQ(chromatic_aborts(coloring::make_spec(g, state), 64, 21), 0u);
   EXPECT_TRUE(state.is_proper(g));
 }
 
@@ -186,37 +229,14 @@ TEST(ChromaticZeroAbort, MaximalIndependentSet) {
   Rng rng(8);
   const CsrGraph g = gen::random_with_average_degree(300, 12, rng);
   mis::MisState state(g.num_nodes());
-  ThreadPool pool(4);
-  SpeculativeExecutor ex(pool, g.num_nodes(),
-                         mis::make_mis_operator(g, state), 22,
-                         options_for(sched::Backend::kChromatic));
-  ex.set_footprint_function(closed_neighborhood(g));
-  push_all(ex, g.num_nodes());
-  EXPECT_EQ(drain(ex, 64), 0u);
+  EXPECT_EQ(chromatic_aborts(mis::make_spec(g, state), 64, 22), 0u);
   EXPECT_TRUE(is_maximal_independent_set(g, state.in_set()));
 }
 
 TEST(ChromaticZeroAbort, Sssp) {
-  Rng rng(9);
-  const CsrGraph base = gen::random_with_average_degree(200, 6, rng);
-  std::vector<WeightedEdgeTriple> edges;
-  for (const auto& [u, v] : base.edges()) {
-    edges.push_back({u, v, rng.uniform() * 10.0 + 0.1});
-  }
-  const WeightedGraph g =
-      WeightedGraph::from_edges(base.num_nodes(), edges);
+  const WeightedGraph g = weighted_graph(200, 6, 9);
   sssp::DistanceTable dist(g.num_nodes(), 0);
-  ThreadPool pool(4);
-  SpeculativeExecutor ex(pool, g.num_nodes(),
-                         sssp::make_sssp_operator(g, dist), 23,
-                         options_for(sched::Backend::kChromatic));
-  ex.set_footprint_function([&g](TaskId t, std::vector<std::uint32_t>& fp) {
-    const auto v = static_cast<NodeId>(t);
-    fp.push_back(v);
-    for (const Arc& a : g.arcs(v)) fp.push_back(a.to);
-  });
-  push_all(ex, g.num_nodes());
-  EXPECT_EQ(drain(ex, 48), 0u);
+  EXPECT_EQ(chromatic_aborts(sssp::make_spec(g, dist), 48, 23), 0u);
   const auto oracle = sssp::dijkstra(g, 0);
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
     if (oracle[v] == sssp::kUnreachable) {
@@ -228,90 +248,21 @@ TEST(ChromaticZeroAbort, Sssp) {
 }
 
 TEST(ChromaticZeroAbort, BoruvkaMst) {
-  Rng rng(10);
-  const CsrGraph base = gen::random_with_average_degree(150, 6, rng);
-  std::vector<boruvka::WeightedEdge> edges;
-  for (const auto& [u, v] : base.edges()) {
-    edges.push_back({u, v, rng.uniform() * 100.0 + 1e-3});
-  }
-  const double kruskal =
-      boruvka::kruskal_mst_weight(base.num_nodes(), edges);
-  boruvka::ContractionGraph graph(base.num_nodes(), edges);
-  ThreadPool pool(4);
-  SpeculativeExecutor ex(pool, base.num_nodes(),
-                         boruvka::make_boruvka_operator(graph), 24,
-                         options_for(sched::Backend::kChromatic));
-  // Live closed neighborhood in the CONTRACTION graph: the operator
-  // acquires v, its lightest neighbor, and all of N(v). The adjacency
-  // mutates as supernodes merge, so the standing color assignment is
-  // invalidated before every round.
-  ex.set_footprint_function(
-      [&graph](TaskId t, std::vector<std::uint32_t>& fp) {
-        const auto v = static_cast<NodeId>(t);
-        fp.push_back(v);
-        for (const auto& [x, w] : graph.adjacency(v)) fp.push_back(x);
-      });
-  push_all(ex, base.num_nodes());
-  const auto aborted = drain(
-      ex, 32, [](SpeculativeExecutor& e) { e.invalidate_schedule(); });
-  EXPECT_EQ(aborted, 0u);
+  const auto edges = boruvka_edges(150, 6, 10);
+  const double kruskal = boruvka::kruskal_mst_weight(150, edges);
+  boruvka::ContractionGraph graph(150, edges);
+  EXPECT_EQ(chromatic_aborts(boruvka::make_spec(graph), 32, 24), 0u);
   EXPECT_NEAR(graph.chosen_weight(), kruskal, 1e-6 * kruskal);
 }
 
 TEST(ChromaticZeroAbort, MaxflowPushRelabel) {
-  // Layered random network s -> L1 -> L2 -> t with cross arcs.
-  constexpr NodeId kN = 42;
+  maxflow::FlowNetwork net = layered_network(11);
   const NodeId s = 0;
-  const NodeId t = kN - 1;
-  maxflow::FlowNetwork net(kN);
-  Rng rng(11);
-  for (NodeId v = 1; v < 21; ++v) {
-    net.add_arc(s, v, rng.uniform() * 8.0 + 1.0);
-  }
-  for (NodeId v = 1; v < 21; ++v) {
-    for (int k = 0; k < 3; ++k) {
-      const NodeId w = 21 + static_cast<NodeId>(rng.below(20));
-      net.add_arc(v, w, rng.uniform() * 6.0 + 0.5);
-    }
-  }
-  for (NodeId w = 21; w < 41; ++w) {
-    net.add_arc(w, t, rng.uniform() * 8.0 + 1.0);
-  }
+  const NodeId t = net.num_nodes() - 1;
   const double oracle = maxflow::edmonds_karp(net, s, t);
-  net.reset_flow();
-
-  maxflow::PushRelabelState state(kN, s);
-  std::vector<TaskId> initial;
-  auto& source_arcs = net.arcs(s);
-  for (std::uint32_t i = 0; i < source_arcs.size(); ++i) {
-    auto& a = source_arcs[i];
-    if (a.capacity > 0.0) {
-      net.push(s, i, a.capacity);
-      state.set_excess(a.to, state.excess(a.to) + a.capacity);
-      state.set_excess(s, state.excess(s) - a.capacity);
-      if (a.to != t) initial.push_back(a.to);
-    }
-  }
-  ThreadPool pool(4);
-  SpeculativeExecutor ex(
-      pool, kN, maxflow::make_push_relabel_operator(net, state, s, t), 25,
-      options_for(sched::Backend::kChromatic));
-  ex.set_footprint_function(
-      [&net](TaskId task, std::vector<std::uint32_t>& fp) {
-        const auto v = static_cast<NodeId>(task);
-        fp.push_back(v);
-        for (const auto& a : net.arcs(v)) fp.push_back(a.to);
-      });
-  ex.push_initial(initial);
-  int rounds_since = 0;
-  const auto aborted =
-      drain(ex, 16, [&](SpeculativeExecutor&) {
-        if (++rounds_since >= 64) {
-          rounds_since = 0;
-          maxflow::global_relabel(net, state, s, t);
-        }
-      });
-  EXPECT_EQ(aborted, 0u);
+  maxflow::PushRelabelState state(net.num_nodes(), s);
+  EXPECT_EQ(chromatic_aborts(maxflow::make_spec(net, state, s, t), 16, 25),
+            0u);
   EXPECT_TRUE(net.is_feasible(s, t));
   EXPECT_NEAR(state.excess(t), oracle, 1e-9);
 }
@@ -321,123 +272,109 @@ TEST(ChromaticZeroAbort, SurveyPropagation) {
   const sp::Formula formula = sp::random_ksat(60, 120, 3, rng);
   sp::SurveyState state(formula, rng);
   constexpr double kTolerance = 1e-2;
-
-  // The clause-update operator, mirroring run_survey_propagation_adaptive:
-  // acquire clause a plus every clause sharing a variable, recompute a's
-  // surveys, re-push moved neighbors (duplicate-free via scheduled flags).
-  std::vector<std::uint8_t> scheduled(formula.num_clauses(), 1);
-  auto op = [&state, &formula, &scheduled](TaskId task,
-                                           IterationContext& ctx) {
-    const auto a = static_cast<std::uint32_t>(task);
-    if (!ctx.acquire(a)) return;
-    scheduled[a] = 0;
-    ctx.on_abort([&scheduled, a] { scheduled[a] = 1; });
-    std::set<std::uint32_t> neighborhood;
-    for (const sp::Literal& lit : formula.clause(a).literals) {
-      for (const std::uint32_t b : formula.clauses_of(lit.var)) {
-        if (b != a) neighborhood.insert(b);
-      }
-    }
-    for (const std::uint32_t b : neighborhood) {
-      if (!ctx.acquire(b)) return;
-    }
-    const auto fresh = state.compute_clause(a);
-    double delta = 0.0;
-    for (std::uint32_t slot = 0; slot < fresh.size(); ++slot) {
-      const double old = state.eta(a, slot);
-      delta = std::max(delta, std::abs(fresh[slot] - old));
-      if (fresh[slot] != old) {
-        state.set_eta(a, slot, fresh[slot]);
-        ctx.on_abort(
-            [&state, a, slot, old] { state.set_eta(a, slot, old); });
-      }
-    }
-    if (delta >= kTolerance) {
-      for (const std::uint32_t b : neighborhood) {
-        if (scheduled[b] == 0) {
-          scheduled[b] = 1;
-          ctx.on_abort([&scheduled, b] { scheduled[b] = 0; });
-          ctx.push(b);
-        }
-      }
-    }
-  };
-
-  ThreadPool pool(4);
-  SpeculativeExecutor ex(pool, formula.num_clauses(), op, 26,
-                         options_for(sched::Backend::kChromatic));
-  ex.set_footprint_function(
-      [&formula](TaskId task, std::vector<std::uint32_t>& fp) {
-        const auto a = static_cast<std::uint32_t>(task);
-        fp.push_back(a);
-        for (const sp::Literal& lit : formula.clause(a).literals) {
-          for (const std::uint32_t b : formula.clauses_of(lit.var)) {
-            fp.push_back(b);
-          }
-        }
-      });
-  push_all(ex, formula.num_clauses());
-  EXPECT_EQ(drain(ex, 24), 0u);
+  EXPECT_EQ(chromatic_aborts(sp::make_spec(state, kTolerance), 24, 26), 0u);
   for (std::uint32_t a = 0; a < formula.num_clauses(); ++a) {
     EXPECT_LT(state.clause_residual(a), kTolerance);
   }
 }
 
 TEST(ChromaticZeroAbort, DelaunayRefinement) {
-  Rng rng(13);
-  std::vector<dmr::Point2> pts;
-  for (int i = 0; i < 120; ++i) {
-    pts.push_back({rng.uniform() * 100.0, rng.uniform() * 100.0});
-  }
-  dmr::Mesh mesh;
-  dmr::build_delaunay(mesh, pts, 16.0);
-  dmr::RefineQuality q;
-  q.min_angle_deg = 25.0;
-  q.min_edge = 2.0;
-  q.set_domain(pts);
+  auto [mesh, q] = refinement_input(120, 13);
+  EXPECT_EQ(chromatic_aborts(dmr::make_spec(*mesh, q), 16, 27), 0u);
+  EXPECT_TRUE(dmr::bad_triangles(*mesh, q).empty());
+  EXPECT_TRUE(mesh->validate());
+}
 
-  ThreadPool pool(4);
-  SpeculativeExecutor ex(pool, mesh.num_triangle_slots(),
-                         dmr::make_refine_operator(mesh, q), 27,
-                         options_for(sched::Backend::kChromatic));
-  // Declared footprint of a bad triangle: the Bowyer–Watson cavity + ring
-  // of BOTH candidate insertion points (circumcenter, centroid). refine_one
-  // falls back from the first to the second on degenerate insertions, so
-  // declaring their union keeps the declaration a superset of whatever the
-  // operator ends up locking. The mesh mutates every round: invalidate.
-  ex.set_footprint_function(
-      [&mesh, q](TaskId task, std::vector<std::uint32_t>& fp) {
-        const auto t = static_cast<dmr::TriId>(task);
-        fp.push_back(t);
-        if (!dmr::is_bad(mesh, t, q)) return;
-        const auto add = [&fp](const dmr::CavityFootprint& c) {
-          for (const dmr::TriId tri : c.cavity) fp.push_back(tri);
-          for (const dmr::TriId tri : c.ring) fp.push_back(tri);
-        };
-        const dmr::Point2 center = mesh.circumcenter_of(t);
-        if (std::isfinite(center.x) && std::isfinite(center.y) &&
-            q.in_domain(center)) {
-          add(dmr::probe_cavity(mesh, center, t));
+// ---------------------------------------------------------------------------
+// Footprint contract: every item an operator acquires is declared
+// ---------------------------------------------------------------------------
+
+/// Drain `spec` at one lane on the random backend with its operator
+/// wrapped: after every call (committed or aborted), each item the
+/// iteration holds must be in the footprint computed just before the call.
+/// Returns the number of undeclared acquisitions and reports the first.
+std::size_t undeclared_acquisitions(const AppSpec& spec, std::uint64_t seed) {
+  std::size_t undeclared = 0;
+  AppSpec checked = spec;
+  checked.op = [&spec, &undeclared](TaskId task, IterationContext& ctx) {
+    std::vector<std::uint32_t> declared;
+    spec.footprint(task, declared);
+    std::sort(declared.begin(), declared.end());
+    const auto check = [&] {
+      for (const std::uint32_t item : ctx.held()) {
+        if (!std::binary_search(declared.begin(), declared.end(), item) &&
+            undeclared++ == 0) {
+          ADD_FAILURE() << "task " << task << " acquired undeclared item "
+                        << item;
         }
-        const dmr::Point2 centroid{
-            (mesh.corner(t, 0).x + mesh.corner(t, 1).x +
-             mesh.corner(t, 2).x) /
-                3.0,
-            (mesh.corner(t, 0).y + mesh.corner(t, 1).y +
-             mesh.corner(t, 2).y) /
-                3.0};
-        add(dmr::probe_cavity(mesh, centroid, t));
-      });
-  const auto initial = dmr::bad_triangles(mesh, q);
-  std::vector<TaskId> tasks(initial.begin(), initial.end());
-  ex.push_initial(tasks);
-  const auto aborted = drain(ex, 16, [&mesh](SpeculativeExecutor& e) {
-    e.grow_items(mesh.num_triangle_slots());
-    e.invalidate_schedule();
-  });
-  EXPECT_EQ(aborted, 0u);
-  EXPECT_TRUE(dmr::bad_triangles(mesh, q).empty());
-  EXPECT_TRUE(mesh.validate());
+      }
+    };
+    try {
+      spec.op(task, ctx);
+    } catch (...) {
+      check();
+      throw;
+    }
+    check();
+  };
+  ThreadPool pool(1);
+  const auto ex = build_executor(pool, checked, seed);
+  ControllerParams params;
+  HybridController controller(params);
+  (void)drain(*ex, checked, controller);
+  EXPECT_TRUE(ex->done());
+  EXPECT_GT(ex->totals().committed, 0u);
+  return undeclared;
+}
+
+TEST(FootprintContract, EverySpecDeclaresWhatItAcquires) {
+  Rng rng(31);
+  const CsrGraph g = gen::random_with_average_degree(120, 6, rng);
+  {
+    SCOPED_TRACE("mis");
+    mis::MisState state(g.num_nodes());
+    EXPECT_EQ(undeclared_acquisitions(mis::make_spec(g, state), 1), 0u);
+  }
+  {
+    SCOPED_TRACE("coloring");
+    coloring::ColoringState state(g.num_nodes());
+    EXPECT_EQ(undeclared_acquisitions(coloring::make_spec(g, state), 2), 0u);
+  }
+  {
+    SCOPED_TRACE("sssp");
+    const WeightedGraph wg = weighted_graph(120, 6, 32);
+    sssp::DistanceTable dist(wg.num_nodes(), 0);
+    EXPECT_EQ(undeclared_acquisitions(sssp::make_spec(wg, dist), 3), 0u);
+  }
+  {
+    SCOPED_TRACE("boruvka");
+    boruvka::ContractionGraph graph(120, boruvka_edges(120, 6, 33));
+    EXPECT_EQ(undeclared_acquisitions(boruvka::make_spec(graph), 4), 0u);
+  }
+  {
+    SCOPED_TRACE("maxflow");
+    maxflow::FlowNetwork net = layered_network(34);
+    maxflow::PushRelabelState state(net.num_nodes(), 0);
+    EXPECT_EQ(undeclared_acquisitions(
+                  maxflow::make_spec(net, state, 0, net.num_nodes() - 1), 5),
+              0u);
+  }
+  {
+    SCOPED_TRACE("sp");
+    Rng sp_rng(35);
+    const sp::Formula formula = sp::random_ksat(40, 80, 3, sp_rng);
+    sp::SurveyState state(formula, sp_rng);
+    EXPECT_EQ(undeclared_acquisitions(sp::make_spec(state, 1e-2), 6), 0u);
+  }
+  {
+    SCOPED_TRACE("dmr");
+    auto [mesh, q] = refinement_input(80, 36);
+    EXPECT_EQ(undeclared_acquisitions(dmr::make_spec(*mesh, q), 7), 0u);
+  }
+  {
+    SCOPED_TRACE("lock-only");
+    EXPECT_EQ(undeclared_acquisitions(lock_only_spec(g), 8), 0u);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -511,7 +448,7 @@ TEST(KillResume, EveryBackendRoundTripsByteIdentically) {
 
     // Reference run: snapshot mid-flight, then record the suffix.
     ResumableRig a(backend, 555);
-    push_all(a.ex, kTasks);
+    a.ex.push_initial(all_tasks(kTasks));
     for (int r = 0; r < 3 && !a.ex.done(); ++r) (void)a.ex.run_round(24);
     snapshot::Writer mid;
     a.ex.save_state(mid);
@@ -548,7 +485,7 @@ TEST(KillResume, EveryBackendRoundTripsByteIdentically) {
 
 TEST(KillResume, BackendMismatchIsRejected) {
   ResumableRig a(sched::Backend::kRandom, 777);
-  push_all(a.ex, kTasks);
+  a.ex.push_initial(all_tasks(kTasks));
   (void)a.ex.run_round(16);
   snapshot::Writer w;
   a.ex.save_state(w);

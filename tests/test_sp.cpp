@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "apps/app_spec.hpp"
 #include "apps/sp/formula.hpp"
 #include "apps/sp/survey.hpp"
 #include "control/hybrid.hpp"
@@ -174,8 +175,9 @@ TEST(SurveyState, SequentialAndSpeculativeAgreeOnTreeFormula) {
   ThreadPool pool(4);
   ControllerParams p;
   HybridController controller(p);
-  const auto trace = run_survey_propagation_adaptive(speculative, config,
-                                                     controller, pool, 77);
+  const AppSpec spec = make_spec(speculative, config.tolerance);
+  const auto trace =
+      drain(*build_executor(pool, spec, 77), spec, controller).trace;
   ASSERT_FALSE(trace.steps.empty());
   EXPECT_EQ(trace.steps.back().pending_after, 0u);  // drained = converged
   for (std::uint32_t a = 0; a < f.num_clauses(); ++a) {

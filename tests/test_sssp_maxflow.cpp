@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "apps/app_spec.hpp"
 #include "apps/maxflow/maxflow.hpp"
 #include "apps/sssp/sssp.hpp"
 #include "control/baselines.hpp"
@@ -80,6 +81,24 @@ TEST(Dijkstra, RejectsBadInput) {
   EXPECT_THROW((void)sssp::dijkstra(neg, 0), std::invalid_argument);
 }
 
+/// Relax from `source` alone (the initial work-set is the source) under
+/// `worklist`; returns the distances, and the trace through `trace`.
+std::vector<double> run_sssp(const WeightedGraph& g, NodeId source,
+                             Controller& controller, ThreadPool& pool,
+                             std::uint64_t seed,
+                             WorklistPolicy worklist = WorklistPolicy::kRandom,
+                             Trace* trace = nullptr) {
+  sssp::DistanceTable dist(g.num_nodes(), source);
+  AppSpec spec = sssp::make_spec(g, dist);
+  spec.initial = {source};
+  spec.priority = sssp::distance_priority(dist);
+  const auto ex =
+      build_executor(pool, spec, seed, RoundOptions{.worklist = worklist});
+  DrainResult drained = drain(*ex, spec, controller);
+  if (trace != nullptr) *trace = std::move(drained.trace);
+  return dist.all();
+}
+
 class SsspAdaptiveTest : public ::testing::TestWithParam<NodeId> {};
 
 TEST_P(SsspAdaptiveTest, MatchesDijkstraExactly) {
@@ -90,13 +109,13 @@ TEST_P(SsspAdaptiveTest, MatchesDijkstraExactly) {
   ThreadPool pool(4);
   ControllerParams p;
   HybridController controller(p);
-  const auto result = sssp::sssp_adaptive(g, 0, controller, pool, n + 1);
-  ASSERT_EQ(result.dist.size(), reference.size());
+  const auto dist = run_sssp(g, 0, controller, pool, n + 1);
+  ASSERT_EQ(dist.size(), reference.size());
   for (NodeId v = 0; v < n; ++v) {
     if (reference[v] == sssp::kUnreachable) {
-      EXPECT_EQ(result.dist[v], sssp::kUnreachable) << "v=" << v;
+      EXPECT_EQ(dist[v], sssp::kUnreachable) << "v=" << v;
     } else {
-      EXPECT_NEAR(result.dist[v], reference[v], 1e-9) << "v=" << v;
+      EXPECT_NEAR(dist[v], reference[v], 1e-9) << "v=" << v;
     }
   }
 }
@@ -109,10 +128,10 @@ TEST(SsspAdaptive, FixedControllerAlsoCorrect) {
   const auto reference = sssp::dijkstra(g, 3);
   ThreadPool pool(2);
   FixedController controller(16);
-  const auto result = sssp::sssp_adaptive(g, 3, controller, pool, 8);
+  const auto dist = run_sssp(g, 3, controller, pool, 8);
   for (NodeId v = 0; v < 150; ++v) {
     if (reference[v] != sssp::kUnreachable) {
-      EXPECT_NEAR(result.dist[v], reference[v], 1e-9);
+      EXPECT_NEAR(dist[v], reference[v], 1e-9);
     }
   }
 }
@@ -123,13 +142,13 @@ TEST(SsspPriorityAdaptive, MatchesDijkstraExactly) {
   ThreadPool pool(4);
   ControllerParams p;
   HybridController controller(p);
-  const auto result = sssp::sssp_priority_adaptive(g, 0, controller, pool,
-                                                   18);
+  const auto dist =
+      run_sssp(g, 0, controller, pool, 18, WorklistPolicy::kPriority);
   for (NodeId v = 0; v < 200; ++v) {
     if (reference[v] == sssp::kUnreachable) {
-      EXPECT_EQ(result.dist[v], sssp::kUnreachable);
+      EXPECT_EQ(dist[v], sssp::kUnreachable);
     } else {
-      EXPECT_NEAR(result.dist[v], reference[v], 1e-9);
+      EXPECT_NEAR(dist[v], reference[v], 1e-9);
     }
   }
 }
@@ -142,12 +161,13 @@ TEST(SsspPriorityAdaptive, CommitsNoMoreRelaxationsThanRandomOrder) {
   ThreadPool pool(4);
   ControllerParams p;
   HybridController c1(p);
-  const auto random_order = sssp::sssp_adaptive(g, 0, c1, pool, 20);
+  Trace random_order;
+  (void)run_sssp(g, 0, c1, pool, 20, WorklistPolicy::kRandom, &random_order);
   HybridController c2(p);
-  const auto priority_order =
-      sssp::sssp_priority_adaptive(g, 0, c2, pool, 20);
-  EXPECT_LE(priority_order.trace.total_committed(),
-            random_order.trace.total_committed());
+  Trace priority_order;
+  (void)run_sssp(g, 0, c2, pool, 20, WorklistPolicy::kPriority,
+                 &priority_order);
+  EXPECT_LE(priority_order.total_committed(), random_order.total_committed());
 }
 
 TEST(SsspAdaptive, DisconnectedNodesStayUnreachable) {
@@ -155,9 +175,9 @@ TEST(SsspAdaptive, DisconnectedNodesStayUnreachable) {
   ThreadPool pool(2);
   ControllerParams p;
   HybridController controller(p);
-  const auto result = sssp::sssp_adaptive(g, 0, controller, pool, 9);
-  EXPECT_EQ(result.dist[4], sssp::kUnreachable);
-  EXPECT_EQ(result.dist[5], sssp::kUnreachable);
+  const auto dist = run_sssp(g, 0, controller, pool, 9);
+  EXPECT_EQ(dist[4], sssp::kUnreachable);
+  EXPECT_EQ(dist[5], sssp::kUnreachable);
 }
 
 // -------------------------------------------------------------- maxflow
@@ -172,6 +192,25 @@ maxflow::FlowNetwork diamond() {
   net.add_arc(2, 3, 3);
   net.add_arc(1, 2, 1);
   return net;
+}
+
+struct MaxflowRun {
+  double flow_value = 0.0;
+  bool feasible = false;
+  Trace trace;
+};
+
+/// Push-relabel on `net` from s to t through its spec.
+MaxflowRun run_maxflow(maxflow::FlowNetwork& net, NodeId s, NodeId t,
+                       Controller& controller, ThreadPool& pool,
+                       std::uint64_t seed) {
+  maxflow::PushRelabelState state(net.num_nodes(), s);
+  const AppSpec spec = maxflow::make_spec(net, state, s, t);
+  MaxflowRun run;
+  run.trace = drain(*build_executor(pool, spec, seed), spec, controller).trace;
+  run.flow_value = state.excess(t);
+  run.feasible = net.is_feasible(s, t);
+  return run;
 }
 
 TEST(FlowNetwork, ArcBookkeeping) {
@@ -211,8 +250,7 @@ TEST(MaxflowAdaptive, DiamondMatches) {
   ThreadPool pool(2);
   ControllerParams p;
   HybridController controller(p);
-  const auto result = maxflow::maxflow_adaptive(net, 0, 3, controller, pool,
-                                                11);
+  const auto result = run_maxflow(net, 0, 3, controller, pool, 11);
   EXPECT_DOUBLE_EQ(result.flow_value, 5.0);
   EXPECT_TRUE(result.feasible);
 }
@@ -242,8 +280,7 @@ TEST_P(MaxflowRandomTest, MatchesEdmondsKarpOnRandomNetworks) {
   ThreadPool pool(4);
   ControllerParams p;
   HybridController controller(p);
-  const auto result =
-      maxflow::maxflow_adaptive(net, s, t, controller, pool, n * 3 + 1);
+  const auto result = run_maxflow(net, s, t, controller, pool, n * 3 + 1);
   EXPECT_DOUBLE_EQ(result.flow_value, reference);
   EXPECT_TRUE(result.feasible);
 }
@@ -255,8 +292,7 @@ TEST(MaxflowAdaptive, FixedControllerAlsoCorrect) {
   auto net = diamond();
   ThreadPool pool(2);
   FixedController controller(4);
-  const auto result =
-      maxflow::maxflow_adaptive(net, 0, 3, controller, pool, 13);
+  const auto result = run_maxflow(net, 0, 3, controller, pool, 13);
   EXPECT_DOUBLE_EQ(result.flow_value, 5.0);
 }
 
@@ -281,12 +317,14 @@ TEST(GlobalRelabel, NeverLowersHeights) {
 
 TEST(MaxflowAdaptive, CorrectWithoutGlobalRelabel) {
   auto net = diamond();
+  maxflow::PushRelabelState state(4, 0);
+  AppSpec spec = maxflow::make_spec(net, state, 0, 3);
+  spec.before_round = nullptr;  // no global relabel
   ThreadPool pool(2);
   ControllerParams p;
   HybridController controller(p);
-  const auto res = maxflow::maxflow_adaptive(net, 0, 3, controller, pool, 14,
-                                             1000000, /*interval=*/0);
-  EXPECT_DOUBLE_EQ(res.flow_value, 5.0);
+  (void)drain(*build_executor(pool, spec, 14), spec, controller);
+  EXPECT_DOUBLE_EQ(state.excess(3), 5.0);
 }
 
 TEST(MaxflowAdaptive, GlobalRelabelCutsRounds) {
@@ -303,27 +341,39 @@ TEST(MaxflowAdaptive, GlobalRelabelCutsRounds) {
   const double reference = maxflow::edmonds_karp(base, 0, 79);
   ThreadPool pool(2);
 
-  auto run = [&](std::uint32_t interval) {
+  // Rounds to drain with the spec's hook replaced by a global relabel
+  // every 32 rounds, or by no hook at all.
+  auto rounds = [&](bool relabel) {
     maxflow::FlowNetwork net = base;
     net.reset_flow();
+    maxflow::PushRelabelState state(80, 0);
+    AppSpec spec = maxflow::make_spec(net, state, 0, 79);
+    spec.before_round = nullptr;
+    std::uint32_t since = 0;
+    if (relabel) {
+      spec.before_round = [&](SpeculativeExecutor&) {
+        if (++since >= 32) {
+          since = 0;
+          maxflow::global_relabel(net, state, 0, 79);
+        }
+      };
+    }
     ControllerParams p;
     HybridController c(p);
-    return maxflow::maxflow_adaptive(net, 0, 79, c, pool, 15, 1000000,
-                                     interval);
+    const Trace trace =
+        drain(*build_executor(pool, spec, 15), spec, c).trace;
+    EXPECT_DOUBLE_EQ(state.excess(79), reference);
+    return trace.steps.size();
   };
-  const auto with = run(32);
-  const auto without = run(0);
-  EXPECT_DOUBLE_EQ(with.flow_value, reference);
-  EXPECT_DOUBLE_EQ(without.flow_value, reference);
-  EXPECT_LT(with.trace.steps.size(), without.trace.steps.size());
+  const auto with = rounds(true);
+  const auto without = rounds(false);
+  EXPECT_LT(with, without);
 }
 
 TEST(MaxflowAdaptive, RejectsSourceEqualsSink) {
   auto net = diamond();
-  ThreadPool pool(1);
-  ControllerParams p;
-  HybridController controller(p);
-  EXPECT_THROW((void)maxflow::maxflow_adaptive(net, 1, 1, controller, pool, 1),
+  maxflow::PushRelabelState state(net.num_nodes(), 1);
+  EXPECT_THROW((void)maxflow::make_spec(net, state, 1, 1),
                std::invalid_argument);
 }
 

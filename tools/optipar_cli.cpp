@@ -64,11 +64,11 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
-#include <numeric>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "apps/app_spec.hpp"
 #include "control/baselines.hpp"
 #include "control/extra.hpp"
 #include "control/factory.hpp"
@@ -534,32 +534,29 @@ int cmd_chaos(const Options& opt) {
   if (!backend) return usage();
 
   std::vector<std::int64_t> cells(cells_n, 0);
+  AppSpec spec;
+  spec.items = cells_n;
+  spec.initial = all_tasks(tasks_n);
+  spec.op = [&](TaskId t, IterationContext& ctx) {
+    const Effect& e = effects[t];
+    for (std::uint32_t i = 0; i < e.count; ++i) {
+      const std::uint32_t cell = (e.first + i) % cells_n;
+      if (!ctx.acquire(cell)) return;
+      cells[cell] += e.delta;
+      ctx.on_abort([&cells, cell, d = e.delta] { cells[cell] -= d; });
+    }
+  };
+  spec.footprint = [&effects, cells_n](TaskId t,
+                                       std::vector<std::uint32_t>& fp) {
+    const Effect& e = effects[t];
+    for (std::uint32_t i = 0; i < e.count; ++i) {
+      fp.push_back((e.first + i) % cells_n);
+    }
+  };
   ThreadPool pool(threads);
-  RoundOptions ropts;
-  ropts.scheduler = *backend;
-  SpeculativeExecutor ex(
-      pool, cells_n,
-      [&](TaskId t, IterationContext& ctx) {
-        const Effect& e = effects[t];
-        for (std::uint32_t i = 0; i < e.count; ++i) {
-          const std::uint32_t cell = (e.first + i) % cells_n;
-          if (!ctx.acquire(cell)) return;
-          cells[cell] += e.delta;
-          ctx.on_abort([&cells, cell, d = e.delta] { cells[cell] -= d; });
-        }
-      },
-      seed * 7 + 1, ropts);
-  if (*backend == sched::Backend::kChromatic) {
-    ex.set_footprint_function(
-        [&effects, cells_n](TaskId t, std::vector<std::uint32_t>& fp) {
-          const Effect& e = effects[t];
-          for (std::uint32_t i = 0; i < e.count; ++i) {
-            fp.push_back((e.first + i) % cells_n);
-          }
-        });
-  } else if (*backend == sched::Backend::kRelaxed) {
-    ex.set_priority_function([](TaskId t) { return t; });
-  }
+  const auto exec = build_executor(pool, spec, seed * 7 + 1,
+                                   RoundOptions{.scheduler = *backend});
+  SpeculativeExecutor& ex = *exec;
   // --threads asks for that many lanes outright (lane-death injection
   // needs parallel lanes even on small hosts); the core-count cap is for
   // un-tuned production runs, not the chaos harness.
@@ -593,10 +590,6 @@ int cmd_chaos(const Options& opt) {
     hook_injector(injector, tel, ex);
   }
 
-  std::vector<TaskId> tasks(tasks_n);
-  std::iota(tasks.begin(), tasks.end(), TaskId{0});
-  ex.push_initial(tasks);
-
   ControllerParams params;
   params.rho = opt.get_double("rho", 0.25);
   params.m0 = m0;
@@ -611,7 +604,7 @@ int cmd_chaos(const Options& opt) {
   bool livelock = false;
   Trace trace;
   try {
-    trace = run_adaptive(ex, controller, config);
+    trace = drain(ex, spec, controller, config).trace;
   } catch (const JobInterrupted& e) {
     // An expired --timeout-ms leaves the run incomplete by design; the
     // recovery invariants below would fail vacuously, so report the
@@ -824,29 +817,10 @@ int cmd_run(const Options& opt) {
   if (!backend) return usage();
 
   ThreadPool pool(threads);
-  RoundOptions ropts;
-  ropts.scheduler = *backend;
-  SpeculativeExecutor ex(
-      pool, g.num_nodes(),
-      [&g](TaskId t, IterationContext& ctx) {
-        const auto v = static_cast<NodeId>(t);
-        if (!ctx.acquire(v)) return;
-        for (const NodeId u : g.neighbors(v)) {
-          if (!ctx.acquire(u)) return;
-        }
-      },
-      seed * 11 + 3, ropts);
-  if (*backend == sched::Backend::kChromatic) {
-    // Declared footprint mirrors the operator: the closed neighborhood.
-    ex.set_footprint_function(
-        [&g](TaskId t, std::vector<std::uint32_t>& fp) {
-          const auto v = static_cast<NodeId>(t);
-          fp.push_back(v);
-          for (const NodeId u : g.neighbors(v)) fp.push_back(u);
-        });
-  } else if (*backend == sched::Backend::kRelaxed) {
-    ex.set_priority_function([](TaskId t) { return t; });
-  }
+  const AppSpec spec = lock_only_spec(g);
+  const auto exec = build_executor(pool, spec, seed * 11 + 3,
+                                   RoundOptions{.scheduler = *backend});
+  SpeculativeExecutor& ex = *exec;
 
   telemetry::RuntimeTelemetry tel;
   tel.set_target_rho(params.rho);
@@ -855,10 +829,6 @@ int cmd_run(const Options& opt) {
   telemetry::SpanCollector spans;
   if (opt.has("trace-chrome")) tel.set_spans(&spans);
   ex.set_telemetry(&tel);  // `run` exists to observe: always attached
-
-  std::vector<TaskId> tasks(g.num_nodes());
-  std::iota(tasks.begin(), tasks.end(), TaskId{0});
-  ex.push_initial(tasks);
 
   AdaptiveRunConfig config;
   config.max_rounds =
@@ -899,7 +869,7 @@ int cmd_run(const Options& opt) {
   // leaks) through the AdaptiveRun certify hook; the verdict lands in the
   // telemetry stream (kCertify event + "certify" span) and the summary
   // line, and a refuted certificate exits 8. Off-path stays byte-identical:
-  // the stepper below IS run_adaptive's loop.
+  // drain() steps the same loop as run_adaptive.
   const bool do_verify = opt.get_bool("verify", false);
   if (do_verify) {
     config.certifier = [&ex, total = static_cast<std::uint64_t>(
@@ -913,12 +883,9 @@ int cmd_run(const Options& opt) {
   Trace trace;
   std::optional<verify::Certificate> cert;
   try {
-    AdaptiveRun run(ex, *controller, config);
-    while (run.step()) {
-    }
-    run.ensure_certified();
-    cert = run.certificate();
-    trace = run.take_trace();
+    DrainResult drained = drain(ex, spec, *controller, std::move(config));
+    cert = std::move(drained.certificate);
+    trace = std::move(drained.trace);
   } catch (const LivelockError& e) {
     livelock = true;
     trace = e.partial_trace;
@@ -1003,28 +970,10 @@ int cmd_profile(const Options& opt) {
   if (!backend) return usage();
 
   ThreadPool pool(threads);
-  RoundOptions ropts;
-  ropts.scheduler = *backend;
-  SpeculativeExecutor ex(
-      pool, g.num_nodes(),
-      [&g](TaskId t, IterationContext& ctx) {
-        const auto v = static_cast<NodeId>(t);
-        if (!ctx.acquire(v)) return;
-        for (const NodeId u : g.neighbors(v)) {
-          if (!ctx.acquire(u)) return;
-        }
-      },
-      seed * 11 + 3, ropts);
-  if (*backend == sched::Backend::kChromatic) {
-    ex.set_footprint_function(
-        [&g](TaskId t, std::vector<std::uint32_t>& fp) {
-          const auto v = static_cast<NodeId>(t);
-          fp.push_back(v);
-          for (const NodeId u : g.neighbors(v)) fp.push_back(u);
-        });
-  } else if (*backend == sched::Backend::kRelaxed) {
-    ex.set_priority_function([](TaskId t) { return t; });
-  }
+  const AppSpec spec = lock_only_spec(g);
+  const auto exec = build_executor(pool, spec, seed * 11 + 3,
+                                   RoundOptions{.scheduler = *backend});
+  SpeculativeExecutor& ex = *exec;
 
   telemetry::RuntimeTelemetry tel;
   tel.set_target_rho(params.rho);
@@ -1037,10 +986,6 @@ int cmd_profile(const Options& opt) {
   tel.set_profiler(&prof);
   ex.set_telemetry(&tel);
 
-  std::vector<TaskId> tasks(g.num_nodes());
-  std::iota(tasks.begin(), tasks.end(), TaskId{0});
-  ex.push_initial(tasks);
-
   AdaptiveRunConfig config;
   config.max_rounds =
       static_cast<std::uint32_t>(opt.get_int("steps", 100000));
@@ -1048,7 +993,7 @@ int cmd_profile(const Options& opt) {
 
   Trace trace;
   try {
-    trace = run_adaptive(ex, *controller, config);
+    trace = drain(ex, spec, *controller, config).trace;
   } catch (const LivelockError& e) {
     trace = e.partial_trace;
     std::cerr << "livelock: " << e.what() << "\n";
@@ -1082,34 +1027,21 @@ int cmd_metrics(const Options& opt) {
   const CsrGraph g = gen::union_of_cliques(60, 5);
 
   ThreadPool pool(threads);
-  SpeculativeExecutor ex(
-      pool, g.num_nodes(),
-      [&g](TaskId t, IterationContext& ctx) {
-        const auto v = static_cast<NodeId>(t);
-        if (!ctx.acquire(v)) return;
-        for (const NodeId u : g.neighbors(v)) {
-          if (!ctx.acquire(u)) return;
-        }
-      },
-      seed);
+  const AppSpec spec = lock_only_spec(g);
+  const auto ex = build_executor(pool, spec, seed);
 
   telemetry::RuntimeTelemetry tel;
   tel.set_target_rho(0.25);
-  ex.set_telemetry(&tel);
-
-  std::vector<TaskId> tasks(g.num_nodes());
-  std::iota(tasks.begin(), tasks.end(), TaskId{0});
-  ex.push_initial(tasks);
+  ex->set_telemetry(&tel);
 
   ControllerParams params;
   params.rho = 0.25;
   HybridController controller(params);
-  const Trace trace = run_adaptive(ex, controller, {});
-  (void)trace;
+  (void)drain(*ex, spec, controller);
 
   MetricsRegistry reg;
   tel.export_metrics(reg);
-  export_executor_metrics(reg, ex);
+  export_executor_metrics(reg, *ex);
   const std::string format = opt.get("format", "prometheus");
   if (format == "json") {
     reg.render_json(std::cout);
