@@ -13,6 +13,7 @@
 #include "apps/app_spec.hpp"
 #include "apps/mis/mis.hpp"
 #include "bench_common.hpp"
+#include "control/hybrid.hpp"
 #include "model/conflict_ratio.hpp"
 
 using namespace optipar;

@@ -76,7 +76,7 @@ int main(int argc, char** argv) {
     dmr::build_delaunay(mesh, pts, 16.0);
     ControllerParams p;
     p.rho = rho;
-    auto c = bench::make_controller(cname, p);
+    auto c = bench::controller_or_exit(cname, p);
     const AppSpec spec = dmr::make_spec(mesh, q);
     const auto trace = drain(*build_executor(pool, spec, 7), spec, *c).trace;
     const bool ok = dmr::bad_triangles(mesh, q).empty() && mesh.validate() &&
@@ -98,7 +98,7 @@ int main(int argc, char** argv) {
   for (const auto& cname : kControllers) {
     ControllerParams p;
     p.rho = rho;
-    auto c = bench::make_controller(cname, p);
+    auto c = bench::controller_or_exit(cname, p);
     boruvka::ContractionGraph graph(nodes, edges);
     const AppSpec spec = boruvka::make_spec(graph);
     const auto trace = drain(*build_executor(pool, spec, 11), spec, *c).trace;
@@ -114,7 +114,7 @@ int main(int argc, char** argv) {
   for (const auto& cname : kControllers) {
     ControllerParams p;
     p.rho = rho;
-    auto c = bench::make_controller(cname, p);
+    auto c = bench::controller_or_exit(cname, p);
     mis::MisState state(mis_graph.num_nodes());
     const AppSpec spec = mis::make_spec(mis_graph, state);
     const auto trace = drain(*build_executor(pool, spec, 13), spec, *c).trace;
@@ -130,7 +130,7 @@ int main(int argc, char** argv) {
   for (const auto& cname : kControllers) {
     ControllerParams p;
     p.rho = rho;
-    auto c = bench::make_controller(cname, p);
+    auto c = bench::controller_or_exit(cname, p);
     coloring::ColoringState state(col_graph.num_nodes());
     const AppSpec spec = coloring::make_spec(col_graph, state);
     const auto trace = drain(*build_executor(pool, spec, 17), spec, *c).trace;
@@ -163,7 +163,7 @@ int main(int argc, char** argv) {
     auto run = [&](const std::string& cname, WorklistPolicy worklist) {
       ControllerParams p;
       p.rho = rho;
-      auto c = bench::make_controller(cname, p);
+      auto c = bench::controller_or_exit(cname, p);
       sssp::DistanceTable dist(nodes, 0);
       AppSpec spec = sssp::make_spec(wg, dist);
       spec.initial = {0};
@@ -203,7 +203,7 @@ int main(int argc, char** argv) {
       net.reset_flow();
       ControllerParams p;
       p.rho = rho;
-      auto c = bench::make_controller(cname, p);
+      auto c = bench::controller_or_exit(cname, p);
       maxflow::PushRelabelState state(fn, 0);
       const AppSpec spec = maxflow::make_spec(net, state, 0, fn - 1);
       const auto trace =
@@ -224,7 +224,7 @@ int main(int argc, char** argv) {
     for (const auto& cname : kControllers) {
       ControllerParams p;
       p.rho = rho;
-      auto c = bench::make_controller(cname, p);
+      auto c = bench::controller_or_exit(cname, p);
       Rng solver_rng(49);
       const auto res =
           sp::solve_with_sid(formula, sp_config, solver_rng, c.get(), &pool);

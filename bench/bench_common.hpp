@@ -4,16 +4,14 @@
 #pragma once
 
 #include <cstdint>
+#include <cstdlib>
 #include <iostream>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "control/baselines.hpp"
 #include "control/controller.hpp"
-#include "control/extra.hpp"
-#include "control/hybrid.hpp"
-#include "control/recurrence.hpp"
+#include "control/factory.hpp"
 #include "graph/csr_graph.hpp"
 #include "graph/generators.hpp"
 #include "sim/run_loop.hpp"
@@ -73,29 +71,16 @@ inline CsrGraph cliques_and_isolated_with_degree(NodeId n, std::uint32_t d,
   return CsrGraph::from_edges(n, base.edges());  // rest stay isolated
 }
 
-/// Construct a named controller for CLI-style selection.
-inline std::unique_ptr<Controller> make_controller(
+/// optipar::make_controller (control/factory.hpp), with an unknown name
+/// fatal: the experiment binaries name their controllers in code.
+inline std::unique_ptr<Controller> controller_or_exit(
     const std::string& name, const ControllerParams& params) {
-  if (name == "hybrid") return std::make_unique<HybridController>(params);
-  if (name == "recurrence-A") {
-    return std::make_unique<RecurrenceAController>(params);
+  std::unique_ptr<Controller> controller = make_controller(name, params);
+  if (controller == nullptr) {
+    std::cerr << "unknown controller: " << name << "\n";
+    std::exit(2);
   }
-  if (name == "recurrence-B") {
-    return std::make_unique<RecurrenceBController>(params);
-  }
-  if (name == "bisection") {
-    return std::make_unique<BisectionController>(params);
-  }
-  if (name == "aimd") return std::make_unique<AimdController>(params);
-  if (name == "pid") return std::make_unique<PidController>(params);
-  if (name == "ewma-hybrid") {
-    return std::make_unique<EwmaHybridController>(params);
-  }
-  if (name.rfind("fixed-", 0) == 0) {
-    return std::make_unique<FixedController>(
-        static_cast<std::uint32_t>(std::stoul(name.substr(6))));
-  }
-  throw std::invalid_argument("unknown controller: " + name);
+  return controller;
 }
 
 struct TraceSummary {

@@ -9,6 +9,8 @@
 #include <iostream>
 
 #include "bench_common.hpp"
+#include "control/extra.hpp"
+#include "control/hybrid.hpp"
 #include "model/conflict_ratio.hpp"
 #include "support/ascii_plot.hpp"
 
@@ -35,7 +37,7 @@ Run run_on(const CsrGraph& g, const std::string& controller_name,
     controller = std::make_unique<HybridController>(
         with_warm_start(p, g.num_nodes(), g.average_degree()));
   } else {
-    controller = bench::make_controller(controller_name, p);
+    controller = bench::controller_or_exit(controller_name, p);
   }
   StationaryWorkload w(g);
   RunLoopConfig cfg;

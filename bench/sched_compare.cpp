@@ -1,11 +1,11 @@
-// SCHED-COMPARE — the three draw backends (DESIGN.md §14) head-to-head on
-// the paper's irregular-graph workloads: the paper's random draw, the
-// zero-abort chromatic rounds, and the MultiQueue-relaxed priority draw.
-// For each workload × backend: time-to-solution, rounds, launched /
-// committed / aborted, conflict ratio. Emits a JSON document that
-// scripts/run_bench.sh merges into BENCH_rt.json["sched_compare"] and
-// gates with the chromatic sentinel (zero aborts AND tts no worse than
-// random).
+// SCHED-COMPARE — the two draw backends (DESIGN.md §14) head-to-head on
+// the paper's irregular-graph workloads: the paper's random draw and the
+// zero-abort chromatic rounds. For each workload × backend:
+// time-to-solution, rounds, launched / committed / aborted, conflict
+// ratio. Emits a JSON document, headed by the host's CPU count and the
+// most lanes any round ran on, that scripts/run_bench.sh merges into
+// BENCH_rt.json["sched_compare"] and gates with the chromatic sentinel
+// (zero aborts AND tts no worse than random).
 //
 // Timing discipline: --reps (default 3) full runs per cell, keep the
 // fastest — same min-of-probes rejection of scheduler spikes as the
@@ -13,6 +13,7 @@
 //
 // Usage: sched_compare [--nodes=4000] [--threads=4] [--m=256] [--reps=3]
 //                      [--out=FILE]
+#include <algorithm>
 #include <chrono>
 #include <fstream>
 #include <iostream>
@@ -27,6 +28,7 @@
 #include "control/baselines.hpp"
 #include "graph/algos.hpp"
 #include "sched/scheduler.hpp"
+#include "support/cpu.hpp"
 #include "support/telemetry/conflict_profiler.hpp"
 #include "support/telemetry/telemetry.hpp"
 
@@ -42,10 +44,11 @@ struct CellResult {
   std::uint64_t aborted = 0;
   /// Abort locality (DESIGN.md §15): the fraction of attributed conflicts
   /// concentrated on the 16 hottest items. The chromatic backend has no
-  /// aborts (reported as 0); for random vs relaxed this shows whether the
-  /// relaxed draw spreads contention off the hubs.
+  /// aborts (reported as 0); for the random draw this shows how much of
+  /// the contention the hubs cause, the paper's motivating observation.
   double top16_share = 0.0;
   std::uint64_t profiled_conflicts = 0;
+  std::size_t lanes = 0;  ///< most lanes any round of the drain ran on
   bool correct = false;
 
   [[nodiscard]] double conflict_ratio() const {
@@ -77,9 +80,10 @@ CellResult run_cell(const SchedWorkload& wl, sched::Backend backend,
   const auto t0 = std::chrono::steady_clock::now();
   const auto ex = build_executor(pool, spec, seed,
                                  RoundOptions{.scheduler = backend});
-  // Conflict attribution rides every rep: recording is one relaxed
-  // fetch_add per abort, so it does not disturb the min-of-reps timing, and
-  // the reported cell keeps the locality measured in its own run.
+  // Conflict attribution rides every rep, so the reported cell keeps the
+  // locality measured in its own run. Recording is one relaxed fetch_add
+  // per abort, but it is not free: it slows the random cell, which aborts,
+  // and not the chromatic one, which does not.
   telemetry::RuntimeTelemetry tel;
   telemetry::ConflictProfiler prof(g.num_nodes());
   {
@@ -101,6 +105,7 @@ CellResult run_cell(const SchedWorkload& wl, sched::Backend backend,
   out.aborted = ex->totals().aborted;
   out.top16_share = prof.top_share(16);
   out.profiled_conflicts = prof.total_conflicts();
+  out.lanes = tel.lane_count();
   out.correct = wl.app == "coloring"
                     ? colors.is_proper(g)
                     : is_maximal_independent_set(g, mis_state.in_set());
@@ -149,13 +154,10 @@ int main(int argc, char** argv) {
   const std::vector<std::pair<std::string, sched::Backend>> backends = {
       {"random", sched::Backend::kRandom},
       {"chromatic", sched::Backend::kChromatic},
-      {"relaxed", sched::Backend::kRelaxed},
   };
 
-  std::ostringstream json;
-  json << "{\n \"nodes\": " << nodes << ",\n \"threads\": " << threads
-       << ",\n \"m\": " << m << ",\n \"reps\": " << reps
-       << ",\n \"workloads\": {\n";
+  std::ostringstream json;  // the "workloads" object; the header goes last
+  std::size_t lanes = 0;
   bool first_wl = true;
   for (const SchedWorkload& wl : workloads) {
     bench::banner(wl.name + " (" + std::to_string(nodes) + " nodes, m=" +
@@ -169,6 +171,7 @@ int main(int argc, char** argv) {
       for (int rep = 0; rep < reps; ++rep) {
         const CellResult r = run_cell(wl, backend, pool, m, 33 + rep);
         if (rep == 0 || r.time_ms < best.time_ms) best = r;
+        lanes = std::max(lanes, r.lanes);
       }
       std::cout << "  " << name << ": " << best.time_ms << " ms, "
                 << best.rounds << " rounds, aborted " << best.aborted
@@ -185,7 +188,14 @@ int main(int argc, char** argv) {
     }
     json << "  }\n";
   }
-  json << " }\n}\n";
+  const std::string doc =
+      "{\n \"nodes\": " + std::to_string(nodes) +
+      ",\n \"threads\": " + std::to_string(threads) +
+      ",\n \"num_cpus\": " + std::to_string(effective_concurrency()) +
+      ",\n \"lanes\": " + std::to_string(lanes) +
+      ",\n \"m\": " + std::to_string(m) +
+      ",\n \"reps\": " + std::to_string(reps) +
+      ",\n \"workloads\": {\n" + json.str() + " }\n}\n";
 
   if (opt.has("out")) {
     std::ofstream os(opt.get("out", ""));
@@ -194,10 +204,10 @@ int main(int argc, char** argv) {
                 << opt.get("out", "") << "\n";
       return 1;
     }
-    os << json.str();
+    os << doc;
   } else {
     bench::banner("json");
-    std::cout << json.str();
+    std::cout << doc;
   }
   return 0;
 }

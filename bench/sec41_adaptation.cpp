@@ -19,7 +19,7 @@ namespace {
 
 const std::vector<std::string> kControllers = {
     "hybrid", "recurrence-A", "recurrence-B", "bisection", "aimd", "pid",
-    "ewma-hybrid", "fixed-8", "fixed-256"};
+    "ewma", "fixed-8", "fixed-256"};
 
 }  // namespace
 
@@ -45,14 +45,14 @@ int main(int argc, char** argv) {
     ControllerParams p;
     p.rho = rho;
     p.m_max = 4096;
-    auto c = bench::make_controller(name, p);
+    auto c = bench::controller_or_exit(name, p);
     StationaryWorkload w(g);
     RunLoopConfig cfg;
     cfg.max_steps = steps;
     Rng run_rng(17);
     const auto trace = run_controlled(*c, w, cfg, run_rng);
-    const auto s = bench::summarize(name, trace, mu, 0.30);
-    race.add_row({name,
+    const auto s = bench::summarize(c->name(), trace, mu, 0.30);
+    race.add_row({c->name(),
                   static_cast<std::int64_t>(
                       s.convergence_step >= trace.steps.size()
                           ? -1
@@ -97,7 +97,7 @@ int main(int argc, char** argv) {
     ControllerParams p;
     p.rho = rho;
     p.m_max = 8192;
-    auto c = bench::make_controller(name, p);
+    auto c = bench::controller_or_exit(name, p);
     Rng run_rng(29);
     RefiningWorkload w(rp, run_rng);
     RunLoopConfig cfg;
@@ -109,7 +109,7 @@ int main(int argc, char** argv) {
     };
     std::uint32_t max_m = 0;
     for (const auto& s : trace.steps) max_m = std::max(max_m, s.m);
-    ride.add_row({name, m_at(10), m_at(30), m_at(60),
+    ride.add_row({c->name(), m_at(10), m_at(30), m_at(60),
                   static_cast<std::int64_t>(max_m),
                   trace.mean_conflict_ratio(), trace.wasted_fraction()});
   }
@@ -132,7 +132,7 @@ int main(int argc, char** argv) {
       ControllerParams p;
       p.rho = rho;
       p.m_max = 4096;
-      auto c = bench::make_controller(name, p);
+      auto c = bench::controller_or_exit(name, p);
       auto w = make_workload();
       RunLoopConfig cfg;
       cfg.max_steps = 240;
@@ -142,7 +142,7 @@ int main(int argc, char** argv) {
         return static_cast<std::int64_t>(
             i < trace.steps.size() ? trace.steps[i].m : 0);
       };
-      shift.add_row({name, m_at(79), m_at(159), m_at(239),
+      shift.add_row({c->name(), m_at(79), m_at(159), m_at(239),
                      trace.mean_conflict_ratio()});
     }
     shift.print(std::cout);

@@ -61,7 +61,7 @@ done
 # --- 2b. Certified recovery on every scheduler backend. --------------------
 # The completeness certificate (drained, accounted, no lock leaks, state ==
 # oracle) must hold for chaos survivors no matter which draw backend ran.
-for sched in random chromatic relaxed; do
+for sched in random chromatic; do
   line="$("$CLI" chaos --fault-rate=0.2 --fault-seed=11 --threads=4 \
                 --max-retries=3 --scheduler="$sched" --verify | tail -1)"
   echo "$line"

@@ -13,8 +13,7 @@ std::unique_ptr<SpeculativeExecutor> build_executor(
   if (options.scheduler == sched::Backend::kChromatic) {
     ex->set_footprint_function(spec.footprint);
   }
-  if (options.scheduler == sched::Backend::kRelaxed ||
-      options.worklist == WorklistPolicy::kPriority) {
+  if (options.worklist == WorklistPolicy::kPriority) {
     if (spec.priority) {
       ex->set_priority_function(spec.priority);
     } else {

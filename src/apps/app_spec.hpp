@@ -34,8 +34,8 @@ struct AppSpec {
   /// task will run against: a superset of what it acquires. The chromatic
   /// backend colors pending tasks by it.
   sched::FootprintFn footprint;
-  /// Draw priority (smaller = sooner) wherever the draw needs one: the
-  /// relaxed backend and the kPriority worklist. Empty means the task id.
+  /// Draw priority (smaller = sooner) for the kPriority worklist. Empty
+  /// means the task id.
   std::function<std::uint64_t(TaskId)> priority;
   /// Runs before every round (lock-table growth, schedule invalidation,
   /// periodic global relabel). Empty means none.
@@ -43,8 +43,8 @@ struct AppSpec {
 };
 
 /// An executor for `spec` under `options`, ready to run: the footprint is
-/// installed on the chromatic backend, the priority wherever the draw
-/// needs one, and spec.initial is pushed.
+/// installed on the chromatic backend, the priority on the kPriority
+/// worklist, and spec.initial is pushed.
 [[nodiscard]] std::unique_ptr<SpeculativeExecutor> build_executor(
     ThreadPool& pool, const AppSpec& spec, std::uint64_t seed,
     const RoundOptions& options = {});

@@ -77,9 +77,8 @@ struct SpConfig {
   /// reports "not satisfied" rather than searching forever.
   std::uint64_t dpll_decision_budget = 2'000'000;
   /// Scheduler backend for the speculative clause updates (DESIGN.md §14).
-  /// Chromatic derives its footprint from the clause-sharing neighborhood;
-  /// relaxed prioritizes by clause id. The default keeps the draw
-  /// byte-identical to the pre-backend pipeline.
+  /// Chromatic derives its footprint from the clause-sharing neighborhood.
+  /// The default keeps the draw byte-identical to the pre-backend pipeline.
   sched::Backend scheduler = sched::Backend::kRandom;
 };
 

@@ -82,7 +82,7 @@ SpeculativeExecutor::SpeculativeExecutor(ThreadPool& pool, std::size_t items,
       options.worklist != WorklistPolicy::kRandom) {
     throw std::invalid_argument(
         "SpeculativeExecutor: worklist policies are a random-backend draw "
-        "knob; the chromatic/relaxed backends require the default worklist");
+        "knob; the chromatic backend requires the default worklist");
   }
   sched::SchedulerConfig config;
   config.worklist = options.worklist;
@@ -599,8 +599,8 @@ RoundStats SpeculativeExecutor::run_round(std::uint32_t m) {
   std::size_t take = 0;
   if (centralized) {
     // Centralized backends materialize the active set up front: the heap /
-    // color class / relaxed draw IS the policy.
-    take = sched_->begin_round(m, active_, rng_);
+    // color class IS the policy.
+    take = sched_->begin_round(m, active_);
   } else {
     take = std::min<std::size_t>(m, sched_->size());
     active_.resize(take);  // slots are filled by the drawing lanes

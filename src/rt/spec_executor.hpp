@@ -212,7 +212,7 @@ struct ExecutorTotals {
 /// Everything that shapes how rounds are scheduled, in one bag (DESIGN.md
 /// §14). Non-random backends require worklist == kRandom: the worklist
 /// policy is a *random-backend* draw knob, and combining it with
-/// chromatic/relaxed has no meaning.
+/// chromatic has no meaning.
 struct RoundOptions {
   WorklistPolicy worklist = WorklistPolicy::kRandom;
   sched::Backend scheduler = sched::Backend::kRandom;
@@ -253,9 +253,9 @@ class SpeculativeExecutor {
   /// Seed the work-set.
   void push_initial(std::span<const TaskId> tasks);
 
-  /// Required before any push under WorklistPolicy::kPriority and under
-  /// the relaxed backend. Maps a task to its draw priority (smaller =
-  /// sooner); the scheduler evaluates it at push and requeue time.
+  /// Required before any push under WorklistPolicy::kPriority. Maps a task
+  /// to its draw priority (smaller = sooner); the scheduler evaluates it at
+  /// push and requeue time.
   void set_priority_function(std::function<std::uint64_t(TaskId)> fn);
 
   /// Required before any push under the chromatic backend (and before
@@ -428,7 +428,7 @@ class SpeculativeExecutor {
 
   // The pluggable work-set + draw stage (DESIGN.md §14). Shard count is
   // fixed at construction to the pool's worker count; the random backend
-  // shards per lane, the chromatic/relaxed backends are centralized.
+  // shards per lane, the chromatic backend is centralized.
   std::size_t shard_count_;
   std::unique_ptr<sched::Scheduler> sched_;
 

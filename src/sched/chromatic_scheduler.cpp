@@ -162,8 +162,7 @@ void ChromaticScheduler::splice(std::size_t /*lane*/,
 }
 
 std::size_t ChromaticScheduler::begin_round(std::size_t m,
-                                            std::vector<TaskId>& active,
-                                            Rng& /*rng*/) {
+                                            std::vector<TaskId>& active) {
   absorb_spliced();
   // Find the next non-empty class, wrapping once (new arrivals may have
   // been colored into classes behind the cursor).

@@ -46,8 +46,8 @@ class ChromaticScheduler final : public Scheduler {
   void requeue(std::span<const TaskId> tasks) override;
   void splice(std::size_t lane, std::span<const TaskId> tasks) override;
 
-  std::size_t begin_round(std::size_t m, std::vector<TaskId>& active,
-                          Rng& rng) override;
+  std::size_t begin_round(std::size_t m,
+                          std::vector<TaskId>& active) override;
 
   void save_state(snapshot::Writer& out) const override;
   void load_state(snapshot::Reader& in) override;

@@ -95,8 +95,7 @@ void RandomScheduler::splice(std::size_t lane,
 }
 
 std::size_t RandomScheduler::begin_round(std::size_t m,
-                                         std::vector<TaskId>& active,
-                                         Rng& /*rng*/) {
+                                         std::vector<TaskId>& active) {
   // kPriority stays on the centralized path: the heap IS the policy (the m
   // globally-smallest tasks run), so the draw happens up front.
   assert(policy_ == WorklistPolicy::kPriority);

@@ -33,8 +33,8 @@ class RandomScheduler final : public Scheduler {
   void requeue(std::span<const TaskId> tasks) override;
   void splice(std::size_t lane, std::span<const TaskId> tasks) override;
 
-  std::size_t begin_round(std::size_t m, std::vector<TaskId>& active,
-                          Rng& rng) override;
+  std::size_t begin_round(std::size_t m,
+                          std::vector<TaskId>& active) override;
   void draw_span(std::size_t lane, Rng& rng, TaskId* out,
                  std::size_t n) override;
 

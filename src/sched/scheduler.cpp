@@ -4,7 +4,6 @@
 
 #include "sched/chromatic_scheduler.hpp"
 #include "sched/random_scheduler.hpp"
-#include "sched/relaxed_scheduler.hpp"
 
 namespace optipar::sched {
 
@@ -14,8 +13,6 @@ const char* backend_name(Backend backend) noexcept {
       return "random";
     case Backend::kChromatic:
       return "chromatic";
-    case Backend::kRelaxed:
-      return "relaxed";
   }
   return "unknown";
 }
@@ -23,13 +20,11 @@ const char* backend_name(Backend backend) noexcept {
 std::optional<Backend> parse_backend(std::string_view name) {
   if (name == "random") return Backend::kRandom;
   if (name == "chromatic") return Backend::kChromatic;
-  if (name == "relaxed") return Backend::kRelaxed;
   return std::nullopt;
 }
 
 std::size_t Scheduler::begin_round(std::size_t /*m*/,
-                                   std::vector<TaskId>& /*active*/,
-                                   Rng& /*rng*/) {
+                                   std::vector<TaskId>& /*active*/) {
   throw std::logic_error("Scheduler: begin_round on a distributed backend");
 }
 
@@ -46,9 +41,6 @@ std::unique_ptr<Scheduler> make_scheduler(Backend backend,
                                                config.shard_count);
     case Backend::kChromatic:
       return std::make_unique<ChromaticScheduler>(config.seed);
-    case Backend::kRelaxed:
-      return std::make_unique<RelaxedScheduler>(config.seed,
-                                                config.shard_count);
   }
   throw std::invalid_argument("make_scheduler: unknown backend");
 }

@@ -1,7 +1,7 @@
 // Pluggable round schedulers (DESIGN.md §14). A Scheduler owns the
 // work-set and the round's draw stage of the speculative executor: which
 // tasks become a round's active set, in what order, and where committed
-// pushes / aborted requeues land. Three backends are provided:
+// pushes / aborted requeues land. Two backends are provided:
 //
 //   * random    — the paper's scheduler: per-lane sharded worklists with a
 //                 uniform random draw (plus the kFifo/kLifo/kPriority
@@ -14,11 +14,6 @@
 //                 executes only tasks of one color — zero aborts by
 //                 construction (the executor downgrades conflict detection
 //                 to a debug assert under this backend).
-//   * relaxed   — MultiQueue-style k-relaxed priority draw (Alistarh et
-//                 al.): c·lanes sequential min-heaps, push to a PRF-chosen
-//                 heap, pop the better top of two randomly chosen heaps —
-//                 near-priority order with a provably bounded rank error,
-//                 for the ordered apps (sssp, boruvka).
 //
 // Thread-safety contract: push/requeue/size/begin_round/save/load run only
 // in the executor's serial sections (between rounds or in the serial
@@ -59,11 +54,11 @@ namespace sched {
 
 /// Scheduler backend selector, wired through RoundOptions, the CLI
 /// (--scheduler=) and the serve job spec. The numeric values are part of
-/// the snapshot shape header — append only.
+/// the snapshot shape header — append only. Value 2 (the retired relaxed
+/// backend) is reserved: a snapshot carrying it fails the backend check.
 enum class Backend : std::uint8_t {
   kRandom = 0,
   kChromatic = 1,
-  kRelaxed = 2,
 };
 
 [[nodiscard]] const char* backend_name(Backend backend) noexcept;
@@ -87,7 +82,7 @@ class Scheduler {
   [[nodiscard]] virtual std::size_t size() const = 0;
 
   /// True when the active set is materialized up-front by begin_round
-  /// (priority heap, color classes, relaxed heaps) instead of drawn
+  /// (priority heap, color classes) instead of drawn
   /// incrementally by the lanes. Constant per backend instance.
   [[nodiscard]] virtual bool centralized() const noexcept = 0;
 
@@ -96,8 +91,7 @@ class Scheduler {
   /// assert for such backends.
   [[nodiscard]] virtual bool zero_abort() const noexcept { return false; }
 
-  /// Priority function (kPriority scheduling and relaxed heaps). Call
-  /// between rounds only.
+  /// Priority function (kPriority scheduling). Call between rounds only.
   virtual void set_priority_function(std::function<std::uint64_t(TaskId)> fn) {
     priority_fn_ = std::move(fn);
   }
@@ -125,10 +119,8 @@ class Scheduler {
   virtual void splice(std::size_t lane, std::span<const TaskId> tasks) = 0;
 
   /// Centralized draw: fill `active` with up to m tasks and return the
-  /// count. `rng` is the executor's lane-0 stream (serialized in
-  /// snapshots), so single-lane draw sequences replay across restores.
-  virtual std::size_t begin_round(std::size_t m, std::vector<TaskId>& active,
-                                  Rng& rng);
+  /// count.
+  virtual std::size_t begin_round(std::size_t m, std::vector<TaskId>& active);
 
   /// Distributed draw (non-centralized backends): fill out[0..n) from the
   /// work-set. Called concurrently per lane; the executor guarantees n

@@ -32,8 +32,8 @@ struct JobSpec {
   std::uint32_t m_max = 0;       ///< 0 = controller default
   std::int64_t timeout_ms = 0;   ///< 0 = no deadline
   std::uint32_t checkpoint_every = 8;
-  /// Scheduler backend name ("random", "chromatic", "relaxed"); validated
-  /// at admission against sched::parse_backend.
+  /// Scheduler backend name ("random" or "chromatic"); validated at
+  /// admission against sched::parse_backend.
   std::string scheduler = "random";
   /// Certify the drained run before the job goes terminal (run jobs only;
   /// the verdict is durable in the kFinished record).

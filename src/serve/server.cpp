@@ -489,7 +489,7 @@ std::vector<std::byte> Server::handle_submit(
       !sched::parse_backend(spec.scheduler)) {
     return ErrorReply{ErrorCode::kBadRequest,
                       "unknown scheduler '" + spec.scheduler +
-                          "' (random|chromatic|relaxed)"}
+                          "' (random|chromatic)"}
         .encode();
   }
   // Resolve server defaults at submit time so the WAL records the job's

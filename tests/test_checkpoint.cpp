@@ -16,6 +16,7 @@
 #include <memory>
 #include <numeric>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "control/baselines.hpp"
@@ -396,18 +397,21 @@ TEST(StateRoundTrip, ExecutorShapeMismatchIsRejected) {
 }
 
 TEST(StateRoundTrip, RetiredArbitrationValueIsRejected) {
-  // Shape header: u64 seed derivative, u64 shard count, u8 worklist, then
-  // the u8 arbitration byte. Abort-self (0) is the only rule; 1 was the
-  // retired priority-wins rule and must stay refused.
+  // Shape header: u64 seed derivative, u64 shard count, u8 worklist, the
+  // u8 arbitration byte, then the u8 backend byte. Abort-self (0) is the
+  // only rule; 1 was the retired priority-wins rule. Backend 2 was the
+  // retired relaxed backend. Both values must stay refused.
   constexpr std::size_t kArbitrationOffset = 8 + 8 + 1;
+  constexpr std::size_t kBackendOffset = 8 + 8 + 1 + 1;
   const CsrGraph g = gen::union_of_cliques(49, 6);
   RunRig a(g, 99);
   (void)a.ex.run_round(4);
   Writer w;
   a.ex.save_state(w);
-  auto payload = w.take();
-  ASSERT_GT(payload.size(), kArbitrationOffset);
+  const auto payload = w.take();
+  ASSERT_GT(payload.size(), kBackendOffset);
   ASSERT_EQ(payload[kArbitrationOffset], std::byte{0});
+  ASSERT_EQ(payload[kBackendOffset], std::byte{0});
 
   // Unmodified, the snapshot loads into a twin.
   {
@@ -415,14 +419,20 @@ TEST(StateRoundTrip, RetiredArbitrationValueIsRejected) {
     Reader r(payload);
     EXPECT_NO_THROW(twin.ex.load_state(r));
   }
-  payload[kArbitrationOffset] = std::byte{1};
-  RunRig twin(g, 99);
-  Reader r(payload);
-  try {
-    twin.ex.load_state(r);
-    FAIL() << "expected kMismatch";
-  } catch (const SnapshotError& e) {
-    EXPECT_EQ(e.kind(), SnapshotError::Kind::kMismatch);
+  for (const auto& [offset, retired] :
+       {std::pair{kArbitrationOffset, std::byte{1}},
+        std::pair{kBackendOffset, std::byte{2}}}) {
+    SCOPED_TRACE(offset);
+    auto tampered = payload;
+    tampered[offset] = retired;
+    RunRig twin(g, 99);
+    Reader r(tampered);
+    try {
+      twin.ex.load_state(r);
+      FAIL() << "expected kMismatch";
+    } catch (const SnapshotError& e) {
+      EXPECT_EQ(e.kind(), SnapshotError::Kind::kMismatch);
+    }
   }
 }
 

@@ -1,4 +1,4 @@
-// Scheduler backend contracts (DESIGN.md §14). Five families:
+// Scheduler backend contracts (DESIGN.md §14). Four families:
 //  * random — the extracted backend replays the legacy constructor's draw
 //    byte-for-byte at one lane (round stats, shared state, snapshot bytes);
 //  * chromatic — zero aborts BY CONSTRUCTION on all seven application
@@ -7,20 +7,15 @@
 //    correctness oracle intact;
 //  * footprint contract — every spec's declared footprint covers every
 //    item its operator acquires;
-//  * relaxed — the MultiQueue draw is a permutation of the pushed work
-//    whose rank error stays within the expected O(queues) envelope;
 //  * every backend serializes through save_state/load_state so a
 //    kill-and-resume run replays the original byte-for-byte, and a
 //    snapshot taken under one backend refuses to load under another.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <numeric>
-#include <set>
 #include <utility>
 #include <vector>
 
@@ -39,7 +34,6 @@
 #include "graph/generators.hpp"
 #include "graph/weighted_graph.hpp"
 #include "rt/spec_executor.hpp"
-#include "sched/relaxed_scheduler.hpp"
 #include "support/snapshot/snapshot.hpp"
 #include "support/thread_pool.hpp"
 
@@ -181,8 +175,6 @@ GoldenRun run_cells(bool legacy, sched::Backend backend,
   SpeculativeExecutor ex = make();
   if (backend == sched::Backend::kChromatic) {
     ex.set_footprint_function(cell_footprint());
-  } else if (backend == sched::Backend::kRelaxed) {
-    ex.set_priority_function([](TaskId t) { return t; });
   }
   ex.push_initial(all_tasks(kTasks));
   int guard = 0;
@@ -378,50 +370,6 @@ TEST(FootprintContract, EverySpecDeclaresWhatItAcquires) {
 }
 
 // ---------------------------------------------------------------------------
-// Relaxed backend: bounded rank error
-// ---------------------------------------------------------------------------
-
-TEST(RelaxedScheduler, DrawIsAPermutationWithBoundedRankError) {
-  sched::RelaxedScheduler rs(123, 4);  // 4 lanes x 4 = 16 queues
-  rs.set_priority_function([](TaskId t) { return t; });
-  constexpr std::size_t kN = 1000;
-  std::vector<TaskId> tasks(kN);
-  std::iota(tasks.begin(), tasks.end(), TaskId{0});
-  Rng shuffle_rng(5);
-  shuffle_rng.shuffle(std::span<TaskId>(tasks));
-  rs.push(tasks);
-  ASSERT_EQ(rs.size(), kN);
-
-  std::vector<TaskId> active;
-  Rng rng(99);
-  ASSERT_EQ(rs.begin_round(kN, active, rng), kN);
-  const std::set<TaskId> seen(active.begin(), active.end());
-  EXPECT_EQ(seen.size(), kN);  // every task exactly once
-
-  // Priority == task id, so the global rank of active[i] IS its id. The
-  // MultiQueue analysis (PAPERS.md) gives O(queues) expected rank error
-  // per pop; assert a generous deterministic envelope for this seed.
-  const double q = static_cast<double>(rs.queue_count());
-  double total = 0.0;
-  double worst = 0.0;
-  for (std::size_t i = 0; i < kN; ++i) {
-    const double err = std::abs(static_cast<double>(active[i]) -
-                                static_cast<double>(i));
-    total += err;
-    worst = std::max(worst, err);
-  }
-  EXPECT_LE(total / static_cast<double>(kN), 2.0 * q);
-  EXPECT_LE(worst, 16.0 * q);
-}
-
-TEST(RelaxedScheduler, ExecutorDrainsAndCommitsEverything) {
-  const GoldenRun run = run_cells(false, sched::Backend::kRelaxed, 31);
-  std::int64_t sum = 0;
-  for (const auto c : run.cells) sum += c;
-  EXPECT_EQ(sum, -static_cast<std::int64_t>(kTasks));  // +1 -2 per task
-}
-
-// ---------------------------------------------------------------------------
 // Kill-and-resume: per-backend snapshot round trips
 // ---------------------------------------------------------------------------
 
@@ -434,16 +382,13 @@ struct ResumableRig {
       : ex(pool, kCells, cell_operator(cells), seed, options_for(backend)) {
     if (backend == sched::Backend::kChromatic) {
       ex.set_footprint_function(cell_footprint());
-    } else if (backend == sched::Backend::kRelaxed) {
-      ex.set_priority_function([](TaskId t) { return t; });
     }
   }
 };
 
 TEST(KillResume, EveryBackendRoundTripsByteIdentically) {
   for (const auto backend :
-       {sched::Backend::kRandom, sched::Backend::kChromatic,
-        sched::Backend::kRelaxed}) {
+       {sched::Backend::kRandom, sched::Backend::kChromatic}) {
     SCOPED_TRACE(sched::backend_name(backend));
 
     // Reference run: snapshot mid-flight, then record the suffix.
@@ -513,15 +458,6 @@ TEST(SchedulerConfig, ChromaticRequiresFootprintFunction) {
   EXPECT_THROW(ex.push_initial(tasks), std::logic_error);
 }
 
-TEST(SchedulerConfig, RelaxedRequiresPriorityFunction) {
-  ThreadPool pool(1);
-  std::vector<std::int64_t> cells(kCells, 0);
-  SpeculativeExecutor ex(pool, kCells, cell_operator(cells), 1,
-                         options_for(sched::Backend::kRelaxed));
-  std::vector<TaskId> tasks{1, 2, 3};
-  EXPECT_THROW(ex.push_initial(tasks), std::logic_error);
-}
-
 TEST(SchedulerConfig, FootprintFunctionNeedsChromaticBackend) {
   ThreadPool pool(1);
   std::vector<std::int64_t> cells(kCells, 0);
@@ -546,11 +482,11 @@ TEST(SchedulerConfig, BackendNamesRoundTrip) {
   using sched::Backend;
   EXPECT_EQ(sched::parse_backend("random"), Backend::kRandom);
   EXPECT_EQ(sched::parse_backend("chromatic"), Backend::kChromatic);
-  EXPECT_EQ(sched::parse_backend("relaxed"), Backend::kRelaxed);
   EXPECT_FALSE(sched::parse_backend("bogus").has_value());
   EXPECT_FALSE(sched::parse_backend("").has_value());
-  for (const auto b :
-       {Backend::kRandom, Backend::kChromatic, Backend::kRelaxed}) {
+  // The retired relaxed backend is an unknown name like any other.
+  EXPECT_FALSE(sched::parse_backend("relaxed").has_value());
+  for (const auto b : {Backend::kRandom, Backend::kChromatic}) {
     EXPECT_EQ(sched::parse_backend(sched::backend_name(b)), b);
   }
 }

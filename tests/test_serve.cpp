@@ -552,14 +552,18 @@ TEST(Serve, UnknownSchedulerIsRefusedAtSubmit) {
 
   auto client = connect(paths);
   (void)client.upload_graph("g1", graph_text(24, 5));
-  RunRequest req;
-  req.graph = "g1";
-  req.scheduler = "round-robin";
-  const auto result = client.run(req);
-  const auto* err = std::get_if<ErrorReply>(&result);
-  ASSERT_NE(err, nullptr);
-  EXPECT_EQ(err->code, ErrorCode::kBadRequest);
-  EXPECT_NE(err->message.find("round-robin"), std::string::npos);
+  // "relaxed" names the retired backend: refused like any unknown name.
+  for (const char* name : {"round-robin", "relaxed"}) {
+    SCOPED_TRACE(name);
+    RunRequest req;
+    req.graph = "g1";
+    req.scheduler = name;
+    const auto result = client.run(req);
+    const auto* err = std::get_if<ErrorReply>(&result);
+    ASSERT_NE(err, nullptr);
+    EXPECT_EQ(err->code, ErrorCode::kBadRequest);
+    EXPECT_NE(err->message.find(name), std::string::npos);
+  }
   EXPECT_EQ(client.health().message, "ok");
 
   server.request_shutdown(false);

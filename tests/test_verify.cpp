@@ -516,8 +516,7 @@ std::vector<HarnessCase> harness_cases() {
         verify::AppKind::kMaxflow, verify::AppKind::kSp,
         verify::AppKind::kDmr}) {
     for (const sched::Backend backend :
-         {sched::Backend::kRandom, sched::Backend::kChromatic,
-          sched::Backend::kRelaxed}) {
+         {sched::Backend::kRandom, sched::Backend::kChromatic}) {
       cases.push_back({app, backend});
     }
   }

@@ -19,10 +19,9 @@
 //   optipar_cli run     --graph=g.txt --threads=4 --controller=hybrid
 //                       --rho=0.25 [--steps=N --metrics-out=m.prom
 //                       --trace-out=t.jsonl --csv=trace.csv]
-//                       [--scheduler=random|chromatic|relaxed] (which
-//                       backend owns the round's draw stage: the paper's
-//                       random draw, zero-abort chromatic color classes,
-//                       or the MultiQueue relaxed-priority draw)
+//                       [--scheduler=random|chromatic] (which backend
+//                       owns the round's draw stage: the paper's random
+//                       draw or zero-abort chromatic color classes)
 //                       [--checkpoint-dir=DIR --checkpoint-every=N
 //                       --resume] (adaptive closed loop on the REAL
 //                       speculative runtime: one task per node, each
@@ -127,7 +126,7 @@ int usage() {
       " <gen|curve|mu|theory|control|seating|chaos|run|metrics|profile>"
       " [--options]\n"
       "run with a subcommand and no options to see its parameters\n"
-      "run/chaos accept --scheduler=random|chromatic|relaxed\n"
+      "run/chaos accept --scheduler=random|chromatic\n"
       "run/chaos accept --verify (certify the result; refuted => exit 8);\n"
       "run accepts --app=mis|coloring|sssp|boruvka|maxflow|sp|dmr for a\n"
       "certified end-to-end kernel run\n"
@@ -147,7 +146,7 @@ std::optional<sched::Backend> parse_scheduler(const Options& opt) {
   const auto backend = sched::parse_backend(name);
   if (!backend) {
     std::cerr << "unknown --scheduler=" << name
-              << " (expected random|chromatic|relaxed)\n";
+              << " (expected random|chromatic)\n";
   }
   return backend;
 }

@@ -54,7 +54,7 @@ int usage() {
       "  run     --socket=S --graph=NAME [--controller=hybrid] [--rho=R]\n"
       "          [--seed=N] [--steps=N] [--m0=N] [--m-max=N]\n"
       "          [--timeout-ms=N] [--checkpoint-every=N] [--wait]\n"
-      "          [--scheduler=random|chromatic|relaxed] [--verify]\n"
+      "          [--scheduler=random|chromatic] [--verify]\n"
       "          [--trace-out=F] [--trace-chrome=F] [--metrics-out=F]\n"
       "          (artifact flags require --wait)\n"
       "  estimate --socket=S --graph=NAME [--rho=R] [--trials=N]\n"
