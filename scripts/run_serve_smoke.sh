@@ -110,6 +110,16 @@ else
   fail "resumed trace differs from the uninterrupted reference"
 fi
 
+# The resumed job's metrics document is the one `optipar_cli run` writes:
+# with the executor totals present, check_metrics.py's lane-sum + restored
+# == total reconciliation runs across the kill-and-resume.
+"$SERVE" artifact "$S" "$IO" --job=1 --kind=metrics-json \
+  --out="$WORK/res-metrics.json" >/dev/null || true
+grep -q '"optipar_committed_total"' "$WORK/res-metrics.json" \
+  || fail "resumed job's metrics lack the executor totals"
+python3 "$ROOT/scripts/check_metrics.py" "$WORK/res-metrics.json" \
+  --trace "$WORK/res.jsonl" || fail "resumed job's metrics do not validate"
+
 "$SERVE" shutdown "$S" "$IO" >/dev/null
 wait "$SERVER_PID" 2>/dev/null || true
 SERVER_PID=""

@@ -3,8 +3,9 @@
 // its spec with make_spec(...) next to its operator, so the footprint the
 // chromatic backend colors by is declared beside the code that acquires
 // it. build_executor() and drain() are the only code that wires a spec to
-// the executor; the certified harness, the CLI, serve, the benches, the
-// examples and the tests all go through them.
+// the executor; AppJob (apps/job.hpp) — behind the CLI, serve and the
+// certified harness — the benches, the examples and the tests all go
+// through them.
 #pragma once
 
 #include <cstddef>

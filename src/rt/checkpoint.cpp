@@ -1,6 +1,7 @@
 #include "rt/checkpoint.hpp"
 
 #include <algorithm>
+#include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
 #include <utility>
@@ -60,17 +61,38 @@ StepRecord decode_step(std::span<const std::byte> payload) {
   return rec;
 }
 
+namespace {
+
+std::string snapshot_file(const std::string& dir, char generation) {
+  return dir + "/snap-" + generation + ".bin";
+}
+
+std::string journal_file(const std::string& dir) {
+  return dir + "/journal.bin";
+}
+
+}  // namespace
+
 CheckpointManager::CheckpointManager(CheckpointConfig config,
                                      std::uint64_t fingerprint)
     : config_(std::move(config)), fingerprint_(fingerprint),
-      journal_(config_.dir + "/journal.bin") {
+      journal_(journal_file(config_.dir)) {
   if (config_.every == 0) {
     throw std::invalid_argument("CheckpointManager: every >= 1");
   }
 }
 
+void CheckpointManager::remove_files(const std::string& dir) {
+  for (const char generation : {'a', 'b'}) {
+    const std::string snap = snapshot_file(dir, generation);
+    std::remove(snap.c_str());
+    std::remove((snap + ".tmp").c_str());  // write_file_atomic's staging
+  }
+  std::remove(journal_file(dir).c_str());
+}
+
 std::string CheckpointManager::snapshot_path(char generation) const {
-  return config_.dir + "/snap-" + generation + ".bin";
+  return snapshot_file(config_.dir, generation);
 }
 
 std::string CheckpointManager::journal_path() const {

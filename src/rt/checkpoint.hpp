@@ -156,6 +156,11 @@ class CheckpointManager {
   [[nodiscard]] std::string snapshot_path(char generation) const;
   [[nodiscard]] std::string journal_path() const;
 
+  /// Remove a checkpoint directory's files — both snapshot generations,
+  /// their staging tmp files and the journal — so nothing in `dir` can be
+  /// resumed. Missing files are ignored; the directory itself stays.
+  static void remove_files(const std::string& dir);
+
  private:
   void crash_if(CrashPoint point, std::uint32_t round);
   [[nodiscard]] std::vector<std::byte> build_snapshot(

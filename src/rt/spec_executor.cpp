@@ -628,11 +628,11 @@ RoundStats SpeculativeExecutor::run_round(std::uint32_t m) {
     slot_finalized_.resize(take, 0);
   }
 
-  // Lane count mirrors the old parallel_for policy (at most one lane per
-  // pool worker) CAPPED by the processor-allocation setting: by default no
-  // more lanes than the machine has cores to run them (oversubscribed
-  // lanes only add draw-cursor and barrier traffic — the paper's
-  // allocation argument applied to the runtime itself). A nested call
+  // Lane count: at most one lane per pool worker, CAPPED by the
+  // processor-allocation setting: by default no more lanes than the
+  // machine has cores to run them (oversubscribed lanes only add
+  // draw-cursor and barrier traffic — the paper's allocation argument
+  // applied to the runtime itself). A nested call
   // site (inside a pool worker) cannot get concurrent lanes from the
   // pool, so it must run single-lane; after graceful degradation the
   // executor pins itself to the serial path regardless of the pool.

@@ -377,7 +377,7 @@ class SpeculativeExecutor {
   /// True when a FailurePolicy absorbs faults (retry/quarantine) instead
   /// of the legacy round-end rethrow.
   [[nodiscard]] bool absorbs_faults() const noexcept {
-    return policy_.has_value() && !policy_->rethrow_operator_errors;
+    return policy_.has_value();
   }
   /// Attempt number the next execution of `task` would be (1 + failures).
   [[nodiscard]] std::uint32_t attempt_of(TaskId task) const noexcept;

@@ -9,7 +9,6 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
-#include <cstdio>
 #include <cstring>
 #include <iostream>
 #include <sstream>
@@ -17,15 +16,13 @@
 #include <utility>
 
 #include "apps/app_spec.hpp"
+#include "apps/job.hpp"
 #include "control/factory.hpp"
 #include "graph/csr_graph.hpp"
 #include "graph/graph_io.hpp"
 #include "model/conflict_ratio.hpp"
-#include "rt/adaptive_executor.hpp"
 #include "rt/checkpoint.hpp"
-#include "rt/spec_executor.hpp"
 #include "sim/trace.hpp"
-#include "support/deadline.hpp"
 #include "support/rng.hpp"
 #include "support/snapshot/journal.hpp"
 #include "support/snapshot/snapshot.hpp"
@@ -57,57 +54,44 @@ bool file_exists(const std::string& path) {
 /// snapshots are dead disk weight (the soak test's bounded-footprint
 /// guarantee depends on this).
 void remove_job_dir(const std::string& dir) {
-  for (const char* f : {"/snap-a.bin", "/snap-b.bin", "/journal.bin",
-                        "/snap-a.bin.tmp", "/snap-b.bin.tmp"}) {
-    std::remove((dir + f).c_str());
-  }
+  CheckpointManager::remove_files(dir);
   ::rmdir(dir.c_str());
-}
-
-/// Assemble a finished run job's retained artifacts: the trace JSONL the
-/// caller already rendered, the Chrome trace export (the job span is
-/// closed first so the timeline brackets everything), and the per-job
-/// metrics JSON — the same `tel.export_metrics + render_json` document
-/// `optipar_cli run --metrics-out` writes.
-JobArtifacts collect_artifacts(std::string jsonl,
-                               telemetry::RuntimeTelemetry& tel,
-                               telemetry::SpanCollector& spans,
-                               std::size_t job_span) {
-  JobArtifacts art;
-  art.jsonl = std::move(jsonl);
-  spans.end(job_span);
-  std::ostringstream chrome;
-  spans.export_chrome(chrome);
-  art.chrome = chrome.str();
-  MetricsRegistry reg;
-  tel.export_metrics(reg);
-  std::ostringstream metrics;
-  reg.render_json(metrics);
-  art.metrics_json = metrics.str();
-  return art;
 }
 
 }  // namespace
 
 // ---------------------------------------------------------------------------
 // Scheduler-side per-job machinery. Declaration order is destruction order
-// reversed: `run` references exec/controller/checkpoint and the executor
-// holds non-owning pointers into `tel` and `graph`, so `run` must die first
-// and `graph`/`tel` last.
+// reversed: the AppJob's executor holds non-owning pointers into `tel` and
+// `graph`, so `run` must die first and `graph`/`tel` last.
 // ---------------------------------------------------------------------------
 
 struct Server::ActiveJob {
   std::shared_ptr<Job> job;
   CsrGraph graph;
-  std::unique_ptr<telemetry::RuntimeTelemetry> tel;
+  telemetry::RuntimeTelemetry tel;
   std::unique_ptr<telemetry::SpanCollector> spans;  ///< pid = job id
-  std::unique_ptr<SpeculativeExecutor> exec;
-  std::unique_ptr<Controller> controller;
-  std::unique_ptr<CheckpointManager> checkpoint;
-  std::unique_ptr<AdaptiveRun> run;
+  std::unique_ptr<AppJob> run;
   std::size_t lanes = 0;      ///< last applied per-round lane cap
   std::size_t job_span = 0;   ///< the open "job" span's handle
   bool first_step_done = false;  ///< time-to-first-round already recorded
+
+  /// The retained artifacts (DESIGN.md §15): the job's trace JSONL and
+  /// metrics document — the ones `optipar_cli run` writes — and the
+  /// Chrome trace, with the job span closed first so the timeline
+  /// brackets everything.
+  JobArtifacts artifacts() {
+    std::ostringstream jsonl;
+    run->write_trace_jsonl(jsonl);
+    spans->end(job_span);
+    std::ostringstream chrome;
+    spans->export_chrome(chrome);
+    MetricsRegistry reg;
+    run->export_metrics(reg);
+    std::ostringstream metrics;
+    reg.render_json(metrics);
+    return {jsonl.str(), chrome.str(), metrics.str()};
+  }
 };
 
 struct Server::Connection {
@@ -790,48 +774,27 @@ void Server::activate(std::uint64_t job_id) {
     const std::string text = in.str();
     in.expect_end();
 
+    std::istringstream is(text);
+    CsrGraph graph = io::read_edge_list(is);
     if (spec.kind == JobKind::kEstimate) {
       // Estimates are short and deterministic: run synchronously, no
       // checkpoint. After a crash the replayed job re-runs from scratch
       // and lands on the same mu (same seed, same trials).
-      std::istringstream is(text);
-      const CsrGraph g = io::read_edge_list(is);
       Rng rng(spec.seed);
       Rng measure = rng.split();  // mirrors optipar_cli mu's stream split
       JobResult result;
-      result.mu = find_mu(g, spec.rho, spec.steps, measure);
+      result.mu = find_mu(graph, spec.rho, spec.steps, measure);
       finish_job(job, JobState::kDone, result, {});
       return;
     }
 
     auto aj = std::make_unique<ActiveJob>();
     aj->job = job;
-    {
-      std::istringstream is(text);
-      aj->graph = io::read_edge_list(is);
-    }
-    ControllerParams params;
-    params.rho = spec.rho;
-    if (spec.m0 != 0) params.m0 = spec.m0;
-    if (spec.m_max != 0) params.m_max = spec.m_max;
-    aj->controller = optipar::make_controller(spec.controller, params);
-    if (aj->controller == nullptr) {
-      throw std::runtime_error("unknown controller '" + spec.controller +
-                               "'");
-    }
-    // The job runs the same lock-only spec and executor seed (seed*11+3)
-    // as `optipar_cli run`, so a one-lane daemon run traces
-    // byte-identically to the CLI — the resume smoke test's ground truth.
+    aj->graph = std::move(graph);
     const auto backend = sched::parse_backend(spec.scheduler);
     if (!backend) {
       throw std::runtime_error("unknown scheduler '" + spec.scheduler + "'");
     }
-    const CsrGraph* g = &aj->graph;
-    const AppSpec app = lock_only_spec(*g);
-    aj->exec = build_executor(*pool_, app, spec.seed * 11 + 3,
-                              RoundOptions{.scheduler = *backend});
-    aj->tel = std::make_unique<telemetry::RuntimeTelemetry>();
-    aj->tel->set_target_rho(spec.rho);
     // Every run job is traced (DESIGN.md §15): the collector's pid is the
     // job id, so multiple jobs' exports stay distinguishable in Perfetto.
     // The admission wait and the WAL fsync happened before the collector
@@ -853,45 +816,40 @@ void Server::activate(std::uint64_t job_id) {
       }
     }
     aj->job_span = aj->spans->begin("job", 0, spec.id, spec.steps);
-    aj->tel->set_spans(aj->spans.get());
-    aj->exec->set_telemetry(aj->tel.get());
+    aj->tel.set_spans(aj->spans.get());
 
-    const std::string dir = job_dir(spec.id);
-    make_dir(dir);
-    if (!job->recovered) {
-      // Fresh submission: job ids are never reused, but scrub anyway so a
-      // stale directory can never be silently resumed (same discipline as
-      // the CLI's non---resume path).
-      for (const char* f : {"/snap-a.bin", "/snap-b.bin", "/journal.bin",
-                            "/snap-a.bin.tmp", "/snap-b.bin.tmp"}) {
-        std::remove((dir + f).c_str());
-      }
-    }
-    CheckpointConfig ccfg;
-    ccfg.dir = dir;
-    ccfg.every = spec.checkpoint_every;
-    aj->checkpoint =
-        std::make_unique<CheckpointManager>(ccfg, graph_fingerprint(*g));
-    aj->checkpoint->set_telemetry(aj->tel.get());
-
-    AdaptiveRunConfig rcfg;
-    rcfg.max_rounds = spec.steps;
-    rcfg.before_round = app.before_round;
-    rcfg.checkpoint = aj->checkpoint.get();
-    rcfg.deadline = JobDeadline::after_ms(spec.timeout_ms);
-    rcfg.cancel = &job->cancel;
+    // The job runs the same lock-only spec and executor seed as
+    // `optipar_cli run`, so a one-lane daemon run traces byte-identically
+    // to the CLI — the resume smoke test's ground truth.
+    JobConfig cfg;
+    cfg.seed = run_executor_seed(spec.seed);
+    cfg.scheduler = *backend;
+    cfg.controller = spec.controller;
+    cfg.params.rho = spec.rho;
+    if (spec.m0 != 0) cfg.params.m0 = spec.m0;
+    if (spec.m_max != 0) cfg.params.m_max = spec.m_max;
+    cfg.max_rounds = spec.steps;
+    cfg.timeout_ms = spec.timeout_ms;
+    cfg.cancel = &job->cancel;
+    cfg.telemetry = &aj->tel;
+    // A fresh submission scrubs its directory (job ids are never reused,
+    // but a stale directory must never be silently resumed); a recovered
+    // one resumes from it.
+    cfg.checkpoint = CheckpointConfig{.dir = job_dir(spec.id),
+                                      .every = spec.checkpoint_every};
+    cfg.fingerprint = graph_fingerprint(aj->graph);
+    cfg.resume = job->recovered;
     if (spec.verify) {
       // Post-run attestation: every task accounted for and no lock leaks,
       // checked once when the drain is observed. The verdict is read in
       // the scheduler's finished branch and made durable in the WAL.
-      SpeculativeExecutor* ex = aj->exec.get();
-      rcfg.certifier = [ex, total = static_cast<std::uint64_t>(
-                                g->num_nodes())] {
-        return verify::certify_drained_run(*ex, total);
+      cfg.certifier = [total = static_cast<std::uint64_t>(
+                           aj->graph.num_nodes())](SpeculativeExecutor& ex) {
+        return verify::certify_drained_run(ex, total);
       };
     }
-    aj->run =
-        std::make_unique<AdaptiveRun>(*aj->exec, *aj->controller, rcfg);
+    aj->run = std::make_unique<AppJob>(*pool_, lock_only_spec(aj->graph),
+                                       std::move(cfg));
     if (aj->run->resumed()) {
       std::lock_guard<std::mutex> lock(jobs_mutex_);
       job->resumed = true;
@@ -935,7 +893,7 @@ void Server::scheduler_loop() {
       if (aj->lanes != lanes) {
         PipelineConfig pc;
         pc.max_lanes = lanes;
-        aj->exec->set_pipeline(pc);
+        aj->run->executor().set_pipeline(pc);
         aj->lanes = lanes;
       }
     }
@@ -944,14 +902,11 @@ void Server::scheduler_loop() {
     // is a deadline / cancellation / checkpoint point.
     for (auto it = active_.begin(); it != active_.end();) {
       ActiveJob& aj = **it;
-      bool finished = false;
+      JobResult result;
       try {
         for (std::uint32_t i = 0; i < config_.rounds_per_slice; ++i) {
           const std::uint64_t t0 = monotonic_ns();
-          if (!aj.run->step()) {
-            finished = true;
-            break;
-          }
+          if (!aj.run->step()) break;
           const std::uint64_t now = monotonic_ns();
           std::lock_guard<std::mutex> lock(lat_mutex_);
           lat_round_.record_ns(now - t0);
@@ -960,105 +915,57 @@ void Server::scheduler_loop() {
             lat_first_round_.record_ns(now - aj.job->activate_ns);
           }
         }
-      } catch (const JobInterrupted& e) {
-        const JobState state =
-            e.reason() == JobInterrupted::Reason::kDeadline
-                ? JobState::kTimedOut
-                : JobState::kCancelled;
-        JobResult result;
-        result.rounds = e.partial_trace.steps.size();
-        result.committed = e.partial_trace.total_committed();
-        result.pending = aj.exec->pending();
-        result.wasted = e.partial_trace.wasted_fraction();
-        result.mean_r = e.partial_trace.mean_conflict_ratio();
-        result.error = e.what();
-        std::ostringstream os;
-        write_trace_jsonl(os, e.partial_trace);
-        finish_job(aj.job, state, result,
-                   collect_artifacts(os.str(), *aj.tel, *aj.spans,
-                                     aj.job_span));
-        it = active_.erase(it);
-        active_count_.store(active_.size(), std::memory_order_release);
-        continue;
-      } catch (const LivelockError& e) {
-        JobResult result;
-        result.rounds = e.partial_trace.steps.size();
-        result.committed = e.partial_trace.total_committed();
-        result.pending = e.pending();
-        result.wasted = e.partial_trace.wasted_fraction();
-        result.mean_r = e.partial_trace.mean_conflict_ratio();
-        result.error = e.what();
-        std::ostringstream os;
-        write_trace_jsonl(os, e.partial_trace);
-        finish_job(aj.job, JobState::kFailed, result,
-                   collect_artifacts(os.str(), *aj.tel, *aj.spans,
-                                     aj.job_span));
-        it = active_.erase(it);
-        active_count_.store(active_.size(), std::memory_order_release);
-        continue;
       } catch (const std::exception& e) {
         // Poisoned operator / snapshot IO / anything else: quarantine the
         // job, keep the daemon and its neighbors alive.
-        JobResult result;
-        result.rounds = aj.run->trace().steps.size();
-        result.committed = aj.run->trace().total_committed();
         result.error = e.what();
-        // No partial trace rode the exception, but the spans and metrics
-        // up to the poisoning round are still worth keeping.
-        finish_job(aj.job, JobState::kFailed, result,
-                   collect_artifacts({}, *aj.tel, *aj.spans, aj.job_span));
-        it = active_.erase(it);
-        active_count_.store(active_.size(), std::memory_order_release);
-        continue;
       }
-      if (finished) {
-        // step() certified at the drain observation (AdaptiveRun's certify
-        // hook); the direct call covers the max_rounds stop, where no step
-        // ever sees finished() flip.
-        aj.run->ensure_certified();
-        const Trace trace = aj.run->take_trace();
-        JobResult result;
-        result.rounds = trace.steps.size();
-        result.committed = trace.total_committed();
-        result.pending = aj.exec->pending();
-        result.wasted = trace.wasted_fraction();
-        result.mean_r = trace.mean_conflict_ratio();
-        JobState final_state = JobState::kDone;
-        if (aj.job->spec.verify) {
-          const auto& cert = aj.run->certificate();
-          if (cert.has_value() && cert->ok()) {
-            result.verified = 1;
-            result.cert = cert->describe();
-            certified_.fetch_add(1, std::memory_order_relaxed);
-          } else {
-            // Refuted (or never produced — itself a defect): the answer
-            // must not be served as kDone.
-            result.verified = 2;
-            result.cert =
-                cert.has_value() ? cert->describe() : "no certificate";
-            result.error = "certification failed: " + result.cert;
-            final_state = JobState::kFailed;
-            cert_failed_.fetch_add(1, std::memory_order_relaxed);
-          }
-        }
-        std::ostringstream os;
-        write_trace_jsonl(os, trace);
-        telemetry::write_events_jsonl(os, aj.tel->drain_events());
-        finish_job(aj.job, final_state, result,
-                   collect_artifacts(os.str(), *aj.tel, *aj.spans,
-                                     aj.job_span));
-        it = active_.erase(it);
-        active_count_.store(active_.size(), std::memory_order_release);
-      } else {
+      const Trace& trace = aj.run->trace();
+      result.rounds = trace.steps.size();
+      result.committed = trace.total_committed();
+      result.pending = aj.run->executor().pending();
+      const std::optional<JobOutcome> outcome = aj.run->outcome();
+      if (!outcome.has_value() && result.error.empty()) {
         // Progress visible to status polls without touching the run from
         // other threads.
         std::lock_guard<std::mutex> lock(jobs_mutex_);
-        const Trace& tr = aj.run->trace();
-        aj.job->result.rounds = tr.steps.size();
-        aj.job->result.committed = tr.total_committed();
-        aj.job->result.pending = aj.exec->pending();
+        aj.job->result = result;
         ++it;
+        continue;
       }
+      result.wasted = trace.wasted_fraction();
+      result.mean_r = trace.mean_conflict_ratio();
+      JobState state = JobState::kFailed;  // poisoned, or livelocked
+      if (outcome.has_value()) {
+        result.error = aj.run->error();
+        if (*outcome == JobOutcome::kDeadline) state = JobState::kTimedOut;
+        if (*outcome == JobOutcome::kCancelled) state = JobState::kCancelled;
+        if (*outcome == JobOutcome::kDrained ||
+            *outcome == JobOutcome::kRoundCap) {
+          state = JobState::kDone;
+        }
+      }
+      if (state == JobState::kDone && aj.job->spec.verify) {
+        const auto& cert = aj.run->certificate();
+        if (cert.has_value() && cert->ok()) {
+          result.verified = 1;
+          result.cert = cert->describe();
+          certified_.fetch_add(1, std::memory_order_relaxed);
+        } else {
+          // Refuted (or never produced — itself a defect): the answer
+          // must not be served as kDone.
+          result.verified = 2;
+          result.cert = cert.has_value() ? cert->describe() : "no certificate";
+          result.error = "certification failed: " + result.cert;
+          state = JobState::kFailed;
+          cert_failed_.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+      // The rounds, spans and metrics up to the end — a poisoning round
+      // included — are worth keeping whatever the outcome.
+      finish_job(aj.job, state, result, aj.artifacts());
+      it = active_.erase(it);
+      active_count_.store(active_.size(), std::memory_order_release);
     }
   }
 

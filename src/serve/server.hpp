@@ -41,12 +41,9 @@
 #include "support/telemetry/latency_histogram.hpp"
 #include "support/thread_pool.hpp"
 
-namespace optipar {
-class Trace;
-namespace snapshot {
+namespace optipar::snapshot {
 class RoundJournal;
-}
-}  // namespace optipar
+}  // namespace optipar::snapshot
 
 namespace optipar::serve {
 

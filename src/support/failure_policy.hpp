@@ -37,11 +37,6 @@ struct FailurePolicy {
   /// body itself, not a task operator) tolerated before degrading to the
   /// serial path.
   std::uint32_t max_pool_failures = 2;
-
-  /// Legacy escape hatch: rethrow the first operator error at round end
-  /// (pre-policy behavior) instead of retry/quarantine. Rollback errors
-  /// and pool-lane errors are still salvaged first.
-  bool rethrow_operator_errors = false;
 };
 
 }  // namespace optipar

@@ -1,7 +1,6 @@
 #include "support/thread_pool.hpp"
 
 #include <algorithm>
-#include <stdexcept>
 
 namespace optipar {
 
@@ -43,22 +42,7 @@ bool ThreadPool::in_worker_context() const noexcept {
   return tl_worker_pool == this || tl_fork_depth > 0;
 }
 
-std::future<void> ThreadPool::submit(std::function<void()> task) {
-  std::packaged_task<void()> packaged(std::move(task));
-  auto future = packaged.get_future();
-  {
-    const std::lock_guard lock(wake_mutex_);
-    if (stopping_) {
-      throw std::runtime_error("ThreadPool::submit after shutdown");
-    }
-    tasks_.push(std::move(packaged));
-  }
-  wake_cv_.notify_one();
-  return future;
-}
-
 void ThreadPool::record_error() noexcept {
-  lane_errors_.fetch_add(1, std::memory_order_relaxed);
   const std::lock_guard lock(error_mutex_);
   if (!job_error_) job_error_ = std::current_exception();
 }
@@ -67,32 +51,19 @@ void ThreadPool::worker_loop(std::size_t id) {
   tl_worker_pool = this;
   std::uint64_t seen_epoch = 0;
   for (;;) {
-    // One wait point for both kinds of work. The epoch, the lane count and
-    // the callable are read together under wake_mutex_, so a worker that
-    // sat out epoch E can never pair E with E+1's lane count (which would
-    // run an E+1 lane twice and corrupt the join count). A fork-join job
-    // wins over queued one-off tasks: its dispatcher is waiting on us.
+    // Wait for a new epoch or stop. The epoch, the lane count and the
+    // callable are read together under wake_mutex_, so a worker that sat
+    // out epoch E can never pair E with E+1's lane count (which would run
+    // an E+1 lane twice and corrupt the join count).
     const WorkFnRef* fn = nullptr;
-    std::packaged_task<void()> task;
     {
       std::unique_lock lock(wake_mutex_);
-      wake_cv_.wait(lock, [&] {
-        return stopping_ || !tasks_.empty() || job_epoch_ != seen_epoch;
-      });
-      if (job_epoch_ != seen_epoch) {
-        seen_epoch = job_epoch_;
-        if (id >= job_worker_lanes_) continue;  // this job needs fewer lanes
-        fn = job_fn_;
-      } else if (!tasks_.empty()) {
-        task = std::move(tasks_.front());
-        tasks_.pop();
-      } else {
-        return;  // stopping and drained
-      }
-    }
-    if (fn == nullptr) {
-      task();
-      continue;
+      wake_cv_.wait(lock,
+                    [&] { return stopping_ || job_epoch_ != seen_epoch; });
+      if (job_epoch_ == seen_epoch) return;  // stopping
+      seen_epoch = job_epoch_;
+      if (id >= job_worker_lanes_) continue;  // this job needs fewer lanes
+      fn = job_fn_;
     }
     {
       const ForkDepthGuard nested;
@@ -112,7 +83,9 @@ void ThreadPool::worker_loop(std::size_t id) {
   }
 }
 
-void ThreadPool::fork_join(std::size_t participants, const WorkFnRef& fn) {
+void ThreadPool::run_on_workers(std::size_t k, WorkFnRef fn) {
+  // The caller participates as lane 0; workers 0..k-2 are lanes 1..k-1.
+  const std::size_t participants = std::min(k, workers_.size() + 1);
   if (participants == 0) return;
   if (participants == 1 || in_worker_context()) {
     // Single lane, or nested inside a worker/fork-join region: the resident
@@ -168,31 +141,6 @@ void ThreadPool::fork_join(std::size_t participants, const WorkFnRef& fn) {
     job_error_ = nullptr;
     std::rethrow_exception(error);
   }
-}
-
-void ThreadPool::parallel_for(std::size_t n, WorkFnRef fn, std::size_t grain) {
-  if (n == 0) return;
-  grain = std::max<std::size_t>(1, grain);
-  const std::size_t blocks = (n + grain - 1) / grain;
-  const std::size_t participants =
-      std::max<std::size_t>(1, std::min(workers_.size(), blocks));
-
-  std::atomic<std::size_t> cursor{0};
-  const auto body = [&](std::size_t) {
-    for (;;) {
-      const std::size_t begin =
-          cursor.fetch_add(grain, std::memory_order_relaxed);
-      if (begin >= n) return;
-      const std::size_t end = std::min(n, begin + grain);
-      for (std::size_t i = begin; i < end; ++i) fn(i);
-    }
-  };
-  fork_join(participants, WorkFnRef(body));
-}
-
-void ThreadPool::run_on_workers(std::size_t k, WorkFnRef fn) {
-  k = std::min(k, workers_.size() + 1);  // caller participates as lane 0
-  fork_join(k, fn);
 }
 
 }  // namespace optipar

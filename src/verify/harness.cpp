@@ -5,7 +5,6 @@
 #include <utility>
 #include <vector>
 
-#include "apps/app_spec.hpp"
 #include "apps/boruvka/boruvka.hpp"
 #include "apps/coloring/coloring.hpp"
 #include "apps/dmr/delaunay.hpp"
@@ -18,6 +17,7 @@
 #include "graph/generators.hpp"
 #include "graph/weighted_graph.hpp"
 #include "support/rng.hpp"
+#include "support/telemetry/telemetry.hpp"
 #include "verify/app_certs.hpp"
 
 namespace optipar::verify {
@@ -46,16 +46,12 @@ std::optional<AppKind> parse_app(std::string_view name) {
 
 namespace {
 
-std::unique_ptr<Controller> make_run_controller(const AppRunOptions& opt) {
+/// The processor budget is the task count: m_max = max(2, nodes).
+ControllerParams run_params(const AppRunOptions& opt) {
   ControllerParams params;
   params.rho = opt.rho;
   params.m_max = std::max<std::uint32_t>(2, opt.nodes);
-  std::unique_ptr<Controller> controller =
-      make_controller(opt.controller, params);
-  if (controller == nullptr) {
-    throw std::invalid_argument("unknown controller: " + opt.controller);
-  }
-  return controller;
+  return params;
 }
 
 /// The harness certificate = completeness (drained, no lock leaks) THEN
@@ -80,29 +76,31 @@ Certificate completeness_then(SpeculativeExecutor& ex,
   return cert;
 }
 
-/// Run `spec` to drain on the chosen backend, certified by completeness
+/// Run `spec` as a job on the chosen backend, certified by completeness
 /// and then `app_cert`, and collect the common report fields.
 AppRunReport run_spec(ThreadPool& pool, const AppRunOptions& opt,
                       const AppSpec& spec, const Certifier& app_cert) {
-  const auto ex = build_executor(pool, spec, opt.seed * 11 + 3,
-                                 RoundOptions{.scheduler = opt.scheduler});
-  if (opt.telemetry != nullptr) ex->set_telemetry(opt.telemetry);
-  auto controller = make_run_controller(opt);
-  AdaptiveRunConfig config;
+  JobConfig config;
+  config.seed = run_executor_seed(opt.seed);
+  config.scheduler = opt.scheduler;
+  config.controller = opt.controller;
+  config.params = run_params(opt);
   config.max_rounds = opt.max_rounds;
-  config.certifier = [&ex, &app_cert] {
-    return completeness_then(*ex, app_cert);
+  config.certifier = [&app_cert](SpeculativeExecutor& ex) {
+    return completeness_then(ex, app_cert);
   };
-  DrainResult drained = drain(*ex, spec, *controller, std::move(config));
+  config.telemetry = opt.telemetry;
+  AppJob job(pool, spec, std::move(config));
   AppRunReport report;
-  if (drained.certificate.has_value()) {
-    report.certificate = *drained.certificate;
-  }
-  report.trace = std::move(drained.trace);
-  report.rounds = ex->totals().rounds;
-  report.launched = ex->totals().launched;
-  report.committed = ex->totals().committed;
-  report.aborted = ex->totals().aborted;
+  report.outcome = job.run();
+  report.certificate = job.certificate().value();
+  report.trace = job.trace();
+  const ExecutorTotals& t = job.executor().totals();
+  report.rounds = t.rounds;
+  report.launched = t.launched;
+  report.committed = t.committed;
+  report.aborted = t.aborted;
+  job.export_metrics(report.metrics);
   return report;
 }
 
@@ -206,13 +204,20 @@ AppRunReport run_sp(ThreadPool& pool, const AppRunOptions& opt) {
       sp::random_ksat(opt.nodes, opt.nodes * 2, 3, rng);
   sp::SpConfig config;
   config.scheduler = opt.scheduler;
-  auto controller = make_run_controller(opt);
+  const auto controller = make_controller(opt.controller, run_params(opt));
+  if (controller == nullptr) {
+    throw std::invalid_argument("unknown controller '" + opt.controller +
+                                "'");
+  }
   const sp::SidResult result =
       sp::solve_with_sid(formula, config, rng, controller.get(), &pool);
   AppRunReport report;
   report.certificate = run_certifier(
       [&formula, &result] { return certify_sp(formula, result); },
       opt.telemetry, result.trace.steps.size());
+  // solve_with_sid runs its own executors: no executor families here.
+  if (opt.telemetry != nullptr) opt.telemetry->export_metrics(report.metrics);
+  export_certificate_metrics(report.metrics, report.certificate);
   report.trace = result.trace;
   report.rounds = report.trace.steps.size();
   for (const StepRecord& step : report.trace.steps) {

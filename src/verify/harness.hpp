@@ -12,8 +12,10 @@
 #include <string>
 #include <string_view>
 
+#include "apps/job.hpp"
 #include "sched/scheduler.hpp"
 #include "sim/trace.hpp"
+#include "support/telemetry/metrics_registry.hpp"
 #include "support/thread_pool.hpp"
 #include "verify/certifier.hpp"
 
@@ -52,8 +54,12 @@ struct AppRunOptions {
 };
 
 struct AppRunReport {
+  /// How the run ended; a livelocked run's certificate reads kNotDrained.
+  JobOutcome outcome = JobOutcome::kDrained;
   Certificate certificate;
   Trace trace;
+  /// The run's metrics document (AppJob::export_metrics).
+  MetricsRegistry metrics;
   std::uint64_t rounds = 0;
   std::uint64_t launched = 0;
   std::uint64_t committed = 0;
@@ -63,8 +69,9 @@ struct AppRunReport {
   double answer = 0.0;
 };
 
-/// Generate the app's input from (nodes, degree, seed), run it to drain
-/// under the named controller on the chosen backend, certify, and report.
+/// Generate the app's input from (nodes, degree, seed), run it as an
+/// AppJob under the named controller on the chosen backend, certify, and
+/// report.
 /// The certificate also covers completeness (kNotDrained / kLockLeak) —
 /// a run stopped by max_rounds refutes rather than passes. Throws
 /// std::invalid_argument for an unknown controller name.

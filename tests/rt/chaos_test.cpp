@@ -436,25 +436,18 @@ TEST(FailureHandling, RollbackInverseFaultIsAbsorbedTwoPhase) {
 }
 
 TEST(FailureHandling, LegacyRethrowWithoutPolicyIsPreserved) {
-  // Mirrors the long-standing contract test: without a FailurePolicy (or
-  // with rethrow_operator_errors) run_round surfaces the first error.
-  for (const bool explicit_rethrow : {false, true}) {
-    ThreadPool pool(1);
-    SpeculativeExecutor ex(
-        pool, 1,
-        [](TaskId, IterationContext&) -> void {
-          throw std::runtime_error("app bug");
-        },
-        1);
-    if (explicit_rethrow) {
-      FailurePolicy fp;
-      fp.rethrow_operator_errors = true;
-      ex.set_failure_policy(fp);
-    }
-    std::vector<TaskId> tasks{0};
-    ex.push_initial(tasks);
-    EXPECT_THROW((void)ex.run_round(1), std::runtime_error);
-  }
+  // Mirrors the long-standing contract test: without a FailurePolicy
+  // run_round surfaces the first error.
+  ThreadPool pool(1);
+  SpeculativeExecutor ex(
+      pool, 1,
+      [](TaskId, IterationContext&) -> void {
+        throw std::runtime_error("app bug");
+      },
+      1);
+  std::vector<TaskId> tasks{0};
+  ex.push_initial(tasks);
+  EXPECT_THROW((void)ex.run_round(1), std::runtime_error);
 }
 
 // ---------------------------------------------------------------------------

@@ -11,14 +11,13 @@
 
 #include <sys/stat.h>
 
-#include <cstdio>
 #include <fstream>
 #include <memory>
-#include <numeric>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "apps/app_spec.hpp"
 #include "control/baselines.hpp"
 #include "control/extra.hpp"
 #include "control/hybrid.hpp"
@@ -44,10 +43,7 @@ using snapshot::Writer;
 std::string scratch_dir(const std::string& name) {
   const std::string dir = "/tmp/optipar_ckpt_" + name;
   ::mkdir(dir.c_str(), 0755);
-  for (const char* f : {"/snap-a.bin", "/snap-b.bin", "/journal.bin",
-                        "/snap-a.bin.tmp", "/snap-b.bin.tmp"}) {
-    std::remove((dir + f).c_str());
-  }
+  CheckpointManager::remove_files(dir);
   return dir;
 }
 
@@ -77,25 +73,12 @@ void flip_byte(const std::string& path, std::size_t offset) {
 /// the configuration the byte-identity contract is defined over (the same
 /// scope as run_chaos.sh's deterministic-replay check; DESIGN.md §11).
 struct RunRig {
-  explicit RunRig(const CsrGraph& graph, std::uint64_t seed)
-      : pool(1),
-        ex(
-            pool, graph.num_nodes(),
-            [&graph](TaskId t, IterationContext& ctx) {
-              const auto v = static_cast<NodeId>(t);
-              if (!ctx.acquire(v)) return;
-              for (const NodeId u : graph.neighbors(v)) {
-                if (!ctx.acquire(u)) return;
-              }
-            },
-            seed) {
-    std::vector<TaskId> tasks(graph.num_nodes());
-    std::iota(tasks.begin(), tasks.end(), TaskId{0});
-    ex.push_initial(tasks);
-  }
+  RunRig(const CsrGraph& graph, std::uint64_t seed)
+      : owned(build_executor(pool, lock_only_spec(graph), seed)) {}
 
-  ThreadPool pool;
-  SpeculativeExecutor ex;
+  ThreadPool pool{1};
+  std::unique_ptr<SpeculativeExecutor> owned;
+  SpeculativeExecutor& ex = *owned;
 };
 
 void expect_traces_equal(const Trace& got, const Trace& want) {
@@ -182,7 +165,8 @@ TEST(SnapshotFormat, HostilePayloadsAreRejectedBeforeAllocation) {
 
 TEST(SnapshotFormat, FileCorruptionIsDetectedByKind) {
   const std::string dir = scratch_dir("filecorrupt");
-  const std::string path = dir + "/snap-a.bin";
+  const std::string path =
+      CheckpointManager(CheckpointConfig{.dir = dir}, 0).snapshot_path('a');
   Writer w;
   w.str("payload under test");
   w.u64(123456789);
@@ -243,7 +227,8 @@ TEST(SnapshotFormat, FileCorruptionIsDetectedByKind) {
 
 TEST(SnapshotFormat, MidWriteStopLeavesTargetUntouched) {
   const std::string dir = scratch_dir("midwrite");
-  const std::string path = dir + "/snap-a.bin";
+  const std::string path =
+      CheckpointManager(CheckpointConfig{.dir = dir}, 0).snapshot_path('a');
   Writer w;
   w.str("generation one");
   snapshot::write_file_atomic(path, w.bytes());
@@ -266,7 +251,8 @@ TEST(SnapshotFormat, MidWriteStopLeavesTargetUntouched) {
 
 TEST(Journal, TornTailIsTruncatedOnOpen) {
   const std::string dir = scratch_dir("torntail");
-  const std::string path = dir + "/journal.bin";
+  const std::string path =
+      CheckpointManager(CheckpointConfig{.dir = dir}, 0).journal_path();
   Writer r0;
   r0.str("record zero");
   Writer r1;
@@ -301,7 +287,8 @@ TEST(Journal, TornTailIsTruncatedOnOpen) {
 
 TEST(Journal, RewindDropsNewerRecords) {
   const std::string dir = scratch_dir("rewind");
-  const std::string path = dir + "/journal.bin";
+  const std::string path =
+      CheckpointManager(CheckpointConfig{.dir = dir}, 0).journal_path();
   {
     RoundJournal j(path);
     for (std::uint32_t i = 0; i < 5; ++i) {
@@ -551,10 +538,10 @@ TEST(RecoveryLadder, CorruptNewestFallsBackToOlderGeneration) {
     partial.checkpoint = &cp;
     (void)run_adaptive(rig.ex, controller, partial);
     ASSERT_EQ(cp.snapshots_written(), 2u);
+    // Generation a holds rounds 0-1, generation b rounds 0-3. Corrupt the
+    // newer one: the ladder must detect it and load the older.
+    flip_byte(cp.snapshot_path('b'), snapshot::kFileHeaderBytes + 2);
   }
-  // Generation a holds rounds 0-1, generation b rounds 0-3. Corrupt the
-  // newer one: the ladder must detect it and load the older.
-  flip_byte(dir + "/snap-b.bin", snapshot::kFileHeaderBytes + 2);
 
   RunRig rig(g, kSeed);
   ControllerParams params;
@@ -566,7 +553,7 @@ TEST(RecoveryLadder, CorruptNewestFallsBackToOlderGeneration) {
 
   expect_traces_equal(resumed, reference);
   ASSERT_EQ(cp.rejected_candidates().size(), 1u);
-  EXPECT_NE(cp.rejected_candidates()[0].find("snap-b.bin"),
+  EXPECT_NE(cp.rejected_candidates()[0].find(cp.snapshot_path('b')),
             std::string::npos);
 }
 
@@ -589,9 +576,10 @@ TEST(RecoveryLadder, BothGenerationsCorruptMeansCleanStart) {
     partial.max_rounds = 4;
     partial.checkpoint = &cp;
     (void)run_adaptive(rig.ex, controller, partial);
+    for (const char generation : {'a', 'b'}) {
+      flip_byte(cp.snapshot_path(generation), snapshot::kFileHeaderBytes + 1);
+    }
   }
-  flip_byte(dir + "/snap-a.bin", snapshot::kFileHeaderBytes + 1);
-  flip_byte(dir + "/snap-b.bin", snapshot::kFileHeaderBytes + 1);
 
   // Clean start must really be clean: the stale journal is rewound, and the
   // rerun reproduces the reference trace from round 0.
@@ -632,11 +620,10 @@ TEST(RecoveryLadder, CorruptSnapshotsPlusTornJournalStillStartClean) {
     partial.checkpoint = &cp;
     (void)run_adaptive(rig.ex, controller, partial);
     ASSERT_EQ(cp.snapshots_written(), 2u);
-  }
-  flip_byte(dir + "/snap-a.bin", snapshot::kFileHeaderBytes + 1);
-  flip_byte(dir + "/snap-b.bin", snapshot::kFileHeaderBytes + 1);
-  {
-    RoundJournal j(dir + "/journal.bin");
+    for (const char generation : {'a', 'b'}) {
+      flip_byte(cp.snapshot_path(generation), snapshot::kFileHeaderBytes + 1);
+    }
+    RoundJournal j(cp.journal_path());
     Writer torn;
     torn.str("round record interrupted by the crash");
     j.append_torn(torn.bytes(), 5);

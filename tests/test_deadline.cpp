@@ -12,17 +12,22 @@
 
 #include <atomic>
 #include <chrono>
-#include <cstdio>
-#include <numeric>
+#include <memory>
+#include <optional>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "apps/app_spec.hpp"
+#include "apps/job.hpp"
 #include "control/hybrid.hpp"
 #include "graph/generators.hpp"
 #include "rt/adaptive_executor.hpp"
 #include "rt/checkpoint.hpp"
 #include "rt/spec_executor.hpp"
+#include "support/telemetry/metrics_registry.hpp"
+#include "support/telemetry/telemetry.hpp"
 
 namespace optipar {
 namespace {
@@ -30,35 +35,19 @@ namespace {
 std::string scratch_dir(const std::string& name) {
   const std::string dir = "/tmp/optipar_deadline_" + name;
   ::mkdir(dir.c_str(), 0755);
-  for (const char* f : {"/snap-a.bin", "/snap-b.bin", "/journal.bin",
-                        "/snap-a.bin.tmp", "/snap-b.bin.tmp"}) {
-    std::remove((dir + f).c_str());
-  }
+  CheckpointManager::remove_files(dir);
   return dir;
 }
 
 /// Same single-lane closed-neighborhood workload the checkpoint suite uses:
 /// the byte-identity contract is defined over one lane (DESIGN.md §11).
 struct RunRig {
-  explicit RunRig(const CsrGraph& graph, std::uint64_t seed)
-      : pool(1),
-        ex(
-            pool, graph.num_nodes(),
-            [&graph](TaskId t, IterationContext& ctx) {
-              const auto v = static_cast<NodeId>(t);
-              if (!ctx.acquire(v)) return;
-              for (const NodeId u : graph.neighbors(v)) {
-                if (!ctx.acquire(u)) return;
-              }
-            },
-            seed) {
-    std::vector<TaskId> tasks(graph.num_nodes());
-    std::iota(tasks.begin(), tasks.end(), TaskId{0});
-    ex.push_initial(tasks);
-  }
+  RunRig(const CsrGraph& graph, std::uint64_t seed)
+      : owned(build_executor(pool, lock_only_spec(graph), seed)) {}
 
-  ThreadPool pool;
-  SpeculativeExecutor ex;
+  ThreadPool pool{1};
+  std::unique_ptr<SpeculativeExecutor> owned;
+  SpeculativeExecutor& ex = *owned;
 };
 
 void expect_traces_equal(const Trace& got, const Trace& want) {
@@ -306,6 +295,78 @@ TEST(Interruption, CheckpointNowMakesAnyBoundaryResumable) {
   while (run.step()) {
   }
   expect_traces_equal(run.trace(), reference);
+}
+
+// ---------------------------------------------------------------------------
+// AppJob: every outcome is recorded with its trace and metrics document
+// ---------------------------------------------------------------------------
+
+/// Sum over the samples of `family` in a Prometheus rendering; nullopt
+/// when it has none.
+std::optional<double> sum_samples(const std::string& text,
+                                  const std::string& family) {
+  std::optional<double> sum;
+  std::istringstream lines(text);
+  for (std::string line; std::getline(lines, line);) {
+    if (line.rfind(family + "{", 0) == 0) {
+      sum = sum.value_or(0.0) + std::stod(line.substr(line.rfind(' ') + 1));
+    }
+  }
+  return sum;
+}
+
+TEST(AppJob, RecordsEveryOutcomeWithItsTraceAndMetrics) {
+  const CsrGraph g = gen::union_of_cliques(60, 5);
+  for (const JobOutcome want :
+       {JobOutcome::kDrained, JobOutcome::kRoundCap, JobOutcome::kCancelled,
+        JobOutcome::kLivelock}) {
+    SCOPED_TRACE(static_cast<int>(want));
+    AppSpec spec = lock_only_spec(g);
+    if (want == JobOutcome::kLivelock) {
+      spec.op = [](TaskId, IterationContext&) { throw AbortIteration{}; };
+    }
+    std::atomic<bool> cancel{false};
+    telemetry::RuntimeTelemetry tel;
+    JobConfig config;
+    config.seed = run_executor_seed(7);
+    config.telemetry = &tel;
+    config.cancel = &cancel;
+    if (want == JobOutcome::kRoundCap) config.max_rounds = 3;
+    ThreadPool pool(1);
+    AppJob job(pool, spec, std::move(config));
+    if (want == JobOutcome::kCancelled) {
+      for (int i = 0; i < 3; ++i) ASSERT_TRUE(job.step());
+      cancel.store(true);
+    }
+    EXPECT_EQ(job.run(), want);
+    EXPECT_FALSE(job.step());  // an outcome is final
+
+    const std::uint64_t rounds = job.executor().totals().rounds;
+    EXPECT_GT(rounds, 0u);
+    EXPECT_EQ(job.trace().steps.size(), rounds);
+    if (want == JobOutcome::kRoundCap || want == JobOutcome::kCancelled) {
+      EXPECT_EQ(rounds, 3u);
+    }
+    std::ostringstream jsonl;
+    job.write_trace_jsonl(jsonl);
+    std::istringstream lines(jsonl.str());
+    std::size_t round_lines = 0;
+    std::size_t event_lines = 0;
+    for (std::string line; std::getline(lines, line);) {
+      round_lines += line.rfind("{\"type\":\"round\"", 0) == 0 ? 1 : 0;
+      event_lines += line.rfind("{\"type\":\"event\"", 0) == 0 ? 1 : 0;
+    }
+    EXPECT_EQ(round_lines, rounds);
+    EXPECT_GT(event_lines, 0u);
+
+    MetricsRegistry reg;
+    job.export_metrics(reg);
+    std::ostringstream prom;
+    reg.render_prometheus(prom);
+    const auto total = sum_samples(prom.str(), "optipar_committed_total");
+    ASSERT_TRUE(total.has_value());
+    EXPECT_EQ(total, sum_samples(prom.str(), "optipar_lane_committed_total"));
+  }
 }
 
 }  // namespace

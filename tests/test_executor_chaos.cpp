@@ -9,7 +9,6 @@
 #include <sys/stat.h>
 
 #include <atomic>
-#include <cstdio>
 #include <numeric>
 #include <string>
 #include <vector>
@@ -120,7 +119,7 @@ INSTANTIATE_TEST_SUITE_P(Sweep, ExecutorChaosTest,
 
 TEST(ExecutorChaos, OperatorExceptionsBeyondAbortPropagate) {
   // Non-AbortIteration exceptions must not be swallowed as aborts — they
-  // escape run_round (through parallel_for's future) as real errors.
+  // escape run_round as real errors.
   ThreadPool pool(1);
   SpeculativeExecutor ex(
       pool, 1,
@@ -140,9 +139,7 @@ TEST(ExecutorChaos, QuarantinedTasksAreNotReExecutedAfterRecovery) {
   // ledger itself must survive byte-for-byte.
   const std::string dir = "/tmp/optipar_ckpt_deadletter";
   ::mkdir(dir.c_str(), 0755);
-  for (const char* f : {"/snap-a.bin", "/snap-b.bin", "/journal.bin"}) {
-    std::remove((dir + f).c_str());
-  }
+  CheckpointManager::remove_files(dir);
 
   constexpr std::uint32_t kCells = 8;
   constexpr std::uint32_t kTasks = 60;

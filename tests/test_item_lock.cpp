@@ -94,16 +94,20 @@ TEST(LockManager, ManyItemsManyThreadsDisjointAcquires) {
   constexpr std::size_t kItems = 256;
   LockManager lm(kItems);
   ThreadPool pool(4);
-  pool.parallel_for(kItems, [&](std::size_t i) {
-    ASSERT_EQ(lm.acquire(static_cast<std::uint32_t>(i),
-                         static_cast<std::uint32_t>(i * 2 + 1)),
-              LockResult::kTaken);
+  // Lane L of 5 takes items L, L + 5, ...: disjoint, and interleaved so
+  // neighbouring words are hit from different threads.
+  const auto each_item = [&](const auto& fn) {
+    pool.run_on_workers(5, [&](std::size_t lane) {
+      for (std::size_t i = lane; i < kItems; i += 5) {
+        fn(static_cast<std::uint32_t>(i));
+      }
+    });
+  };
+  each_item([&](std::uint32_t i) {
+    ASSERT_EQ(lm.acquire(i, i * 2 + 1), LockResult::kTaken);
   });
   EXPECT_FALSE(lm.all_free());
-  pool.parallel_for(kItems, [&](std::size_t i) {
-    lm.release(static_cast<std::uint32_t>(i),
-               static_cast<std::uint32_t>(i * 2 + 1));
-  });
+  each_item([&](std::uint32_t i) { lm.release(i, i * 2 + 1); });
   EXPECT_TRUE(lm.all_free());
 }
 

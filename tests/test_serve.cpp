@@ -383,9 +383,17 @@ TEST(Serve, DeadlineExpiredJobStillServesArtifacts) {
 
   const auto trace = client.artifact(accepted->job, ArtifactKind::kTraceJsonl);
   EXPECT_FALSE(trace.text.empty());
+  if (status.rounds > 0) {
+    // The rounds' telemetry events survive the interruption too.
+    EXPECT_NE(trace.text.find("\"type\":\"event\""), std::string::npos);
+  }
   const auto metrics =
       client.artifact(accepted->job, ArtifactKind::kMetricsJson);
   EXPECT_FALSE(metrics.text.empty());
+  // The same metrics document `optipar_cli run` writes: executor totals
+  // beside the per-lane counters they reconcile with.
+  EXPECT_NE(metrics.text.find("\"optipar_committed_total\""),
+            std::string::npos);
 
   server.request_shutdown(false);
   server.wait();

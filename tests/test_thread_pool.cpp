@@ -6,7 +6,6 @@
 
 #include <array>
 #include <atomic>
-#include <numeric>
 #include <set>
 #include <stdexcept>
 #include <vector>
@@ -19,61 +18,6 @@ namespace {
 TEST(ThreadPool, DefaultsToAtLeastOneWorker) {
   ThreadPool pool;
   EXPECT_GE(pool.size(), 1u);
-}
-
-TEST(ThreadPool, SubmitRunsTask) {
-  ThreadPool pool(2);
-  std::atomic<int> hits{0};
-  auto f = pool.submit([&] { hits.fetch_add(1); });
-  f.get();
-  EXPECT_EQ(hits.load(), 1);
-}
-
-TEST(ThreadPool, SubmitPropagatesExceptionsThroughFuture) {
-  ThreadPool pool(2);
-  auto f = pool.submit([] { throw std::runtime_error("boom"); });
-  EXPECT_THROW((void)f.get(), std::runtime_error);
-}
-
-TEST(ThreadPool, ManySubmitsAllComplete) {
-  ThreadPool pool(4);
-  std::atomic<int> hits{0};
-  std::vector<std::future<void>> futures;
-  for (int i = 0; i < 200; ++i) {
-    futures.push_back(pool.submit([&] { hits.fetch_add(1); }));
-  }
-  for (auto& f : futures) f.get();
-  EXPECT_EQ(hits.load(), 200);
-}
-
-TEST(ThreadPool, ParallelForVisitsEveryIndexExactlyOnce) {
-  ThreadPool pool(4);
-  constexpr std::size_t kN = 10000;
-  std::vector<std::atomic<int>> visits(kN);
-  pool.parallel_for(kN, [&](std::size_t i) { visits[i].fetch_add(1); });
-  for (std::size_t i = 0; i < kN; ++i) EXPECT_EQ(visits[i].load(), 1);
-}
-
-TEST(ThreadPool, ParallelForWithGrainVisitsAll) {
-  ThreadPool pool(3);
-  constexpr std::size_t kN = 1000;
-  std::vector<std::atomic<int>> visits(kN);
-  pool.parallel_for(kN, [&](std::size_t i) { visits[i].fetch_add(1); }, 64);
-  for (std::size_t i = 0; i < kN; ++i) EXPECT_EQ(visits[i].load(), 1);
-}
-
-TEST(ThreadPool, ParallelForZeroIsNoop) {
-  ThreadPool pool(2);
-  pool.parallel_for(0, [](std::size_t) { FAIL() << "must not be called"; });
-}
-
-TEST(ThreadPool, ParallelForWorksOnSingleThreadPool) {
-  ThreadPool pool(1);
-  std::atomic<int> sum{0};
-  pool.parallel_for(100, [&](std::size_t i) {
-    sum.fetch_add(static_cast<int>(i));
-  });
-  EXPECT_EQ(sum.load(), 4950);
 }
 
 TEST(ThreadPool, RunOnWorkersGivesDistinctLaneIndices) {
@@ -94,58 +38,52 @@ TEST(ThreadPool, RunOnWorkersClampsToPoolSizePlusCaller) {
   EXPECT_EQ(count.load(), 3);  // 2 workers + calling thread
 }
 
-TEST(ThreadPool, ParallelForPropagatesLaneExceptions) {
+TEST(ThreadPool, RunOnWorkersPropagatesLaneExceptions) {
+  // A throwing lane does not stop the others: every lane runs, and the
+  // first exception reaches the caller.
   ThreadPool pool(3);
-  EXPECT_THROW(
-      pool.parallel_for(100,
-                        [&](std::size_t i) {
-                          if (i == 37) throw std::runtime_error("lane boom");
-                        }),
-      std::runtime_error);
+  std::atomic<int> ran{0};
+  const auto body = [&](std::size_t lane) {
+    ran.fetch_add(1);
+    if (lane == 2) throw std::runtime_error("lane boom");
+  };
+  EXPECT_THROW(pool.run_on_workers(4, body), std::runtime_error);
+  EXPECT_EQ(ran.load(), 4);
 }
 
-TEST(ThreadPool, NestedParallelForRunsSeriallyAndPropagatesExceptions) {
-  // A fork-join region entered from inside a lane cannot recruit the
-  // already-busy workers: it must degrade to serial execution, complete
-  // every index, and still transport exceptions out through both levels.
+TEST(ThreadPool, NestedRunOnWorkersRunsSeriallyAndPropagatesExceptions) {
+  // A dispatch entered from inside a lane cannot recruit the already-busy
+  // workers: it must degrade to serial execution, run every lane, and
+  // still transport exceptions out through both levels.
   ThreadPool pool(2);
   std::atomic<int> inner_total{0};
-  pool.parallel_for(4, [&](std::size_t) {
-    pool.parallel_for(50, [&](std::size_t i) {
-      inner_total.fetch_add(static_cast<int>(i));
+  pool.run_on_workers(3, [&](std::size_t) {
+    pool.run_on_workers(3, [&](std::size_t lane) {
+      inner_total.fetch_add(static_cast<int>(lane) + 1);
     });
   });
-  EXPECT_EQ(inner_total.load(), 4 * 1225);
+  EXPECT_EQ(inner_total.load(), 3 * 6);
 
-  EXPECT_THROW(pool.parallel_for(2,
-                                 [&](std::size_t) {
-                                   pool.parallel_for(8, [&](std::size_t i) {
-                                     if (i == 5) {
-                                       throw std::runtime_error("nested");
-                                     }
-                                   });
-                                 }),
-               std::runtime_error);
+  const auto inner = [](std::size_t lane) {
+    if (lane == 1) throw std::runtime_error("nested");
+  };
+  const auto outer = [&](std::size_t) { pool.run_on_workers(3, inner); };
+  EXPECT_THROW(pool.run_on_workers(2, outer), std::runtime_error);
 }
 
-TEST(ThreadPool, SingleWorkerPoolMakesProgressOnEveryPath) {
+TEST(ThreadPool, SingleWorkerPoolMakesProgress) {
   ThreadPool pool(1);
   std::atomic<int> sum{0};
   pool.run_on_workers(2, [&](std::size_t lane) {
     sum.fetch_add(static_cast<int>(lane) + 1);
   });
   EXPECT_EQ(sum.load(), 3);  // lanes 0 and 1 both ran
-  auto f = pool.submit([&] { sum.fetch_add(10); });
-  f.get();
-  EXPECT_EQ(sum.load(), 13);
-  pool.parallel_for(10, [&](std::size_t) { sum.fetch_add(1); });
-  EXPECT_EQ(sum.load(), 23);
 }
 
-TEST(ThreadPool, FortyThousandForkJoinsReuseResidentWorkers) {
-  // The fork-join path must not create a thread, fd, or queue entry per
-  // call — dispatch 10k parallel_for and 10k run_on_workers rounds twice
-  // and check the process' thread count stays put.
+TEST(ThreadPool, FortyThousandDispatchesReuseResidentWorkers) {
+  // A dispatch must not create a thread, fd, or queue entry per call —
+  // run 20k narrow and wide dispatches twice and check the process'
+  // thread count stays put.
   ThreadPool pool(2);
   const auto count_threads = [] {
     std::size_t n = 0;
@@ -159,7 +97,7 @@ TEST(ThreadPool, FortyThousandForkJoinsReuseResidentWorkers) {
   std::atomic<std::uint64_t> total{0};
   const auto burst = [&] {
     for (int call = 0; call < 10000; ++call) {
-      pool.parallel_for(3, [&](std::size_t) { total.fetch_add(1); });
+      pool.run_on_workers(2, [&](std::size_t) { total.fetch_add(1); });
       pool.run_on_workers(3, [&](std::size_t) { total.fetch_add(1); });
     }
   };
@@ -167,7 +105,7 @@ TEST(ThreadPool, FortyThousandForkJoinsReuseResidentWorkers) {
   const std::size_t threads_after_warmup = count_threads();
   burst();
   EXPECT_EQ(count_threads(), threads_after_warmup);
-  EXPECT_EQ(total.load(), 2u * 10000u * 6u);
+  EXPECT_EQ(total.load(), 2u * 10000u * 5u);
 }
 
 TEST(ThreadPool, AlternatingLaneCountsRunEveryLaneExactlyOnce) {

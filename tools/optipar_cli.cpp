@@ -56,8 +56,6 @@
 // trace-event JSON span timeline (job → round → phase → lane chunk),
 // viewable in Perfetto / chrome://tracing and validated by
 // scripts/check_trace.py.
-#include <sys/stat.h>
-
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -68,11 +66,9 @@
 #include <vector>
 
 #include "apps/app_spec.hpp"
-#include "control/baselines.hpp"
+#include "apps/job.hpp"
 #include "control/extra.hpp"
 #include "control/factory.hpp"
-#include "control/hybrid.hpp"
-#include "control/recurrence.hpp"
 #include "graph/generators.hpp"
 #include "graph/graph_io.hpp"
 #include "graph/relabel.hpp"
@@ -80,14 +76,11 @@
 #include "model/conflict_ratio.hpp"
 #include "model/seating.hpp"
 #include "model/theory.hpp"
-#include "rt/adaptive_executor.hpp"
 #include "rt/checkpoint.hpp"
 #include "rt/fault_injector.hpp"
-#include "rt/spec_executor.hpp"
 #include "sim/run_loop.hpp"
 #include "sim/trace.hpp"
 #include "support/csv.hpp"
-#include "support/deadline.hpp"
 #include "support/failure_policy.hpp"
 #include "support/options.hpp"
 #include "support/snapshot/snapshot.hpp"
@@ -135,9 +128,6 @@ int usage() {
   return kExitUsage;
 }
 
-// The controller factory is shared with the serve daemon
-// (control/factory.hpp): both hosts accept exactly the same names.
-
 /// Parse --scheduler for run/chaos. Unknown names report the offending
 /// value and exit 2 through the documented usage text, like unknown
 /// subcommands do.
@@ -151,52 +141,41 @@ std::optional<sched::Backend> parse_scheduler(const Options& opt) {
   return backend;
 }
 
+/// The job `run` and `profile` build from their shared flags: --seed,
+/// --controller (the factory the serve daemon shares), --rho, --m0,
+/// --m-max, --scheduler, --steps and --timeout-ms. Nullopt after an
+/// unknown name has been reported: exit 2.
+std::optional<JobConfig> closed_loop_config(const Options& opt) {
+  JobConfig config;
+  config.controller = opt.get("controller", "hybrid");
+  if (make_controller(config.controller, ControllerParams{}) == nullptr) {
+    std::cerr << "unknown --controller=" << config.controller << "\n";
+    return std::nullopt;
+  }
+  const auto backend = parse_scheduler(opt);
+  if (!backend) {
+    usage();
+    return std::nullopt;
+  }
+  config.seed = run_executor_seed(
+      static_cast<std::uint64_t>(opt.get_int("seed", 1)));
+  config.scheduler = *backend;
+  config.params.rho = opt.get_double("rho", 0.25);
+  config.params.m0 =
+      static_cast<std::uint32_t>(opt.get_int("m0", config.params.m0));
+  config.params.m_max =
+      static_cast<std::uint32_t>(opt.get_int("m-max", config.params.m_max));
+  config.max_rounds =
+      static_cast<std::uint32_t>(opt.get_int("steps", 100000));
+  config.timeout_ms = opt.get_int("timeout-ms", 0);
+  return config;
+}
+
 // --- telemetry plumbing shared by run/curve/mu/chaos -----------------------
 
 bool telemetry_requested(const Options& opt) {
   return opt.has("metrics-out") || opt.has("trace-out") ||
          opt.has("trace-chrome");
-}
-
-/// Executor-level facts that live outside the per-lane counters: totals the
-/// controller observed, dead letters, and the degradation flags.
-void export_executor_metrics(MetricsRegistry& reg,
-                             const SpeculativeExecutor& ex) {
-  using Type = MetricsRegistry::Type;
-  const ExecutorTotals& t = ex.totals();
-  // Round counters carry the scheduler backend as a label so dashboards
-  // can split abort/commit behavior by draw strategy (README "Scheduler
-  // backends"); check_metrics.py reconciles by summing over all samples,
-  // so the label is invariant-transparent.
-  const MetricsRegistry::Labels sched_label{
-      {"scheduler", sched::backend_name(ex.scheduler_backend())}};
-  reg.add("optipar_rounds_total", Type::kCounter, "Executor rounds run",
-          sched_label, static_cast<double>(t.rounds));
-  reg.add("optipar_launched_total", Type::kCounter,
-          "Speculative tasks launched", sched_label,
-          static_cast<double>(t.launched));
-  reg.add("optipar_committed_total", Type::kCounter, "Tasks committed",
-          sched_label, static_cast<double>(t.committed));
-  reg.add("optipar_aborted_total", Type::kCounter,
-          "Tasks aborted (conflicted or faulted)", sched_label,
-          static_cast<double>(t.aborted));
-  reg.add("optipar_retried_total", Type::kCounter,
-          "Faulted tasks requeued with backoff", sched_label,
-          static_cast<double>(t.retried));
-  reg.add("optipar_quarantined_total", Type::kCounter,
-          "Tasks moved to the dead-letter list", sched_label,
-          static_cast<double>(t.quarantined));
-  reg.add("optipar_dead_letters", Type::kGauge,
-          "Tasks currently quarantined", {},
-          static_cast<double>(ex.dead_letters().size()));
-  reg.add("optipar_pool_failures_total", Type::kCounter,
-          "Rounds in which a pool lane died", {},
-          static_cast<double>(ex.pool_failures()));
-  reg.add("optipar_serial_degraded", Type::kGauge,
-          "1 once the executor pinned itself to the serial path", {},
-          ex.serial_degraded() ? 1.0 : 0.0);
-  reg.add("optipar_wasted_fraction", Type::kGauge,
-          "aborted / launched over the whole run", {}, t.wasted_fraction());
 }
 
 /// Write `reg` to `path`: JSON when the extension is .json, Prometheus
@@ -224,12 +203,33 @@ void write_trace_file(const std::string& path, const Trace* trace,
   }
 }
 
-/// Write the span timeline as a Chrome trace-event JSON document.
-void write_chrome_trace_file(const std::string& path,
-                             const telemetry::SpanCollector& spans) {
-  std::ofstream os(path);
-  if (!os) throw std::runtime_error("cannot open --trace-chrome=" + path);
-  spans.export_chrome(os);
+/// Report a livelocked or interrupted job's reason on stderr.
+void report_stop(const AppJob& job) {
+  if (!job.error().empty()) std::cerr << job.error() << "\n";
+}
+
+/// Write a finished job's --metrics-out (its metrics document), --trace-out
+/// (its rounds, then its telemetry events) and --trace-chrome (`spans` as
+/// a Chrome trace-event JSON document).
+void write_job_files(const Options& opt, AppJob& job,
+                     const telemetry::SpanCollector& spans) {
+  if (opt.has("metrics-out")) {
+    MetricsRegistry reg;
+    job.export_metrics(reg);
+    write_metrics_file(opt.get("metrics-out", ""), reg);
+  }
+  if (opt.has("trace-out")) {
+    const std::string path = opt.get("trace-out", "");
+    std::ofstream os(path);
+    if (!os) throw std::runtime_error("cannot open --trace-out=" + path);
+    job.write_trace_jsonl(os);
+  }
+  if (opt.has("trace-chrome")) {
+    const std::string path = opt.get("trace-chrome", "");
+    std::ofstream os(path);
+    if (!os) throw std::runtime_error("cannot open --trace-chrome=" + path);
+    spans.export_chrome(os);
+  }
 }
 
 /// Route injector firings into the telemetry event stream. The hook runs on
@@ -552,21 +552,68 @@ int cmd_chaos(const Options& opt) {
       fp.push_back((e.first + i) % cells_n);
     }
   };
-  ThreadPool pool(threads);
-  const auto exec = build_executor(pool, spec, seed * 7 + 1,
-                                   RoundOptions{.scheduler = *backend});
-  SpeculativeExecutor& ex = *exec;
-  // --threads asks for that many lanes outright (lane-death injection
-  // needs parallel lanes even on small hosts); the core-count cap is for
-  // un-tuned production runs, not the chaos harness.
-  ex.set_pipeline({.max_lanes = threads});
 
+  telemetry::RuntimeTelemetry tel;
+  telemetry::SpanCollector spans;
+  if (opt.has("trace-chrome")) tel.set_spans(&spans);
   FaultInjector injector(fault_seed);
   injector.set_rate(FaultSite::kOperatorThrow, rate);
   injector.set_rate(FaultSite::kOperatorDelay, delay_rate);
   injector.set_rate(FaultSite::kRollbackInverse, rollback_rate);
   injector.set_rate(FaultSite::kLockAcquire, lock_rate);
   injector.set_rate(FaultSite::kPoolLane, lane_rate);
+
+  // Recovery invariant: the cells equal the sequential oracle over the
+  // tasks that were not quarantined.
+  const auto state_matches_oracle = [&](const SpeculativeExecutor& ex) {
+    std::vector<bool> quarantined(tasks_n, false);
+    for (const auto& dl : ex.dead_letters()) quarantined[dl.task] = true;
+    std::vector<std::int64_t> oracle(cells_n, 0);
+    for (std::uint32_t t = 0; t < tasks_n; ++t) {
+      if (quarantined[t]) continue;
+      for (std::uint32_t i = 0; i < effects[t].count; ++i) {
+        oracle[(effects[t].first + i) % cells_n] += effects[t].delta;
+      }
+    }
+    return cells == oracle;
+  };
+
+  JobConfig config;
+  config.seed = seed * 7 + 1;
+  config.scheduler = *backend;
+  config.params.rho = opt.get_double("rho", 0.25);
+  config.params.m0 = m0;
+  config.params.m_max = static_cast<std::uint32_t>(
+      opt.get_int("m-max", config.params.m_max));
+  config.max_rounds =
+      static_cast<std::uint32_t>(opt.get_int("rounds", 100000));
+  config.timeout_ms = opt.get_int("timeout-ms", 0);
+  if (telemetry_requested(opt)) config.telemetry = &tel;
+  // --verify: the same facts as the inline invariants, restated through the
+  // typed certifier so the verdict reaches telemetry (kCertify event,
+  // "certify" span), the metrics document and the exit-code taxonomy.
+  // Oracle divergence that the drain certificate cannot see maps to
+  // kStateCorrupt.
+  const bool do_verify = opt.get_bool("verify", false);
+  if (do_verify) {
+    config.certifier = [&](SpeculativeExecutor& ex) {
+      verify::Certificate c = verify::certify_drained_run(ex, tasks_n);
+      if (c.ok() && !state_matches_oracle(ex)) {
+        c.code = verify::CertCode::kStateCorrupt;
+        c.detail = "cells diverge from the sequential oracle";
+      } else if (c.ok()) {
+        ++c.checked;  // the oracle comparison
+      }
+      return c;
+    };
+  }
+  ThreadPool pool(threads);
+  AppJob job(pool, spec, std::move(config));
+  SpeculativeExecutor& ex = job.executor();
+  // --threads asks for that many lanes outright (lane-death injection
+  // needs parallel lanes even on small hosts); the core-count cap is for
+  // un-tuned production runs, not the chaos harness.
+  ex.set_pipeline({.max_lanes = threads});
   ex.set_fault_injector(&injector);
 
   FailurePolicy policy;
@@ -579,44 +626,16 @@ int cmd_chaos(const Options& opt) {
   policy.max_pool_failures =
       static_cast<std::uint32_t>(opt.get_int("max-pool-failures", 2));
   ex.set_failure_policy(policy);
+  if (telemetry_requested(opt)) hook_injector(injector, tel, ex);
 
-  telemetry::RuntimeTelemetry tel;
-  telemetry::SpanCollector spans;
-  if (telemetry_requested(opt)) {
-    tel.set_target_rho(opt.get_double("rho", 0.25));
-    if (opt.has("trace-chrome")) tel.set_spans(&spans);
-    ex.set_telemetry(&tel);
-    hook_injector(injector, tel, ex);
-  }
-
-  ControllerParams params;
-  params.rho = opt.get_double("rho", 0.25);
-  params.m0 = m0;
-  params.m_max =
-      static_cast<std::uint32_t>(opt.get_int("m-max", params.m_max));
-  HybridController controller(params);
-  AdaptiveRunConfig config;
-  config.max_rounds =
-      static_cast<std::uint32_t>(opt.get_int("rounds", 100000));
-  config.deadline = JobDeadline::after_ms(opt.get_int("timeout-ms", 0));
-
-  bool livelock = false;
-  Trace trace;
-  try {
-    trace = drain(ex, spec, controller, config).trace;
-  } catch (const JobInterrupted& e) {
-    // An expired --timeout-ms leaves the run incomplete by design; the
-    // recovery invariants below would fail vacuously, so report the
-    // interruption as its own typed outcome instead.
-    std::cerr << "deadline: " << e.what() << "\n";
-    return kExitDeadline;
-  } catch (const LivelockError& e) {
-    livelock = true;
-    // Keep the partial trace: the stalling round's record and the kLivelock
-    // event land in --trace-out instead of vanishing with the unwind.
-    trace = e.partial_trace;
-    std::cerr << "livelock: " << e.what() << "\n";
-  }
+  const JobOutcome outcome = job.run();
+  report_stop(job);
+  // An expired --timeout-ms leaves the run incomplete by design; the
+  // recovery invariants below would fail vacuously, so report the
+  // interruption as its own typed outcome instead.
+  if (outcome == JobOutcome::kDeadline) return kExitDeadline;
+  const bool livelock = outcome == JobOutcome::kLivelock;
+  const Trace& trace = job.trace();
 
   // Dead-letter report.
   if (!ex.dead_letters().empty()) {
@@ -629,58 +648,14 @@ int cmd_chaos(const Options& opt) {
 
   // Recovery invariants: state equals the oracle over non-quarantined
   // tasks, every task is accounted for, and no abstract lock leaked.
-  std::vector<bool> quarantined(tasks_n, false);
-  for (const auto& dl : ex.dead_letters()) quarantined[dl.task] = true;
-  std::vector<std::int64_t> oracle(cells_n, 0);
-  for (std::uint32_t t = 0; t < tasks_n; ++t) {
-    if (quarantined[t]) continue;
-    for (std::uint32_t i = 0; i < effects[t].count; ++i) {
-      oracle[(effects[t].first + i) % cells_n] += effects[t].delta;
-    }
-  }
-  const bool state_ok = cells == oracle;
+  const bool state_ok = state_matches_oracle(ex);
   const std::size_t lock_leaks = ex.locks().owned_count();
   const bool accounted =
       ex.totals().committed + ex.dead_letters().size() == tasks_n;
   const bool ok =
       state_ok && lock_leaks == 0 && (accounted || livelock) && !livelock;
-
-  // --verify: the same facts as the inline invariants, restated through the
-  // typed certifier so the verdict reaches telemetry (kCertify event,
-  // "certify" span) and the exit-code taxonomy. Oracle divergence that the
-  // drain certificate cannot see maps to kStateCorrupt.
-  const bool do_verify = opt.get_bool("verify", false);
-  std::optional<verify::Certificate> cert;
-  if (do_verify) {
-    cert = verify::run_certifier(
-        [&ex, &state_ok, tasks_n] {
-          verify::Certificate c = verify::certify_drained_run(ex, tasks_n);
-          if (c.ok() && !state_ok) {
-            c.code = verify::CertCode::kStateCorrupt;
-            c.detail = "cells diverge from the sequential oracle";
-          } else if (c.ok()) {
-            ++c.checked;  // the oracle comparison above
-          }
-          return c;
-        },
-        telemetry_requested(opt) ? &tel : nullptr,
-        static_cast<std::uint64_t>(trace.steps.size()));
-  }
-
-  if (opt.has("metrics-out")) {
-    MetricsRegistry reg;
-    tel.export_metrics(reg);
-    export_executor_metrics(reg, ex);
-    if (cert.has_value()) verify::export_certificate_metrics(reg, *cert);
-    write_metrics_file(opt.get("metrics-out", ""), reg);
-  }
-  if (opt.has("trace-out")) {
-    write_trace_file(opt.get("trace-out", ""), &trace,
-                     telemetry_requested(opt) ? &tel : nullptr);
-  }
-  if (opt.has("trace-chrome")) {
-    write_chrome_trace_file(opt.get("trace-chrome", ""), spans);
-  }
+  const auto& cert = job.certificate();
+  write_job_files(opt, job, spans);
 
   std::cout << "CHAOS"
             << " fault_seed=" << fault_seed << " fault_rate=" << rate
@@ -748,7 +723,6 @@ int cmd_run_app(const Options& opt) {
       static_cast<std::uint32_t>(opt.get_int("steps", 200000));
 
   telemetry::RuntimeTelemetry tel;
-  tel.set_target_rho(options.rho);
   if (telemetry_requested(opt)) options.telemetry = &tel;
 
   ThreadPool pool(static_cast<std::size_t>(opt.get_int("threads", 4)));
@@ -756,14 +730,15 @@ int cmd_run_app(const Options& opt) {
       verify::run_app_certified(*app, pool, options);
 
   if (opt.has("metrics-out")) {
-    MetricsRegistry reg;
-    tel.export_metrics(reg);
-    verify::export_certificate_metrics(reg, report.certificate);
-    write_metrics_file(opt.get("metrics-out", ""), reg);
+    write_metrics_file(opt.get("metrics-out", ""), report.metrics);
   }
   if (opt.has("trace-out")) {
     write_trace_file(opt.get("trace-out", ""), &report.trace,
                      telemetry_requested(opt) ? &tel : nullptr);
+  }
+  if (report.outcome == JobOutcome::kLivelock) {
+    std::cerr << "livelock: " << report.certificate.describe() << "\n";
+    return kExitLivelock;
   }
 
   const verify::Certificate& cert = report.certificate;
@@ -795,105 +770,55 @@ int cmd_run(const Options& opt) {
   // observes every phase.
   Rng rng(opt.get_int("seed", 1));
   const auto g = load_graph(opt, rng);
-  const auto threads = static_cast<std::size_t>(opt.get_int("threads", 4));
-  const auto seed = static_cast<std::uint64_t>(opt.get_int("seed", 1));
-
-  ControllerParams params;
-  params.rho = opt.get_double("rho", 0.25);
-  params.m0 = static_cast<std::uint32_t>(opt.get_int("m0", params.m0));
-  params.m_max =
-      static_cast<std::uint32_t>(opt.get_int("m-max", params.m_max));
+  // --timeout-ms is checked at round boundaries (the same JobDeadline the
+  // serve daemon applies per job). Expiry exits with kExitDeadline after a
+  // forced checkpoint when --checkpoint-dir is armed, so a timed-out run
+  // is resumable with --resume.
+  std::optional<JobConfig> job_config = closed_loop_config(opt);
+  if (!job_config) return kExitUsage;
+  JobConfig& config = *job_config;
   if (opt.get_bool("warm-start", false)) {
-    params = with_warm_start(params, g.num_nodes(), g.average_degree());
+    config.params =
+        with_warm_start(config.params, g.num_nodes(), g.average_degree());
   }
-  const std::string name = opt.get("controller", "hybrid");
-  std::unique_ptr<Controller> controller = make_controller(name, params);
-  if (!controller) {
-    std::cerr << "unknown --controller=" << name << "\n";
-    return 2;
-  }
-  const auto backend = parse_scheduler(opt);
-  if (!backend) return usage();
-
-  ThreadPool pool(threads);
-  const AppSpec spec = lock_only_spec(g);
-  const auto exec = build_executor(pool, spec, seed * 11 + 3,
-                                   RoundOptions{.scheduler = *backend});
-  SpeculativeExecutor& ex = *exec;
 
   telemetry::RuntimeTelemetry tel;
-  tel.set_target_rho(params.rho);
   // Span tracing is explicit opt-in: the collector's extra clock reads sit
   // outside the plain-telemetry overhead budget the sentinel enforces.
   telemetry::SpanCollector spans;
   if (opt.has("trace-chrome")) tel.set_spans(&spans);
-  ex.set_telemetry(&tel);  // `run` exists to observe: always attached
+  config.telemetry = &tel;  // `run` exists to observe: always attached
 
-  AdaptiveRunConfig config;
-  config.max_rounds =
-      static_cast<std::uint32_t>(opt.get_int("steps", 100000));
-  // Wall-clock budget, checked at round boundaries (the same JobDeadline
-  // the serve daemon applies per job). Expiry exits with kExitDeadline
-  // after a forced checkpoint when --checkpoint-dir is armed, so a timed-
-  // out run is resumable with --resume.
-  config.deadline = JobDeadline::after_ms(opt.get_int("timeout-ms", 0));
-
-  std::unique_ptr<CheckpointManager> checkpoint;
   if (opt.has("checkpoint-dir")) {
-    const std::string dir = opt.get("checkpoint-dir", "");
-    ::mkdir(dir.c_str(), 0755);  // best effort; the journal open reports
-    if (!opt.get_bool("resume", false)) {
-      // A fresh (non---resume) run must not inherit a previous run's
-      // snapshots: silently resuming someone else's state would be the
-      // "silently wrong" failure mode the ladder exists to prevent.
-      for (const char* f : {"/snap-a.bin", "/snap-b.bin", "/journal.bin",
-                            "/snap-a.bin.tmp", "/snap-b.bin.tmp"}) {
-        std::remove((dir + f).c_str());
-      }
-    }
-    CheckpointConfig ccfg;
-    ccfg.dir = dir;
-    ccfg.every =
-        static_cast<std::uint32_t>(opt.get_int("checkpoint-every", 8));
-    ccfg.crash_point = parse_crash_point(opt.get("crash-point", "none"));
-    ccfg.crash_round =
-        static_cast<std::uint32_t>(opt.get_int("crash-round", 0));
-    checkpoint = std::make_unique<CheckpointManager>(ccfg,
-                                                     graph_fingerprint(g));
-    checkpoint->set_telemetry(&tel);
-    config.checkpoint = checkpoint.get();
+    config.checkpoint = CheckpointConfig{
+        .dir = opt.get("checkpoint-dir", ""),
+        .every = static_cast<std::uint32_t>(opt.get_int("checkpoint-every", 8)),
+        .crash_point = parse_crash_point(opt.get("crash-point", "none")),
+        .crash_round =
+            static_cast<std::uint32_t>(opt.get_int("crash-round", 0))};
+    config.fingerprint = graph_fingerprint(g);
+    config.resume = opt.get_bool("resume", false);
   }
 
   // --verify: certify the drained run (every task accounted for, no lock
-  // leaks) through the AdaptiveRun certify hook; the verdict lands in the
-  // telemetry stream (kCertify event + "certify" span) and the summary
-  // line, and a refuted certificate exits 8. Off-path stays byte-identical:
-  // drain() steps the same loop as run_adaptive.
+  // leaks); the verdict lands in the telemetry stream (kCertify event +
+  // "certify" span), the summary line and the metrics document, and a
+  // refuted certificate exits 8. Off-path stays byte-identical.
   const bool do_verify = opt.get_bool("verify", false);
   if (do_verify) {
-    config.certifier = [&ex, total = static_cast<std::uint64_t>(
-                                 g.num_nodes())] {
+    config.certifier = [total = static_cast<std::uint64_t>(g.num_nodes())](
+                           SpeculativeExecutor& ex) {
       return verify::certify_drained_run(ex, total);
     };
   }
 
-  bool livelock = false;
-  bool deadline_exceeded = false;
-  Trace trace;
-  std::optional<verify::Certificate> cert;
-  try {
-    DrainResult drained = drain(ex, spec, *controller, std::move(config));
-    cert = std::move(drained.certificate);
-    trace = std::move(drained.trace);
-  } catch (const LivelockError& e) {
-    livelock = true;
-    trace = e.partial_trace;
-    std::cerr << "livelock: " << e.what() << "\n";
-  } catch (const JobInterrupted& e) {
-    deadline_exceeded = true;
-    trace = e.partial_trace;
-    std::cerr << "deadline: " << e.what() << "\n";
-  }
+  ThreadPool pool(static_cast<std::size_t>(opt.get_int("threads", 4)));
+  const AppSpec spec = lock_only_spec(g);
+  AppJob job(pool, spec, std::move(config));
+  const JobOutcome outcome = job.run();
+  report_stop(job);
+  const Trace& trace = job.trace();
+  const auto& cert = job.certificate();
 
   Table t({"step", "m", "launched", "committed", "aborted", "pending", "r"});
   for (const auto& s : trace.steps) {
@@ -907,11 +832,11 @@ int cmd_run(const Options& opt) {
   }
   t.print(std::cout);
   std::cout << "rounds=" << trace.steps.size()
-            << " committed=" << ex.totals().committed
+            << " committed=" << job.executor().totals().committed
             << " wasted=" << trace.wasted_fraction()
             << " mean_r=" << trace.mean_conflict_ratio()
-            << " drained=" << (ex.done() ? 1 : 0)
-            << " livelock=" << (livelock ? 1 : 0);
+            << " drained=" << (job.executor().done() ? 1 : 0)
+            << " livelock=" << (outcome == JobOutcome::kLivelock ? 1 : 0);
   if (do_verify) {
     std::cout << " certified="
               << (cert.has_value()
@@ -923,20 +848,9 @@ int cmd_run(const Options& opt) {
     std::cerr << "certification failed: " << cert->describe() << "\n";
   }
   if (opt.has("csv")) t.write_csv(opt.get("csv", "run.csv"));
-  if (opt.has("metrics-out")) {
-    MetricsRegistry reg;
-    tel.export_metrics(reg);
-    export_executor_metrics(reg, ex);
-    write_metrics_file(opt.get("metrics-out", ""), reg);
-  }
-  if (opt.has("trace-out")) {
-    write_trace_file(opt.get("trace-out", ""), &trace, &tel);
-  }
-  if (opt.has("trace-chrome")) {
-    write_chrome_trace_file(opt.get("trace-chrome", ""), spans);
-  }
-  if (livelock) return kExitLivelock;
-  if (deadline_exceeded) return kExitDeadline;
+  write_job_files(opt, job, spans);
+  if (outcome == JobOutcome::kLivelock) return kExitLivelock;
+  if (outcome == JobOutcome::kDeadline) return kExitDeadline;
   if (do_verify && (!cert.has_value() || !cert->ok())) {
     return kExitCertification;
   }
@@ -951,31 +865,10 @@ int cmd_profile(const Options& opt) {
   // reproducible run-to-run (the CI trace-smoke job diffs two runs).
   Rng rng(opt.get_int("seed", 1));
   const auto g = load_graph(opt, rng);
-  const auto threads = static_cast<std::size_t>(opt.get_int("threads", 4));
-  const auto seed = static_cast<std::uint64_t>(opt.get_int("seed", 1));
-
-  ControllerParams params;
-  params.rho = opt.get_double("rho", 0.25);
-  params.m0 = static_cast<std::uint32_t>(opt.get_int("m0", params.m0));
-  params.m_max =
-      static_cast<std::uint32_t>(opt.get_int("m-max", params.m_max));
-  const std::string name = opt.get("controller", "hybrid");
-  std::unique_ptr<Controller> controller = make_controller(name, params);
-  if (!controller) {
-    std::cerr << "unknown --controller=" << name << "\n";
-    return 2;
-  }
-  const auto backend = parse_scheduler(opt);
-  if (!backend) return usage();
-
-  ThreadPool pool(threads);
-  const AppSpec spec = lock_only_spec(g);
-  const auto exec = build_executor(pool, spec, seed * 11 + 3,
-                                   RoundOptions{.scheduler = *backend});
-  SpeculativeExecutor& ex = *exec;
+  std::optional<JobConfig> config = closed_loop_config(opt);
+  if (!config) return kExitUsage;
 
   telemetry::RuntimeTelemetry tel;
-  tel.set_target_rho(params.rho);
   telemetry::ConflictProfiler prof(
       g.num_nodes(),
       static_cast<std::uint32_t>(opt.get_int("sample-period", 1)));
@@ -983,29 +876,21 @@ int cmd_profile(const Options& opt) {
   for (NodeId v = 0; v < g.num_nodes(); ++v) degrees[v] = g.degree(v);
   prof.set_degrees(std::move(degrees));
   tel.set_profiler(&prof);
-  ex.set_telemetry(&tel);
+  config->telemetry = &tel;
 
-  AdaptiveRunConfig config;
-  config.max_rounds =
-      static_cast<std::uint32_t>(opt.get_int("steps", 100000));
-  config.deadline = JobDeadline::after_ms(opt.get_int("timeout-ms", 0));
-
-  Trace trace;
-  try {
-    trace = drain(ex, spec, *controller, config).trace;
-  } catch (const LivelockError& e) {
-    trace = e.partial_trace;
-    std::cerr << "livelock: " << e.what() << "\n";
-  } catch (const JobInterrupted& e) {
-    trace = e.partial_trace;
-    std::cerr << "deadline: " << e.what() << "\n";
-  }
+  ThreadPool pool(static_cast<std::size_t>(opt.get_int("threads", 4)));
+  const AppSpec spec = lock_only_spec(g);
+  AppJob job(pool, spec, std::move(*config));
+  (void)job.run();
+  report_stop(job);
+  const Trace& trace = job.trace();
 
   const auto k = static_cast<std::size_t>(opt.get_int("top", 16));
   prof.write_report(std::cout, k);
-  std::cout << "scheduler=" << sched::backend_name(ex.scheduler_backend())
+  std::cout << "scheduler="
+            << sched::backend_name(job.executor().scheduler_backend())
             << " rounds=" << trace.steps.size()
-            << " committed=" << ex.totals().committed
+            << " committed=" << job.executor().totals().committed
             << " mean_r=" << trace.mean_conflict_ratio()
             << " top" << k << "_share=" << prof.top_share(k) << "\n";
   if (opt.has("out")) {
@@ -1021,26 +906,19 @@ int cmd_metrics(const Options& opt) {
   // Scrape-surface demo: run a small deterministic workload with telemetry
   // attached and print the export. The counter values are reproducible
   // (fixed seed, fixed graph); the phase timings naturally are not.
-  const auto threads = static_cast<std::size_t>(opt.get_int("threads", 2));
-  const auto seed = static_cast<std::uint64_t>(opt.get_int("seed", 12345));
   const CsrGraph g = gen::union_of_cliques(60, 5);
-
-  ThreadPool pool(threads);
-  const AppSpec spec = lock_only_spec(g);
-  const auto ex = build_executor(pool, spec, seed);
-
   telemetry::RuntimeTelemetry tel;
-  tel.set_target_rho(0.25);
-  ex->set_telemetry(&tel);
-
-  ControllerParams params;
-  params.rho = 0.25;
-  HybridController controller(params);
-  (void)drain(*ex, spec, controller);
+  JobConfig config;
+  config.seed = static_cast<std::uint64_t>(opt.get_int("seed", 12345));
+  config.params.rho = 0.25;
+  config.telemetry = &tel;
+  ThreadPool pool(static_cast<std::size_t>(opt.get_int("threads", 2)));
+  const AppSpec spec = lock_only_spec(g);
+  AppJob job(pool, spec, std::move(config));
+  (void)job.run();
 
   MetricsRegistry reg;
-  tel.export_metrics(reg);
-  export_executor_metrics(reg, *ex);
+  job.export_metrics(reg);
   const std::string format = opt.get("format", "prometheus");
   if (format == "json") {
     reg.render_json(std::cout);
