@@ -2,7 +2,8 @@
 # Build the concurrency-critical test binaries under ThreadSanitizer
 # (CMake preset "tsan") and run them. Any data race, lock-order inversion,
 # or racy signal in the fork-join pool, the sharded speculative executor,
-# or the abstract lock table fails this script.
+# or the abstract lock table fails this script. test_verify drains all seven
+# app kernels on a two-worker pool, so their abort paths run on two lanes.
 set -euo pipefail
 
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
@@ -16,7 +17,7 @@ export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1 second_deadlock_stack=1}"
 status=0
 for bin in test_spec_executor test_executor_chaos test_thread_pool \
            test_item_lock test_deadline test_serve test_scheduler \
-           chaos_test pipeline_stress_test; do
+           test_verify chaos_test pipeline_stress_test; do
   echo "== tsan: $bin =="
   if ! "build-tsan/tests/$bin"; then
     status=1

@@ -79,59 +79,38 @@ TaskOperator make_boruvka_operator(ContractionGraph& graph) {
     if (!best.has_value()) {
       // Isolated supernode: its component's MST is complete.
       graph.set_alive(v, false);
-      ctx.on_abort([&graph, v] { graph.set_alive(v, true); });
       return;
     }
     const NodeId u = best->v;
     const double w = best->w;
     if (!ctx.acquire(u)) return;
 
-    // Snapshot v's neighborhood, then merge it into u. Every neighbor's
-    // adjacency is rewritten, so each must be acquired first.
-    const std::vector<std::pair<NodeId, double>> nbrs(
-        graph.adjacency(v).begin(), graph.adjacency(v).end());
+    // Merge v's neighborhood into u. Every neighbor's adjacency is
+    // rewritten, so each is acquired before the first write.
+    const auto& nbrs = graph.adjacency(v);
     for (const auto& [x, wx] : nbrs) {
       if (!ctx.acquire(x)) return;
     }
 
+    // The loop writes only neighbors' maps (no self-loops: x != v, u != v),
+    // so iterating v's own map while merging is safe.
     for (const auto& [x, wx] : nbrs) {
       auto& adj_x = graph.mutable_adjacency(x);
       adj_x.erase(v);
-      ctx.on_abort([&graph, x, v = v, wx] {
-        graph.mutable_adjacency(x)[v] = wx;
-      });
       if (x == u) continue;
       // x gains (or keeps the lighter of) an edge to u, mirrored in u.
-      auto& adj_u = graph.mutable_adjacency(u);
       const auto old_xu = adj_x.find(u);
-      const double previous =
-          old_xu == adj_x.end() ? -1.0 : old_xu->second;  // -1 = absent
       if (old_xu == adj_x.end() || wx < old_xu->second) {
         adj_x[u] = wx;
-        adj_u[x] = wx;
-        ctx.on_abort([&graph, x, u, previous] {
-          if (previous < 0.0) {
-            graph.mutable_adjacency(x).erase(u);
-            graph.mutable_adjacency(u).erase(x);
-          } else {
-            graph.mutable_adjacency(x)[u] = previous;
-            graph.mutable_adjacency(u)[x] = previous;
-          }
-        });
+        graph.mutable_adjacency(u)[x] = wx;
       }
     }
-    // v's own adjacency empties out; restore it wholesale on abort. The
-    // closure takes the map by move: a commit must not copy it.
-    auto saved = std::move(graph.mutable_adjacency(v));
-    graph.mutable_adjacency(v).clear();
-    ctx.on_abort([&graph, v, saved = std::move(saved)]() mutable {
-      graph.mutable_adjacency(v) = std::move(saved);
-    });
+    // v is gone: release its map's storage (clear() would keep the
+    // bucket array).
+    std::unordered_map<NodeId, double>().swap(graph.mutable_adjacency(v));
 
     graph.record_choice(v, w, true);
-    ctx.on_abort([&graph, v] { graph.record_choice(v, 0.0, false); });
     graph.set_alive(v, false);
-    ctx.on_abort([&graph, v] { graph.set_alive(v, true); });
 
     ctx.push(u);  // the merged supernode needs another pass
   };

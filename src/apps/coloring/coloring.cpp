@@ -49,7 +49,6 @@ TaskOperator make_coloring_operator(const CsrGraph& graph,
     while (chosen < taken.size() && taken[chosen]) ++chosen;
 
     state.set_color(v, chosen);
-    ctx.on_abort([&state, v] { state.set_color(v, kUncolored); });
   };
 }
 

@@ -2,7 +2,9 @@
 // color absent from its neighborhood. The neighborhood must be read
 // atomically (all neighbor locks held), otherwise two adjacent nodes could
 // pick the same color — exactly the conflict optimistic parallelization
-// detects and rolls back. Always uses at most max_degree + 1 colors.
+// detects and aborts. The one write (v's color) follows the last acquire,
+// so an aborted task has written nothing. Always uses at most
+// max_degree + 1 colors.
 #pragma once
 
 #include <cstdint>

@@ -1,6 +1,7 @@
 #include "apps/dmr/delaunay.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <stdexcept>
 #include <unordered_map>
@@ -25,9 +26,6 @@ InsertResult insert_point(Mesh& mesh, PointId p, TriId seed,
 
   auto touch = [&](TriId t) {
     if (hooks != nullptr && hooks->touch) hooks->touch(t);
-  };
-  auto on_undo = [&](std::function<void()> inverse) {
-    if (hooks != nullptr && hooks->on_undo) hooks->on_undo(std::move(inverse));
   };
 
   // ---- Phase 1: read-only cavity discovery --------------------------
@@ -80,32 +78,27 @@ InsertResult insert_point(Mesh& mesh, PointId p, TriId seed,
     if (orient2d(pt, mesh.point(e.a), mesh.point(e.b)) <= 0) return result;
   }
 
-  // ---- Phase 2: mutation ---------------------------------------------
-  for (const TriId t : cavity) {
-    mesh.kill_triangle(t);
-    on_undo([&mesh, t] { mesh.revive_triangle(t); });
-  }
-
-  // Fan around p: new triangle (p, a, b) per boundary edge. Slot layout:
+  // Fan around p: new triangle (p, a, b) per boundary edge, claimed in one
+  // arena call so that a full arena throws before the first write. Slot
+  // layout:
   //   v = {p, a, b};  nbr[0] (opposite p) = outer,
   //   nbr[1] (edge b–p) = fan sibling with a' == b,
   //   nbr[2] (edge p–a) = fan sibling with b' == a.
+  std::vector<std::array<PointId, 3>> fan;
+  fan.reserve(boundary.size());
+  for (const auto& e : boundary) fan.push_back({p, e.a, e.b});
+  const TriId first = mesh.create_triangles(fan);
+
+  // ---- Phase 2: mutation ---------------------------------------------
+  for (const TriId t : cavity) mesh.kill_triangle(t);
   std::unordered_map<PointId, TriId> by_a;  // edge's a-vertex -> triangle
   std::unordered_map<PointId, TriId> by_b;
   result.created.reserve(boundary.size());
-  for (const auto& e : boundary) {
-    const TriId nt = mesh.create_triangle(p, e.a, e.b);
-    on_undo([&mesh, nt] { mesh.kill_triangle(nt); });
+  for (std::size_t i = 0; i < boundary.size(); ++i) {
+    const auto& e = boundary[i];
+    const auto nt = static_cast<TriId>(first + i);
     mesh.set_neighbor(nt, 0, e.outer);
-    if (e.outer != kNoNeighbor) {
-      const TriId old = mesh.neighbor(e.outer, e.outer_slot);
-      mesh.set_neighbor(e.outer, e.outer_slot, nt);
-      const TriId outer = e.outer;
-      const int slot = e.outer_slot;
-      on_undo([&mesh, outer, slot, old] {
-        mesh.set_neighbor(outer, slot, old);
-      });
-    }
+    if (e.outer != kNoNeighbor) mesh.set_neighbor(e.outer, e.outer_slot, nt);
     by_a[e.a] = nt;
     by_b[e.b] = nt;
     result.created.push_back(nt);
@@ -173,8 +166,8 @@ std::vector<PointId> build_delaunay(Mesh& mesh, std::span<const Point2> pts,
   const double cy = 0.5 * (min_y + max_y);
   const double r = 32.0 * span;
 
-  // Generous arenas: construction needs ~2·n triangles; refinement and
-  // rollback garbage need headroom (see Mesh::reserve's concurrency note).
+  // Generous arenas: construction needs ~2·n triangles; refinement needs
+  // headroom (see Mesh::reserve's concurrency note).
   const auto budget = static_cast<std::size_t>(
       extra_capacity_factor * (8.0 * static_cast<double>(pts.size()) + 64.0));
   mesh.reserve(budget, 4 * budget);

@@ -1,8 +1,9 @@
 // Bowyer–Watson incremental Delaunay triangulation. One insertion routine
 // serves both the sequential construction of the initial mesh and the
 // speculative refinement operator: the InsertHooks let the speculative
-// caller acquire abstract locks on every triangle the insertion visits and
-// register rollback actions for every mutation.
+// caller acquire abstract locks on every triangle the insertion visits,
+// all before the first mutation, so an aborted insertion has written
+// nothing.
 #pragma once
 
 #include <cstdint>
@@ -22,8 +23,6 @@ struct InsertHooks {
   /// Called before the insertion first reads or writes a triangle; may
   /// throw (AbortIteration) to cancel the insertion before any mutation.
   std::function<void(TriId)> touch;
-  /// Register the inverse of a mutation just performed.
-  std::function<void(std::function<void()>)> on_undo;
   /// A freshly created triangle (reported after full wiring).
   std::function<void(TriId)> created;
 };
@@ -43,7 +42,9 @@ struct InsertResult {
 /// IMPORTANT phase discipline: all reads (cavity discovery) happen before
 /// the first mutation, and `touch` has been called on every triangle that
 /// will be read or written, so a speculative abort during discovery needs
-/// no rollback at all.
+/// no rollback at all. The fan's triangle slots are claimed in one arena
+/// call after discovery, so a full arena throws std::length_error before
+/// the first write too.
 InsertResult insert_point(Mesh& mesh, PointId p, TriId seed,
                           const InsertHooks* hooks = nullptr);
 

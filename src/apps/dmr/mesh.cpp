@@ -31,25 +31,24 @@ std::size_t Mesh::num_points() const {
 }
 
 TriId Mesh::create_triangle(PointId a, PointId b, PointId c) {
-  Triangle t;
-  t.v = {a, b, c};
-  t.alive = true;
+  const std::array<PointId, 3> corners{a, b, c};
+  return create_triangles({&corners, 1});
+}
+
+TriId Mesh::create_triangles(std::span<const std::array<PointId, 3>> corners) {
   const std::lock_guard lock(arena_);
-  if (max_triangles_ != 0 && tris_.size() >= max_triangles_) {
+  if (max_triangles_ != 0 &&
+      corners.size() > max_triangles_ - tris_.size()) {
     throw std::length_error("Mesh: triangle capacity exhausted");
   }
-  tris_.push_back(t);
-  return static_cast<TriId>(tris_.size() - 1);
+  const auto first = static_cast<TriId>(tris_.size());
+  for (const auto& v : corners) tris_.push_back({.v = v, .alive = true});
+  return first;
 }
 
 void Mesh::kill_triangle(TriId t) {
   if (!tris_[t].alive) throw std::logic_error("kill_triangle: already dead");
   tris_[t].alive = false;
-}
-
-void Mesh::revive_triangle(TriId t) {
-  if (tris_[t].alive) throw std::logic_error("revive_triangle: alive");
-  tris_[t].alive = true;
 }
 
 std::size_t Mesh::num_triangle_slots() const {

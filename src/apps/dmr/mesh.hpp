@@ -9,6 +9,7 @@
 #include <array>
 #include <cstdint>
 #include <mutex>
+#include <span>
 #include <vector>
 
 #include "apps/dmr/geometry.hpp"
@@ -47,10 +48,12 @@ class Mesh {
   // ----- triangles ---------------------------------------------------
   /// Allocate an alive triangle (thread-safe). Vertices must be CCW.
   TriId create_triangle(PointId a, PointId b, PointId c);
-  /// Mark dead; adjacency of the corpse is preserved for rollback.
+  /// Allocate one alive triangle per corner triple in one arena call
+  /// (thread-safe) and return the first id; the rest follow it. Throws
+  /// std::length_error, allocating none, when they do not all fit.
+  TriId create_triangles(std::span<const std::array<PointId, 3>> corners);
+  /// Mark dead. Slots are never reused, so the id stays a valid lock item.
   void kill_triangle(TriId t);
-  /// Rollback helper: resurrect a killed triangle.
-  void revive_triangle(TriId t);
 
   [[nodiscard]] bool is_alive(TriId t) const { return tris_[t].alive; }
   [[nodiscard]] const Triangle& tri(TriId t) const { return tris_[t]; }

@@ -140,9 +140,6 @@ AppSpec make_spec(Mesh& mesh, const RefineQuality& q) {
     hooks.touch = [&ctx](TriId tri) {
       if (!ctx.acquire(tri)) throw AbortIteration{};
     };
-    hooks.on_undo = [&ctx](std::function<void()> inverse) {
-      ctx.on_abort(std::move(inverse));
-    };
     const auto created = refine_one(mesh, t, q, &hooks);
     for (const TriId nt : created) {
       if (is_bad(mesh, nt, q)) ctx.push(nt);

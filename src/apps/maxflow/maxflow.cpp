@@ -167,7 +167,8 @@ AppSpec make_spec(FlowNetwork& net, PushRelabelState& state, NodeId s,
     if (state.excess(v) <= 0.0) return;  // discharged by someone else
 
     // Acquire the full neighborhood up front: discharge reads neighbor
-    // heights and may touch any residual arc.
+    // heights and may touch any residual arc, and nothing is written until
+    // every lock is held, so an abort has nothing to undo.
     auto& arcs = net.arcs(v);
     for (const auto& a : arcs) {
       if (!ctx.acquire(a.to)) return;
@@ -180,17 +181,9 @@ AppSpec make_spec(FlowNetwork& net, PushRelabelState& state, NodeId s,
       if (a.residual() <= 0.0 || h_v != state.height(a.to) + 1) continue;
       const double delta = std::min(state.excess(v), a.residual());
 
-      const double old_excess_v = state.excess(v);
-      const double old_excess_w = state.excess(a.to);
       net.push(v, i, delta);
-      state.set_excess(v, old_excess_v - delta);
-      state.set_excess(a.to, old_excess_w + delta);
-      ctx.on_abort([&net, &state, v, i, delta, old_excess_v, old_excess_w,
-                    w = a.to] {
-        net.push(v, i, -delta);
-        state.set_excess(v, old_excess_v);
-        state.set_excess(w, old_excess_w);
-      });
+      state.set_excess(v, state.excess(v) - delta);
+      state.set_excess(a.to, state.excess(a.to) + delta);
       if (a.to != s && a.to != t) ctx.push(a.to);
     }
 
@@ -204,9 +197,7 @@ AppSpec make_spec(FlowNetwork& net, PushRelabelState& state, NodeId s,
         }
       }
       if (lowest != UINT32_MAX && lowest + 1 > state.height(v)) {
-        const std::uint32_t old_h = state.height(v);
         state.set_height(v, lowest + 1);
-        ctx.on_abort([&state, v, old_h] { state.set_height(v, old_h); });
       }
       ctx.push(v);  // still active
     }

@@ -51,7 +51,8 @@ TaskOperator make_mis_operator(const CsrGraph& graph, MisState& state) {
     if (!ctx.acquire(v)) return;
     if (state.get(v) != NodeState::kUndecided) return;  // no-op commit
 
-    // Acquire the full neighborhood before reading any of it.
+    // Acquire the full neighborhood before reading any of it. Every write
+    // below comes after the last acquire, so an abort has nothing to undo.
     for (const NodeId w : graph.neighbors(v)) {
       if (!ctx.acquire(w)) return;
     }
@@ -65,15 +66,12 @@ TaskOperator make_mis_operator(const CsrGraph& graph, MisState& state) {
     }
     if (blocked) {
       state.set(v, NodeState::kOut);
-      ctx.on_abort([&state, v] { state.set(v, NodeState::kUndecided); });
       return;
     }
     state.set(v, NodeState::kIn);
-    ctx.on_abort([&state, v] { state.set(v, NodeState::kUndecided); });
     for (const NodeId w : graph.neighbors(v)) {
       if (state.get(w) == NodeState::kUndecided) {
         state.set(w, NodeState::kOut);
-        ctx.on_abort([&state, w] { state.set(w, NodeState::kUndecided); });
       }
     }
   };

@@ -153,11 +153,11 @@ AppSpec make_spec(SurveyState& state, double tolerance) {
                                                      IterationContext& ctx) {
     const auto a = static_cast<std::uint32_t>(task);
     if (!ctx.acquire(a)) return;
-    (*scheduled)[a] = 0;  // we are running; re-arm on abort (auto-requeue)
-    ctx.on_abort([scheduled, a] { (*scheduled)[a] = 1; });
 
     // Acquire every clause sharing a variable with a (their surveys feed
-    // the update, and they must be re-examined if ours changes).
+    // the update, and they must be re-examined if ours changes) before the
+    // first write: an aborted task leaves a's scheduled flag set, and the
+    // executor requeues it.
     std::set<std::uint32_t> neighborhood;
     for (const Literal& lit : formula.clause(a).literals) {
       for (const std::uint32_t b : formula.clauses_of(lit.var)) {
@@ -167,16 +167,14 @@ AppSpec make_spec(SurveyState& state, double tolerance) {
     for (const std::uint32_t b : neighborhood) {
       if (!ctx.acquire(b)) return;
     }
+    (*scheduled)[a] = 0;  // we are running
 
     const auto fresh = state.compute_clause(a);
     double delta = 0.0;
     for (std::uint32_t s = 0; s < fresh.size(); ++s) {
       const double old = state.eta(a, s);
       delta = std::max(delta, std::abs(fresh[s] - old));
-      if (fresh[s] != old) {
-        state.set_eta(a, s, fresh[s]);
-        ctx.on_abort([&state, a, s, old] { state.set_eta(a, s, old); });
-      }
+      if (fresh[s] != old) state.set_eta(a, s, fresh[s]);
     }
     if (delta >= tolerance) {
       // Our surveys moved materially: the neighbors' residuals are stale.
@@ -185,7 +183,6 @@ AppSpec make_spec(SurveyState& state, double tolerance) {
       for (const std::uint32_t b : neighborhood) {
         if ((*scheduled)[b] == 0) {
           (*scheduled)[b] = 1;
-          ctx.on_abort([scheduled, b] { (*scheduled)[b] = 0; });
           ctx.push(b);
         }
       }

@@ -46,14 +46,16 @@ AppSpec make_spec(const WeightedGraph& g, DistanceTable& dist) {
     if (!ctx.acquire(v)) return;
     const double dv = dist.get(v);
     if (dv == kUnreachable) return;  // no useful relaxation yet: no-op
+    // Lock every arc target before the first relaxation, so an aborted
+    // task has written nothing.
     for (const Arc& a : g.arcs(v)) {
       if (!ctx.acquire(a.to)) return;
+    }
+    for (const Arc& a : g.arcs(v)) {
       const double candidate = dv + a.weight;
-      const double old = dist.get(a.to);
-      if (candidate < old) {
+      if (candidate < dist.get(a.to)) {
         dist.set(a.to, candidate);
-        ctx.on_abort([&dist, w = a.to, old] { dist.set(w, old); });
-        ctx.push(a.to);  // w's own arcs need re-relaxing
+        ctx.push(a.to);  // the target's own arcs need re-relaxing
       }
     }
   };

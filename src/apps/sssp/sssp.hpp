@@ -1,8 +1,8 @@
 // Single-source shortest paths by chaotic relaxation — the classic
 // *unordered* formulation of SSSP (Bellman–Ford without a schedule): a
 // task relaxes one node's outgoing arcs; any relaxation order converges to
-// the same fixed point, so speculative execution with rollback applies
-// directly. Checked against a sequential Dijkstra.
+// the same fixed point, so speculative execution applies directly. Checked
+// against a sequential Dijkstra.
 #pragma once
 
 #include <cstdint>
@@ -38,7 +38,8 @@ class DistanceTable {
 };
 
 /// Speculative relaxation over every node (tasks are node ids): a task
-/// acquires v and every arc target, and pushes each target it improves.
+/// acquires v and every arc target, then relaxes the arcs and pushes each
+/// target it improves.
 /// The initial work-set is every node; set it to {source} to start from
 /// the source alone.
 [[nodiscard]] AppSpec make_spec(const WeightedGraph& g, DistanceTable& dist);

@@ -91,13 +91,6 @@ class IterationContext {
       // Injection site: a lock acquire that stalls (bounded, deterministic).
       injector_->maybe_stall(FaultSite::kLockAcquire, item, launch_);
     }
-    if (try_acquire(item)) return true;
-    doomed_ = true;
-    return false;
-  }
-
-  /// Probe: false on a conflict, without dooming the iteration.
-  [[nodiscard]] bool try_acquire(std::uint32_t item) {
     // The owner word says whether this iteration already holds the item,
     // so held_ records each item once without being searched.
     const LockResult result = unsync_ ? locks_.acquire_relaxed(item, iter_id_)
@@ -108,13 +101,17 @@ class IterationContext {
     }
     if (result == LockResult::kHeld) return true;
     if (tlm_ != nullptr) count_conflict(item);
+    doomed_ = true;
     return false;
   }
 
   /// True once an acquire of this iteration has failed.
   [[nodiscard]] bool doomed() const noexcept { return doomed_; }
 
-  /// Register the inverse of a speculative mutation (runs on abort).
+  /// Register the inverse of a speculative mutation (runs on abort). Only
+  /// a write made before a later acquire, or one that an exception may
+  /// follow, needs one: a cautious operator (every lock before its first
+  /// write, like all seven app kernels) registers none.
   void on_abort(std::function<void()> inverse) {
     undo_.record(std::move(inverse));
   }
@@ -185,9 +182,12 @@ class IterationContext {
 };
 
 /// The user operator: process one task inside a speculative iteration. It
-/// must acquire() every item it reads or writes, return as soon as an
-/// acquire fails, and register undo actions for every mutation. Returning
-/// normally requests a commit, granted unless an acquire failed.
+/// must acquire() every item it reads or writes and return as soon as an
+/// acquire fails. It should take every lock before its first write (be
+/// cautious): a doomed iteration then has written nothing. A write made
+/// before a later acquire, or one that an exception may follow, needs an
+/// inverse registered with on_abort(). Returning normally requests a
+/// commit, granted unless an acquire failed (DESIGN.md §7).
 using TaskOperator = std::function<void(TaskId, IterationContext&)>;
 
 struct ExecutorTotals {
@@ -273,25 +273,17 @@ class SpeculativeExecutor {
   [[nodiscard]] sched::Backend scheduler_backend() const noexcept {
     return sched_->backend();
   }
-  [[nodiscard]] sched::Scheduler& scheduler() noexcept { return *sched_; }
 
   /// Install retry/quarantine failure handling (DESIGN.md §8). Without a
   /// policy the executor keeps the legacy contract: the first non-Abort
   /// operator error is rethrown at round end and faulted tasks requeue
   /// unconditionally. Call between rounds only.
   void set_failure_policy(const FailurePolicy& policy) { policy_ = policy; }
-  [[nodiscard]] const std::optional<FailurePolicy>& failure_policy()
-      const noexcept {
-    return policy_;
-  }
 
   /// Configure the round execution (DESIGN.md §12). Call between rounds
   /// only.
   void set_pipeline(const PipelineConfig& config) noexcept {
     pipeline_ = config;
-  }
-  [[nodiscard]] const PipelineConfig& pipeline() const noexcept {
-    return pipeline_;
   }
 
   /// Attach a deterministic fault injector (non-owning; nullptr detaches).

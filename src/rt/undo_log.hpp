@@ -65,9 +65,6 @@ class UndoLog {
     ++size_;
   }
 
-  /// Pre-size the action storage (e.g. to a workload's known touch count).
-  void reserve(std::size_t n) { actions_.reserve(n); }
-
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
   [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
 
@@ -90,16 +87,8 @@ class UndoLog {
     if (!errors.empty()) throw RollbackError(std::move(errors));
   }
 
-  /// Commit path: forget the inverses. Keeps slot storage for recycling;
-  /// call shrink() to actually release captured state.
+  /// Commit path: forget the inverses. Keeps slot storage for recycling.
   void discard() noexcept { size_ = 0; }
-
-  /// Release the recycled slots (drops whatever the stale inverses
-  /// captured). For contexts leaving an arena, not the per-round path.
-  void shrink() noexcept {
-    actions_.clear();
-    actions_.shrink_to_fit();
-  }
 
  private:
   // Live prefix [0, size_) of actions_; slots past the cursor are retained

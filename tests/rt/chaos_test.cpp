@@ -128,7 +128,6 @@ TEST(UndoLogHardening, TwoPhaseRollbackRunsEveryInverse) {
 
 TEST(UndoLogHardening, RecycledSlotsRecordAndRollBackCleanly) {
   UndoLog log;
-  log.reserve(8);
   int value = 0;
   for (int round = 0; round < 3; ++round) {
     log.record([&] { value -= 1; });

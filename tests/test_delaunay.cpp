@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <stdexcept>
+#include <tuple>
 #include <vector>
 
-#include "rt/undo_log.hpp"
 #include "support/rng.hpp"
 
 namespace optipar::dmr {
@@ -140,32 +142,42 @@ TEST(InsertPoint, DegenerateSeedLeavesMeshUntouched) {
   EXPECT_TRUE(m.validate());
 }
 
-TEST(InsertPoint, HooksSeeEveryMutationAndUndoRestores) {
-  Mesh m;
-  build_delaunay(m, random_points(40, 11));
-  const auto alive_before = m.alive_triangles();
-
-  // Insert the circumcenter of some interior triangle with full hooks.
-  TriId seed = kNoNeighbor;
-  for (const TriId t : alive_before) {
+/// An alive triangle clear of the super-triangle whose circumcenter can
+/// seed an insertion; kNoNeighbor if there is none.
+TriId interior_seed(const Mesh& m) {
+  for (const TriId t : m.alive_triangles()) {
     const auto& tri = m.tri(t);
     if (tri.v[0] >= kNumSuperVertices && tri.v[1] >= kNumSuperVertices &&
         tri.v[2] >= kNumSuperVertices) {
       const Point2 cc = m.circumcenter_of(t);
-      if (m.contains(t, cc) || m.in_circumcircle(t, cc)) {
-        seed = t;
-        break;
-      }
+      if (m.contains(t, cc) || m.in_circumcircle(t, cc)) return t;
     }
   }
+  return kNoNeighbor;
+}
+
+/// Every triangle slot's corners, links and liveness.
+std::vector<std::tuple<std::array<PointId, 3>, std::array<TriId, 3>, bool>>
+triangle_slots(const Mesh& m) {
+  std::vector<std::tuple<std::array<PointId, 3>, std::array<TriId, 3>, bool>>
+      out;
+  for (TriId t = 0; t < m.num_triangle_slots(); ++t) {
+    out.emplace_back(m.tri(t).v, m.tri(t).nbr, m.tri(t).alive);
+  }
+  return out;
+}
+
+TEST(InsertPoint, HooksSeeEveryTouchAndCreation) {
+  Mesh m;
+  build_delaunay(m, random_points(40, 11));
+  const std::size_t slots_before = m.num_triangle_slots();
+  const TriId seed = interior_seed(m);
   ASSERT_NE(seed, kNoNeighbor);
 
-  UndoLog undo;
   std::vector<TriId> touched;
   std::vector<TriId> created;
   InsertHooks hooks;
   hooks.touch = [&](TriId t) { touched.push_back(t); };
-  hooks.on_undo = [&](std::function<void()> f) { undo.record(std::move(f)); };
   hooks.created = [&](TriId t) { created.push_back(t); };
 
   const PointId p = m.add_point(m.circumcenter_of(seed));
@@ -175,13 +187,34 @@ TEST(InsertPoint, HooksSeeEveryMutationAndUndoRestores) {
   EXPECT_FALSE(created.empty());
   EXPECT_FALSE(touched.empty());
   EXPECT_EQ(touched.front(), seed);
-  EXPECT_TRUE(m.validate());
-
-  // Roll everything back: the alive set must be exactly what it was.
-  undo.rollback();
-  EXPECT_EQ(m.alive_triangles(), alive_before);
+  // Only pre-existing triangles are touched; the fan is new, consecutive.
+  for (const TriId t : touched) EXPECT_LT(t, slots_before);
+  for (std::size_t i = 0; i < created.size(); ++i) {
+    EXPECT_EQ(created[i], slots_before + i);
+  }
   EXPECT_TRUE(m.validate());
   EXPECT_TRUE(m.is_locally_delaunay());
+}
+
+TEST(InsertPoint, FullArenaThrowsBeforeTheFirstWrite) {
+  // Two identical meshes: the first measures the fan, the second gets an
+  // arena one triangle short of it.
+  Mesh sized;
+  build_delaunay(sized, random_points(40, 11));
+  const TriId seed = interior_seed(sized);
+  ASSERT_NE(seed, kNoNeighbor);
+  const PointId p_sized = sized.add_point(sized.circumcenter_of(seed));
+  const std::size_t fan = insert_point(sized, p_sized, seed).created.size();
+  ASSERT_GT(fan, 1u);
+
+  Mesh m;
+  build_delaunay(m, random_points(40, 11));
+  m.reserve(m.num_points() + 1, m.num_triangle_slots() + fan - 1);
+  const auto before = triangle_slots(m);
+  const PointId p = m.add_point(m.circumcenter_of(seed));
+  EXPECT_THROW((void)insert_point(m, p, seed), std::length_error);
+  EXPECT_EQ(triangle_slots(m), before);
+  EXPECT_TRUE(m.validate());
 }
 
 TEST(InsertPoint, SequentialInsertKeepsDelaunayProperty) {

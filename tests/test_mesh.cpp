@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <stdexcept>
+#include <vector>
 
 namespace optipar::dmr {
 namespace {
@@ -56,16 +58,31 @@ TEST(Mesh, DetectsClockwiseTriangle) {
   EXPECT_FALSE(m.validate());
 }
 
-TEST(Mesh, KillAndReviveRoundTrip) {
+TEST(Mesh, KillMarksDeadOnce) {
   TwoTriangleMesh f;
   f.mesh.kill_triangle(f.t1);
   EXPECT_FALSE(f.mesh.is_alive(f.t1));
   EXPECT_EQ(f.mesh.num_alive_triangles(), 1u);
+  EXPECT_EQ(f.mesh.num_triangle_slots(), 2u);  // slots are never reused
   EXPECT_THROW((void)f.mesh.kill_triangle(f.t1), std::logic_error);
-  f.mesh.revive_triangle(f.t1);
-  EXPECT_TRUE(f.mesh.is_alive(f.t1));
-  EXPECT_THROW((void)f.mesh.revive_triangle(f.t1), std::logic_error);
-  EXPECT_TRUE(f.mesh.validate());
+}
+
+TEST(Mesh, CreateTrianglesAllocatesAllOrNone) {
+  Mesh m;
+  m.reserve(4, 4);
+  for (const Point2 p : {Point2{0, 0}, Point2{1, 0}, Point2{0, 1},
+                         Point2{1, 1}}) {
+    m.add_point(p);
+  }
+  EXPECT_EQ(m.create_triangle(0, 1, 2), 0u);
+  const std::vector<std::array<PointId, 3>> pair{{1, 3, 2}, {0, 1, 3}};
+  EXPECT_EQ(m.create_triangles(pair), 1u);  // ids 1 and 2, consecutive
+  EXPECT_EQ(m.tri(2).v, (std::array<PointId, 3>{0, 1, 3}));
+  EXPECT_TRUE(m.is_alive(2));
+  // Two more do not fit in the one remaining slot: none is allocated.
+  EXPECT_THROW((void)m.create_triangles(pair), std::length_error);
+  EXPECT_EQ(m.num_triangle_slots(), 3u);
+  EXPECT_EQ(m.create_triangle(1, 3, 2), 3u);
 }
 
 TEST(Mesh, SlotLookups) {

@@ -7,15 +7,20 @@
 //    correctness oracle intact;
 //  * footprint contract — every spec's declared footprint covers every
 //    item its operator acquires;
+//  * cautious contract — every app operator takes every lock before its
+//    first write, so an aborted call leaves the app's state untouched;
 //  * every backend serializes through save_state/load_state so a
 //    kill-and-resume run replays the original byte-for-byte, and a
 //    snapshot taken under one backend refuses to load under another.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <memory>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -366,6 +371,196 @@ TEST(FootprintContract, EverySpecDeclaresWhatItAcquires) {
   {
     SCOPED_TRACE("lock-only");
     EXPECT_EQ(undeclared_acquisitions(lock_only_spec(g), 8), 0u);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Cautious contract: an aborted call has written nothing
+// ---------------------------------------------------------------------------
+
+/// Order-sensitive FNV-1a over 64-bit words.
+struct Digest {
+  std::uint64_t h = 14695981039346656037ULL;
+  void add(std::uint64_t x) { h = (h ^ x) * 1099511628211ULL; }
+  void add_double(double x) { add(std::bit_cast<std::uint64_t>(x)); }
+};
+
+/// Drain `spec` at one lane on the random backend with its operator
+/// wrapped. Whenever a call ends doomed or throws AbortIteration,
+/// `digest()` of the app's state must read the same after the call as
+/// before it. For every other one of the first calls the wrapper also
+/// holds one footprint item under a foreign owner tag, cycling through
+/// footprint positions, so that every acquire position meets a conflict
+/// (the calls in between let the drain progress). Returns the number of
+/// aborted calls seen.
+std::size_t aborted_calls_checked(const AppSpec& spec,
+                                  const std::function<std::uint64_t()>& digest,
+                                  std::uint64_t seed) {
+  constexpr std::size_t kProbedCalls = 256;
+  constexpr std::uint32_t kForeign = LockManager::kFree - 1;
+  LockManager* locks = nullptr;
+  std::size_t calls = 0;
+  std::size_t aborted = 0;
+  AppSpec checked = spec;
+  checked.op = [&](TaskId task, IterationContext& ctx) {
+    std::optional<std::uint32_t> foreign;
+    if (calls < kProbedCalls && calls % 2 == 0) {
+      std::vector<std::uint32_t> fp;
+      spec.footprint(task, fp);
+      const std::uint32_t item = fp[(calls / 2) % fp.size()];
+      // Items the round created are past the lock table until it grows.
+      if (item < locks->size() &&
+          locks->acquire(item, kForeign) == LockResult::kTaken) {
+        foreign = item;
+      }
+    }
+    ++calls;
+    const std::uint64_t before = digest();
+    const auto check = [&] {
+      ++aborted;
+      EXPECT_EQ(digest(), before) << "task " << task << " wrote, then aborted";
+    };
+    const auto release = [&] {
+      if (foreign.has_value()) locks->release(*foreign, kForeign);
+    };
+    try {
+      spec.op(task, ctx);
+    } catch (const AbortIteration&) {
+      check();
+      release();
+      throw;
+    } catch (...) {
+      release();
+      throw;
+    }
+    if (ctx.doomed()) check();
+    release();
+  };
+  ThreadPool pool(1);
+  const auto ex = build_executor(pool, checked, seed);
+  locks = &ex->locks();
+  ControllerParams params;
+  HybridController controller(params);
+  (void)drain(*ex, checked, controller);
+  EXPECT_TRUE(ex->done());
+  return aborted;
+}
+
+TEST(CautiousContract, EveryAppTakesEveryLockBeforeItsFirstWrite) {
+  Rng rng(41);
+  const CsrGraph g = gen::random_with_average_degree(120, 6, rng);
+  {
+    SCOPED_TRACE("mis");
+    mis::MisState state(g.num_nodes());
+    const auto digest = [&] {
+      Digest d;
+      for (NodeId v = 0; v < g.num_nodes(); ++v) {
+        d.add(static_cast<std::uint64_t>(state.get(v)));
+      }
+      return d.h;
+    };
+    EXPECT_GT(aborted_calls_checked(mis::make_spec(g, state), digest, 1), 0u);
+  }
+  {
+    SCOPED_TRACE("coloring");
+    coloring::ColoringState state(g.num_nodes());
+    const auto digest = [&] {
+      Digest d;
+      for (NodeId v = 0; v < g.num_nodes(); ++v) d.add(state.color(v));
+      return d.h;
+    };
+    EXPECT_GT(
+        aborted_calls_checked(coloring::make_spec(g, state), digest, 2), 0u);
+  }
+  {
+    SCOPED_TRACE("sssp");
+    const WeightedGraph wg = weighted_graph(120, 6, 42);
+    sssp::DistanceTable dist(wg.num_nodes(), 0);
+    const auto digest = [&] {
+      Digest d;
+      for (const double x : dist.all()) d.add_double(x);
+      return d.h;
+    };
+    EXPECT_GT(aborted_calls_checked(sssp::make_spec(wg, dist), digest, 3), 0u);
+  }
+  {
+    SCOPED_TRACE("boruvka");
+    boruvka::ContractionGraph graph(120, boruvka_edges(120, 6, 43));
+    const auto digest = [&] {
+      Digest d;
+      for (NodeId v = 0; v < graph.num_nodes(); ++v) {
+        d.add(static_cast<std::uint64_t>(graph.is_alive(v)));
+        d.add(static_cast<std::uint64_t>(graph.has_choice(v)));
+        // Hash map order is not state: sum the entries' own digests.
+        std::uint64_t entries = 0;
+        for (const auto& [x, w] : graph.adjacency(v)) {
+          Digest e;
+          e.add(x);
+          e.add_double(w);
+          entries += e.h;
+        }
+        d.add(entries);
+      }
+      d.add_double(graph.chosen_weight());
+      return d.h;
+    };
+    EXPECT_GT(aborted_calls_checked(boruvka::make_spec(graph), digest, 4), 0u);
+  }
+  {
+    SCOPED_TRACE("maxflow");
+    maxflow::FlowNetwork net = layered_network(44);
+    maxflow::PushRelabelState state(net.num_nodes(), 0);
+    const auto digest = [&] {
+      Digest d;
+      for (NodeId v = 0; v < net.num_nodes(); ++v) {
+        d.add_double(state.excess(v));
+        d.add(static_cast<std::uint64_t>(state.height(v)));
+        for (const auto& a : net.arcs(v)) d.add_double(a.flow);
+      }
+      return d.h;
+    };
+    EXPECT_GT(aborted_calls_checked(
+                  maxflow::make_spec(net, state, 0, net.num_nodes() - 1),
+                  digest, 5),
+              0u);
+  }
+  {
+    SCOPED_TRACE("sp");
+    Rng sp_rng(45);
+    const sp::Formula formula = sp::random_ksat(40, 80, 3, sp_rng);
+    sp::SurveyState state(formula, sp_rng);
+    const auto digest = [&] {
+      Digest d;
+      for (std::uint32_t a = 0; a < formula.num_clauses(); ++a) {
+        const auto slots =
+            static_cast<std::uint32_t>(formula.clause(a).literals.size());
+        for (std::uint32_t s = 0; s < slots; ++s) {
+          d.add_double(state.eta(a, s));
+        }
+      }
+      return d.h;
+    };
+    EXPECT_GT(aborted_calls_checked(sp::make_spec(state, 1e-2), digest, 6),
+              0u);
+  }
+  {
+    SCOPED_TRACE("dmr");
+    auto [mesh, q] = refinement_input(80, 46);
+    // Triangle slots only: the point a task adds before its cavity walk
+    // is an append to the mutex-guarded arena, not shared state.
+    const auto digest = [&mesh = *mesh] {
+      Digest d;
+      for (dmr::TriId t = 0; t < mesh.num_triangle_slots(); ++t) {
+        const dmr::Triangle& tri = mesh.tri(t);
+        for (int i = 0; i < 3; ++i) {
+          d.add(tri.v[static_cast<std::size_t>(i)]);
+          d.add(tri.nbr[static_cast<std::size_t>(i)]);
+        }
+        d.add(static_cast<std::uint64_t>(tri.alive));
+      }
+      return d.h;
+    };
+    EXPECT_GT(aborted_calls_checked(dmr::make_spec(*mesh, q), digest, 7), 0u);
   }
 }
 

@@ -161,24 +161,6 @@ TEST(SpecExecutor, CommittedPushesJoinWorklistAbortedOnesDoNot) {
   EXPECT_EQ(ex.pending(), 1u);  // the pushed task 100
 }
 
-TEST(SpecExecutor, TryAcquireReportsConflictWithoutAborting) {
-  // Both tasks probe item 1 in the same round: the second is denied, yet
-  // both commit, because a failed try_acquire does not doom the iteration.
-  ThreadPool pool(1);
-  std::atomic<int> denied{0};
-  SpeculativeExecutor ex(
-      pool, 2,
-      [&](TaskId, IterationContext& ctx) {
-        if (!ctx.try_acquire(1)) denied.fetch_add(1);
-      },
-      8);
-  ex.push_initial(std::vector<TaskId>{0, 1});
-  const auto stats = ex.run_round(2);
-  EXPECT_EQ(stats.committed, 2u);  // the denied task chose to continue
-  EXPECT_EQ(denied.load(), 1);
-  EXPECT_TRUE(ex.locks().all_free());
-}
-
 TEST(SpecExecutor, FailedAcquireAbortsWithoutThrowing) {
   // Two tasks mutate, then contend for item 0. The loser's acquire returns
   // false instead of throwing; its inverse runs, its locks are released,

@@ -536,6 +536,8 @@ int cmd_chaos(const Options& opt) {
   AppSpec spec;
   spec.items = cells_n;
   spec.initial = all_tasks(tasks_n);
+  // Not cautious on purpose: each cell is written before the next is
+  // locked, so an abort runs the inverses and rollback stays exercised.
   spec.op = [&](TaskId t, IterationContext& ctx) {
     const Effect& e = effects[t];
     for (std::uint32_t i = 0; i < e.count; ++i) {
