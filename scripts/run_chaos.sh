@@ -7,7 +7,8 @@
 #   * at fault rate 0 the run is transparent: no retries, no quarantines,
 #     no watchdog firing, no degradation (zero false positives);
 #   * with the same fault seed, two runs print identical summary lines
-#     (deterministic chaos replay).
+#     (deterministic chaos replay), and one fixed one-lane run prints a
+#     pinned summary, so a change that moves every chaos schedule fails.
 # Usage: scripts/run_chaos.sh [path-to-optipar_cli]
 set -euo pipefail
 
@@ -82,6 +83,13 @@ a="$("$CLI" chaos --fault-rate=0.4 --fault-seed=123 --threads=1 | tail -1)"
 b="$("$CLI" chaos --fault-rate=0.4 --fault-seed=123 --threads=1 | tail -1)"
 echo "$a"
 [[ "$a" == "$b" ]] || fail "chaos replay with fixed fault seed diverged"
+# The one-lane schedule itself is pinned: draws, conflicts, injections,
+# retries and quarantines must all land where they always have.
+pinned="CHAOS fault_seed=123 fault_rate=0.4 rounds=255 launched=699"
+pinned+=" committed=385 aborted=314 retried=268 quarantined=15 injected=525"
+pinned+=" dead_letters=15 pool_failures=0 degraded=0 watchdog=0 livelock=0"
+pinned+=" lock_leaks=0 state=ok verdict=pass"
+[[ "$a" == "$pinned" ]] || fail "one-lane chaos summary moved from the pin"
 
 if [[ $status -eq 0 ]]; then
   echo "run_chaos: all chaos invariants hold"

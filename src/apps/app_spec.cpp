@@ -3,6 +3,8 @@
 #include <numeric>
 #include <utility>
 
+#include "support/rng.hpp"
+
 namespace optipar {
 
 std::unique_ptr<SpeculativeExecutor> build_executor(
@@ -60,6 +62,58 @@ AppSpec lock_only_spec(const CsrGraph& g) {
   };
   spec.footprint = closed_neighborhood(g);
   return spec;
+}
+
+std::vector<CellEffect> cell_effects(std::uint64_t seed, std::uint32_t tasks,
+                                     std::uint32_t cells) {
+  Rng rng(seed);
+  std::vector<CellEffect> effects(tasks);
+  for (auto& e : effects) {
+    e.first = static_cast<std::uint32_t>(rng.below(cells));
+    e.count = 1 + static_cast<std::uint32_t>(rng.below(4));
+    e.delta = rng.between(-5, 5);
+  }
+  return effects;
+}
+
+AppSpec cell_spec(const std::vector<CellEffect>& effects,
+                  std::vector<std::int64_t>& cells) {
+  const auto n = static_cast<std::uint32_t>(cells.size());
+  AppSpec spec;
+  spec.items = n;
+  spec.initial = all_tasks(effects.size());
+  spec.op = [&effects, &cells, n](TaskId t, IterationContext& ctx) {
+    const CellEffect& e = effects[t];
+    for (std::uint32_t i = 0; i < e.count; ++i) {
+      if (!ctx.acquire((e.first + i) % n)) return;
+    }
+    for (std::uint32_t i = 0; i < e.count; ++i) {
+      cells[(e.first + i) % n] += e.delta;
+    }
+  };
+  spec.footprint = [&effects, n](TaskId t, std::vector<std::uint32_t>& fp) {
+    const CellEffect& e = effects[t];
+    for (std::uint32_t i = 0; i < e.count; ++i) {
+      fp.push_back((e.first + i) % n);
+    }
+  };
+  return spec;
+}
+
+std::vector<std::int64_t> cell_oracle(
+    const std::vector<CellEffect>& effects, std::size_t cells,
+    std::span<const SpeculativeExecutor::DeadLetter> skipped) {
+  std::vector<bool> skip(effects.size(), false);
+  for (const auto& dl : skipped) skip[dl.task] = true;
+  std::vector<std::int64_t> oracle(cells, 0);
+  for (std::size_t t = 0; t < effects.size(); ++t) {
+    if (skip[t]) continue;
+    const CellEffect& e = effects[t];
+    for (std::uint32_t i = 0; i < e.count; ++i) {
+      oracle[(e.first + i) % cells] += e.delta;
+    }
+  }
+  return oracle;
 }
 
 }  // namespace optipar

@@ -13,6 +13,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "control/controller.hpp"
@@ -73,5 +74,31 @@ DrainResult drain(SpeculativeExecutor& executor, const AppSpec& spec,
 /// and writes nothing, so two tasks conflict iff their nodes are adjacent
 /// (the paper's CC graph).
 [[nodiscard]] AppSpec lock_only_spec(const CsrGraph& g);
+
+/// One task of the cell workload behind `optipar_cli chaos` and the
+/// executor's chaos tests: it adds `delta` to `count` consecutive cells
+/// (modulo the cell count) starting at `first`.
+struct CellEffect {
+  std::uint32_t first = 0;
+  std::uint32_t count = 1;
+  std::int64_t delta = 1;
+};
+
+/// `tasks` effects over `cells` cells, drawn from `seed`.
+[[nodiscard]] std::vector<CellEffect> cell_effects(std::uint64_t seed,
+                                                   std::uint32_t tasks,
+                                                   std::uint32_t cells);
+
+/// The cell workload over `cells` (its size is the cell count), one task
+/// per effect: a task locks its cells in order, then adds its delta to
+/// each. Both vectors must outlive the spec.
+[[nodiscard]] AppSpec cell_spec(const std::vector<CellEffect>& effects,
+                                std::vector<std::int64_t>& cells);
+
+/// The sequential oracle: `cells` cells after every task except the
+/// `skipped` ones (the quarantined tasks) ran once.
+[[nodiscard]] std::vector<std::int64_t> cell_oracle(
+    const std::vector<CellEffect>& effects, std::size_t cells,
+    std::span<const SpeculativeExecutor::DeadLetter> skipped = {});
 
 }  // namespace optipar

@@ -20,8 +20,8 @@ class Reader;
 
 /// What one optimistic round observed. launched == committed + aborted.
 /// The failure-handling fields (DESIGN.md §8) are zero in fault-free runs:
-/// retried/quarantined count tasks whose operator (or rollback) threw a
-/// real, non-AbortIteration exception, and first_error preserves the first
+/// retried/quarantined count tasks whose operator threw a real,
+/// non-AbortIteration exception, and first_error preserves the first
 /// such exception of the round so it is never silently dropped — even when
 /// a FailurePolicy absorbs it instead of rethrowing.
 struct RoundStats {
@@ -31,7 +31,7 @@ struct RoundStats {
   std::uint32_t retried = 0;      ///< faulted tasks requeued with backoff
   std::uint32_t quarantined = 0;  ///< faulted tasks dead-lettered this round
   std::uint32_t injected = 0;     ///< faults the injector fired this round
-  std::exception_ptr first_error; ///< first operator/rollback/lane error
+  std::exception_ptr first_error; ///< first operator or lane error
 
   [[nodiscard]] double conflict_ratio() const noexcept {
     return launched == 0

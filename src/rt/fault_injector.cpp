@@ -25,7 +25,6 @@ const char* fault_site_name(FaultSite site) noexcept {
   switch (site) {
     case FaultSite::kOperatorThrow: return "operator-throw";
     case FaultSite::kOperatorDelay: return "operator-delay";
-    case FaultSite::kRollbackInverse: return "rollback-inverse";
     case FaultSite::kLockAcquire: return "lock-acquire";
     case FaultSite::kPoolLane: return "pool-lane";
   }
@@ -43,9 +42,7 @@ void FaultInjector::set_rate(FaultSite site, double rate) noexcept {
 }
 
 void FaultInjector::set_all_rates(double rate) noexcept {
-  for (std::size_t s = 0; s < kFaultSiteCount; ++s) {
-    set_rate(static_cast<FaultSite>(s), rate);
-  }
+  rates_.fill(std::clamp(rate, 0.0, 1.0));
 }
 
 double FaultInjector::rate(FaultSite site) const noexcept {
@@ -92,12 +89,6 @@ void FaultInjector::maybe_stall(FaultSite site, std::uint64_t a,
   // never wedge a round (no locks are held across it by this call).
   const std::uint64_t yields = 1 + (mix(site, a ^ 0x5bf0ULL, b) & 63);
   for (std::uint64_t i = 0; i < yields; ++i) std::this_thread::yield();
-}
-
-void FaultInjector::count_fired(FaultSite site) noexcept {
-  fired_[static_cast<std::size_t>(site)].fetch_add(
-      1, std::memory_order_relaxed);
-  if (on_fire_) on_fire_(site, 0, 0);
 }
 
 std::uint64_t FaultInjector::fired(FaultSite site) const noexcept {

@@ -13,9 +13,11 @@
 // Sites mirror the runtime's failure surface:
 //   kOperatorThrow   — the user operator throws a real (non-Abort) error
 //   kOperatorDelay   — the task stalls mid-operator (slow/hung iteration)
-//   kRollbackInverse — an undo inverse throws during rollback
 //   kLockAcquire     — an abstract-lock acquire stalls before acquiring
 //   kPoolLane        — a fork-join pool lane dies outside any task
+// The injector's PRF is keyed by the site's value, so the values are
+// fixed and a retired value is never reused: value 2 (once a
+// rollback-inverse throw) stays reserved.
 #pragma once
 
 #include <array>
@@ -29,11 +31,11 @@ namespace optipar {
 
 enum class FaultSite : std::uint32_t {
   kOperatorThrow = 0,
-  kOperatorDelay,
-  kRollbackInverse,
-  kLockAcquire,
-  kPoolLane,
+  kOperatorDelay = 1,
+  kLockAcquire = 3,
+  kPoolLane = 4,
 };
+/// Per-site table size: one past the largest site value (2 is unused).
 inline constexpr std::size_t kFaultSiteCount = 5;
 
 [[nodiscard]] const char* fault_site_name(FaultSite site) noexcept;
@@ -79,15 +81,10 @@ class FaultInjector {
   void maybe_stall(FaultSite site, std::uint64_t a,
                    std::uint64_t b) noexcept;
 
-  /// Record a firing decided externally via should_fire (e.g. an armed
-  /// rollback inverse that actually ran).
-  void count_fired(FaultSite site) noexcept;
-
   /// Telemetry hook (DESIGN.md §10): invoked on every counted firing with
-  /// the site and its (a, b) injection point ((0, 0) for count_fired, which
-  /// has no point identity). MUST be thread-safe — firings happen on pool
-  /// lanes — and must not throw. Empty function detaches. Never alters the
-  /// firing decision, so chaos replays are unaffected.
+  /// the site and its (a, b) injection point. MUST be thread-safe — firings
+  /// happen on pool lanes — and must not throw. Empty function detaches.
+  /// Never alters the firing decision, so chaos replays are unaffected.
   void set_fire_hook(
       std::function<void(FaultSite, std::uint64_t, std::uint64_t)> hook) {
     on_fire_ = std::move(hook);

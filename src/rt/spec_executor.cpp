@@ -211,8 +211,7 @@ void SpeculativeExecutor::process_faulted_slots(
   for (const std::size_t slot : slots) {
     const TaskId task = active_[slot];
     IterationContext& ctx = *arena_[slot];
-    const std::exception_ptr error =
-        ctx.fault_ ? ctx.fault_ : ctx.rollback_fault_;
+    const std::exception_ptr error = ctx.fault_;
     if (!stats.first_error) stats.first_error = error;
     // Retry/quarantine is decided serially, but attributed back to the lane
     // that executed the attempt (slot_lane_ stamp). Lanes are quiescent
@@ -278,11 +277,10 @@ void SpeculativeExecutor::salvage_round(
     if (slot_finalized_[slot] == round_index_) continue;
     // Finalize serially what the dead lane left behind.
     if (is_committed) {
-      ctx.undo_.discard();
       salvage_requeue.insert(salvage_requeue.end(), ctx.pushed_.begin(),
                              ctx.pushed_.end());
       ctx.release_all();
-    } else if (absorbing && (ctx.fault_ || ctx.rollback_fault_)) {
+    } else if (absorbing && ctx.fault_) {
       faulted_slots.push_back(slot);
     } else {
       salvage_requeue.push_back(active_[slot]);
@@ -403,25 +401,12 @@ void SpeculativeExecutor::round_lane(std::size_t lane, const RoundPlan& plan,
         if (tlane != nullptr) {
           ctx.tlm_ = tlane;  // routes lock-failure counts to this lane
         }
-        const std::uint32_t attempt = attempt_of(task);
-        if (injector_ != nullptr &&
-            injector_->should_fire(FaultSite::kRollbackInverse, task,
-                                   attempt)) {
-          // Injection site: an undo inverse that throws. Recorded first
-          // so it runs LAST in the unwind — the two-phase rollback must
-          // still run every real inverse before surfacing the error.
-          FaultInjector* inj = injector_;
-          ctx.on_abort([inj, task, attempt] {
-            inj->count_fired(FaultSite::kRollbackInverse);
-            throw InjectedFault(FaultSite::kRollbackInverse, task,
-                                attempt);
-          });
-        }
         bool wants_commit = false;
         try {
           if (injector_ != nullptr) {
             // Injection sites: a slow task, then an operator that
             // throws a real (non-Abort) exception.
+            const std::uint32_t attempt = attempt_of(task);
             injector_->maybe_stall(FaultSite::kOperatorDelay, task,
                                    attempt);
             injector_->maybe_throw(FaultSite::kOperatorThrow, task,
@@ -451,18 +436,11 @@ void SpeculativeExecutor::round_lane(std::size_t lane, const RoundPlan& plan,
           ctx.committed_ = true;
           if (tlane != nullptr) ++lane_committed;
         } else {
-          // Roll back while still owning the touched items, then release
-          // them immediately: an aborted task must not block later tasks
-          // (§2.1). The unwind is two-phase (UndoLog::rollback): a
-          // throwing inverse never strands the inverses below it.
+          // A cautious operator has written nothing, so aborting is
+          // releasing the touched items at once: an aborted task must not
+          // block later tasks (§2.1).
           const std::uint64_t rb_t0 = timed ? phase_ticks() : 0;
           const std::uint64_t rb_w0 = spanned ? monotonic_ns() : 0;
-          try {
-            ctx.undo_.rollback();
-          } catch (...) {
-            ctx.rollback_fault_ = std::current_exception();
-            record_round_error();
-          }
           ctx.release_all();
           if (tlane != nullptr) {
             ++lane_aborted;
@@ -477,7 +455,8 @@ void SpeculativeExecutor::round_lane(std::size_t lane, const RoundPlan& plan,
       }
       if (timed) {
         // exec covers the whole speculative slice (operator + commit/
-        // rollback decisions); rollback above is a sub-slice of it.
+        // abort decisions); rollback above (an aborted task's lock
+        // release) is a sub-slice of it.
         exec_ticks += phase_ticks() - phase_t;
         if (spanned) {
           sbuf->push({"exec", span_tid, span_t, monotonic_ns(),
@@ -542,12 +521,11 @@ void SpeculativeExecutor::round_lane(std::size_t lane, const RoundPlan& plan,
         }
         IterationContext& ctx = *arena_[slot];
         if (ctx.committed_) {
-          ctx.undo_.discard();
           ++committed;
           requeue.insert(requeue.end(), ctx.pushed_.begin(),
                          ctx.pushed_.end());
           ctx.release_all();
-        } else if (plan.absorbing && (ctx.fault_ || ctx.rollback_fault_)) {
+        } else if (plan.absorbing && ctx.fault_) {
           // Failed, not merely conflicted: the serial tail decides
           // retry-with-backoff vs quarantine. Not requeued here.
           lane_faulted_[lane].value.push_back(slot);
@@ -677,11 +655,11 @@ RoundStats SpeculativeExecutor::run_round(std::uint32_t m) {
   plan.absorbing = absorbing;
   plan.inject_lane_faults = inject_lane_faults;
 
-  if (lanes == 1 && pipeline_.single_lane_fast_path) {
-    // Deterministic fast path: identical claim order to a one-lane pool
-    // run, but no fork-join hop, no barrier, and relaxed lock-table
-    // traffic. Called directly so in_worker_context() stays false for
-    // the operator, exactly as fork_join(participants == 1) behaved.
+  if (lanes == 1) {
+    // Every one-lane round takes the fast path: the claim order of a
+    // one-lane generic round, but no fork-join hop, no barrier, and
+    // relaxed lock-table traffic. Called directly so in_worker_context()
+    // stays false for the operator.
     round_lane<true>(0, plan, nullptr);
   } else {
     SpinBarrier round_barrier(lanes);

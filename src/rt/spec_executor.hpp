@@ -4,11 +4,12 @@
 // concurrently on the thread pool. An iteration acquires the abstract lock
 // of every item it touches; on a conflict the later arrival's acquire
 // returns false and the iteration aborts itself (the paper's model: an
-// earlier task holding the data wins, and nobody ever waits). Aborted
-// iterations roll back their undo log and requeue; committed iterations
-// publish their newly created tasks. The per-round (launched, committed,
-// aborted) statistics are exactly the observations Algorithm 1's
-// controller needs.
+// earlier task holding the data wins, and nobody ever waits). Operators
+// are cautious (every lock before the first write), so an aborted
+// iteration has written nothing: it releases its locks and requeues;
+// committed iterations publish their newly created tasks. The per-round
+// (launched, committed, aborted) statistics are exactly the observations
+// Algorithm 1's controller needs.
 //
 // Hot-path structure (DESIGN.md §7): the work-set is sharded per lane with
 // work stealing, so task draw and requeue never funnel through one global
@@ -20,16 +21,17 @@
 // pins the determinism contract tests rely on.
 //
 // Failure hardening (DESIGN.md §8): beyond the benign AbortIteration, the
-// executor treats real failures — operator exceptions, rollback-inverse
-// exceptions, dead pool lanes — as first-class inputs. Installing a
-// FailurePolicy switches from "rethrow the first error at round end" to
-// retry-with-backoff and dead-letter quarantine; an optional FaultInjector
-// fires deterministic, seeded faults at the execute/commit/rollback paths
-// so chaos runs replay exactly.
+// executor treats real failures — operator exceptions and dead pool lanes
+// — as first-class inputs. Installing a FailurePolicy switches from
+// "rethrow the first error at round end" to retry-with-backoff and
+// dead-letter quarantine; an optional FaultInjector fires deterministic,
+// seeded faults at the operator, lock-acquire and pool-lane sites so chaos
+// runs replay exactly.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -43,7 +45,6 @@
 #include "control/controller.hpp"
 #include "rt/fault_injector.hpp"
 #include "rt/item_lock.hpp"
-#include "rt/undo_log.hpp"
 #include "sched/scheduler.hpp"
 #include "support/failure_policy.hpp"
 #include "support/padded.hpp"
@@ -108,14 +109,6 @@ class IterationContext {
   /// True once an acquire of this iteration has failed.
   [[nodiscard]] bool doomed() const noexcept { return doomed_; }
 
-  /// Register the inverse of a speculative mutation (runs on abort). Only
-  /// a write made before a later acquire, or one that an exception may
-  /// follow, needs one: a cautious operator (every lock before its first
-  /// write, like all seven app kernels) registers none.
-  void on_abort(std::function<void()> inverse) {
-    undo_.record(std::move(inverse));
-  }
-
   /// Schedule new work, visible only if this iteration commits.
   void push(TaskId task) { pushed_.push_back(task); }
 
@@ -130,18 +123,16 @@ class IterationContext {
  private:
   friend class SpeculativeExecutor;
 
-  /// Re-arm a recycled arena context for a fresh iteration. held_, pushed_
-  /// and the undo log keep their capacity — the whole point of the arena is
-  /// that a steady-state round performs no allocation here.
+  /// Re-arm a recycled arena context for a fresh iteration. held_ and
+  /// pushed_ keep their capacity — the whole point of the arena is that a
+  /// steady-state round performs no allocation here.
   void reset(std::uint32_t iter_id) noexcept {
     iter_id_ = iter_id;
     committed_ = false;
     doomed_ = false;
     held_.clear();
     pushed_.clear();
-    undo_.discard();
     fault_ = nullptr;
-    rollback_fault_ = nullptr;
     tlm_ = nullptr;
     injector_ = nullptr;
     unsync_ = false;
@@ -157,17 +148,14 @@ class IterationContext {
   // round barrier (or the serial tail after the join), so it needs no
   // atomic.
   bool committed_ = false;
-  // Set by a failed acquire; the round then rolls the iteration back even
-  // if the operator returns normally.
+  // Set by a failed acquire; the round then aborts the iteration even if
+  // the operator returns normally.
   bool doomed_ = false;
   std::vector<std::uint32_t> held_;
   std::vector<TaskId> pushed_;
-  UndoLog undo_;
-  // Failure records of the current attempt (read in the round's serial
-  // tail): a non-Abort exception out of the operator, and a RollbackError
-  // out of the (completed, two-phase) unwind.
+  // A non-Abort exception out of the operator in the current attempt (read
+  // in the round's serial tail).
   std::exception_ptr fault_;
-  std::exception_ptr rollback_fault_;
   // Executing lane's telemetry block (DESIGN.md §10); nullptr whenever
   // telemetry is detached, so every counting site is one branch.
   telemetry::LaneTelemetry* tlm_ = nullptr;
@@ -182,12 +170,12 @@ class IterationContext {
 };
 
 /// The user operator: process one task inside a speculative iteration. It
-/// must acquire() every item it reads or writes and return as soon as an
-/// acquire fails. It should take every lock before its first write (be
-/// cautious): a doomed iteration then has written nothing. A write made
-/// before a later acquire, or one that an exception may follow, needs an
-/// inverse registered with on_abort(). Returning normally requests a
-/// commit, granted unless an acquire failed (DESIGN.md §7).
+/// must acquire() every item it reads or writes, take every lock before
+/// its first write (be cautious), and return as soon as an acquire fails.
+/// It may throw (AbortIteration or a real error) only before its first
+/// write. The executor never undoes a write: an aborted iteration only
+/// releases its locks. Returning normally requests a commit, granted
+/// unless an acquire failed (DESIGN.md §7).
 using TaskOperator = std::function<void(TaskId, IterationContext&)>;
 
 struct ExecutorTotals {
@@ -227,10 +215,6 @@ struct PipelineConfig {
   /// cross-lane interleavings (barriers inside operators, injected lane
   /// deaths) set an explicit lane count to force concurrency back on.
   std::size_t max_lanes = 0;
-  /// Use the CAS-free single-lane specialization whenever a round runs on
-  /// one lane. The schedule is byte-identical either way; disabling it
-  /// exists for the fast-vs-generic differential tests.
-  bool single_lane_fast_path = true;
 };
 
 class SpeculativeExecutor {
@@ -287,8 +271,8 @@ class SpeculativeExecutor {
   }
 
   /// Attach a deterministic fault injector (non-owning; nullptr detaches).
-  /// Injection points: operator throw/delay per attempt, rollback-inverse
-  /// throw, lock-acquire stall, and pool-lane death. Call between rounds.
+  /// Injection points: operator throw/delay per attempt, lock-acquire
+  /// stall, and pool-lane death. Call between rounds.
   void set_fault_injector(FaultInjector* injector) noexcept {
     injector_ = injector;
   }
@@ -311,8 +295,8 @@ class SpeculativeExecutor {
   void grow_items(std::size_t items) { locks_.grow(items); }
 
   /// Run one optimistic round with (up to) m concurrent tasks. Aborted
-  /// tasks are rolled back and requeued; committed tasks' pushes join the
-  /// work-set. Returns the round's statistics.
+  /// tasks release their locks and are requeued; committed tasks' pushes
+  /// join the work-set. Returns the round's statistics.
   RoundStats run_round(std::uint32_t m);
 
   [[nodiscard]] const ExecutorTotals& totals() const noexcept {
@@ -444,7 +428,7 @@ class SpeculativeExecutor {
   std::optional<FailurePolicy> policy_;
   std::uint64_t backoff_seed_;  // jitter PRF seed (derived from `seed`)
   std::uint64_t round_index_ = 0;
-  // Per-slot stamps: executed (speculative phase ran commit-or-rollback)
+  // Per-slot stamps: executed (speculative phase decided commit or abort)
   // and finalized (epilogue processed it). A slot whose stamp is stale
   // after a lane death is salvaged serially.
   std::vector<std::uint64_t> slot_executed_;
@@ -460,7 +444,7 @@ class SpeculativeExecutor {
   // installed), so salvage can tell drawn slots from never-drawn ones.
   bool round_hardened_ = false;
 
-  PipelineConfig pipeline_;  // lane cap and fast-path switch (§12)
+  PipelineConfig pipeline_;  // lane cap (§12)
 
   // --- telemetry (DESIGN.md §10) -----------------------------------------
   // Non-owning; nullptr = detached (the default). slot_lane_ stamps which

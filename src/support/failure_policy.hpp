@@ -1,8 +1,8 @@
 // Failure-handling tunables for the speculative runtime (DESIGN.md §8).
 // The paper treats task aborts (conflict ratio r̄(m)) as the routine,
 // *benign* failure mode; FailurePolicy governs everything beyond it: user
-// operators that throw real exceptions, rollback inverses that fail, and
-// lanes of the fork-join pool that die mid-round. Installing a policy on a
+// operators that throw real exceptions, and lanes of the fork-join pool
+// that die mid-round. Installing a policy on a
 // SpeculativeExecutor switches it from the legacy behavior (rethrow the
 // first operator error at round end) to retry/quarantine semantics: a
 // faulted task is relaunched up to max_retries times with decorrelated-
@@ -16,7 +16,7 @@
 namespace optipar {
 
 struct FailurePolicy {
-  /// Relaunch attempts for a task whose operator (or rollback) threw a
+  /// Relaunch attempts for a task whose operator threw a
   /// non-AbortIteration exception, before it is quarantined. The first
   /// execution is attempt 1, so a task runs at most 1 + max_retries times.
   std::uint32_t max_retries = 3;

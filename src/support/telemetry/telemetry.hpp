@@ -58,7 +58,7 @@ class ConflictProfiler;   // conflict_profiler.hpp
 // ---------------------------------------------------------------------------
 
 /// Fixed power-of-two-bucket histogram for per-task work (items held,
-/// undo entries, ...). Buckets: v <= 1, <= 2, <= 4, ... <= 128, +inf.
+/// ...). Buckets: v <= 1, <= 2, <= 4, ... <= 128, +inf.
 /// POD-fast: recording is one bit-width computation and one increment, so a
 /// lane can afford it per task when telemetry is enabled.
 struct WorkHistogram {
@@ -189,7 +189,7 @@ struct alignas(kCacheLine) LaneTelemetry {
   // Per-phase nanoseconds spent by this lane.
   std::uint64_t draw_ns = 0;      ///< shard pops / steals
   std::uint64_t exec_ns = 0;      ///< operator execution + commit decision
-  std::uint64_t rollback_ns = 0;  ///< undo-log unwinds (subset of exec wall)
+  std::uint64_t rollback_ns = 0;  ///< aborted tasks' lock release (in exec)
   std::uint64_t commit_ns = 0;    ///< epilogue: publish, requeue, release
 
   WorkHistogram work;  ///< items held per executed task

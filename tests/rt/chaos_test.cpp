@@ -1,9 +1,9 @@
 // Failure-hardening tests (DESIGN.md §8): deterministic fault injection,
-// retry/backoff and dead-letter quarantine, two-phase rollback, pool-lane
-// salvage with graceful serial degradation, and the livelock watchdog. The
-// master invariant is the same as the fault-free chaos suite — speculation
-// leaves no trace — now required to hold while faults fire on the
-// execute/commit/rollback paths.
+// retry/backoff and dead-letter quarantine, pool-lane salvage with graceful
+// serial degradation, and the livelock watchdog. The master invariant is
+// the same as the fault-free chaos suite — speculation leaves no trace —
+// now required to hold while faults fire at the operator, lock-acquire and
+// pool-lane sites.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -12,13 +12,12 @@
 #include <stdexcept>
 #include <vector>
 
+#include "apps/app_spec.hpp"
 #include "control/hybrid.hpp"
 #include "rt/adaptive_executor.hpp"
 #include "rt/fault_injector.hpp"
 #include "rt/spec_executor.hpp"
-#include "rt/undo_log.hpp"
 #include "support/failure_policy.hpp"
-#include "support/rng.hpp"
 #include "support/telemetry/telemetry.hpp"
 #include "support/thread_pool.hpp"
 
@@ -80,7 +79,7 @@ TEST(FaultInjector, SitesAndSeedsAreIndependent) {
   int seed_diff = 0;
   for (std::uint64_t t = 0; t < 300; ++t) {
     if (a.should_fire(FaultSite::kOperatorThrow, t, 1) !=
-        a.should_fire(FaultSite::kRollbackInverse, t, 1)) {
+        a.should_fire(FaultSite::kOperatorDelay, t, 1)) {
       ++site_diff;
     }
     if (a.should_fire(FaultSite::kOperatorThrow, t, 1) !=
@@ -93,110 +92,25 @@ TEST(FaultInjector, SitesAndSeedsAreIndependent) {
 }
 
 // ---------------------------------------------------------------------------
-// UndoLog: two-phase exception-safe rollback.
-// ---------------------------------------------------------------------------
-
-TEST(UndoLogHardening, TwoPhaseRollbackRunsEveryInverse) {
-  UndoLog log;
-  std::vector<int> ran;
-  log.record([&] { ran.push_back(0); });
-  log.record([&] {
-    ran.push_back(1);
-    throw std::runtime_error("inverse one");
-  });
-  log.record([&] { ran.push_back(2); });
-  log.record([&] {
-    ran.push_back(3);
-    throw 42;  // non-std exception must also be survived
-  });
-  try {
-    log.rollback();
-    FAIL() << "expected RollbackError";
-  } catch (const RollbackError& e) {
-    ASSERT_EQ(e.errors().size(), 2u);
-    EXPECT_EQ(e.errors()[0].index, 3u);  // unwind order: newest first
-    EXPECT_EQ(e.errors()[0].what, "non-std exception");
-    EXPECT_EQ(e.errors()[1].index, 1u);
-    EXPECT_EQ(e.errors()[1].what, "inverse one");
-    EXPECT_NE(std::string(e.what()).find("2 failed inverse(s)"),
-              std::string::npos);
-  }
-  // Phase 1 completed: every inverse ran, newest-first, despite the throws.
-  EXPECT_EQ(ran, (std::vector<int>{3, 2, 1, 0}));
-  EXPECT_TRUE(log.empty());  // the log is spent either way
-}
-
-TEST(UndoLogHardening, RecycledSlotsRecordAndRollBackCleanly) {
-  UndoLog log;
-  int value = 0;
-  for (int round = 0; round < 3; ++round) {
-    log.record([&] { value -= 1; });
-    log.record([&] { value -= 10; });
-    value += 11;
-    if (round < 2) {
-      log.discard();  // commit: keep the mutation, recycle the slots
-    } else {
-      log.rollback();  // abort: undo exactly this round's actions
-    }
-  }
-  EXPECT_EQ(value, 22);  // two commits survived, the third rolled back
-  EXPECT_TRUE(log.empty());
-}
-
-// ---------------------------------------------------------------------------
 // Executor under injected faults: the no-trace invariant must survive.
 // ---------------------------------------------------------------------------
-
-struct Effect {
-  std::uint32_t first = 0;
-  std::uint32_t count = 1;
-  std::int64_t delta = 1;
-};
-
-std::vector<Effect> make_effects(std::uint64_t seed, std::uint32_t tasks,
-                                 std::uint32_t cells) {
-  Rng rng(seed);
-  std::vector<Effect> effects(tasks);
-  for (auto& e : effects) {
-    e.first = static_cast<std::uint32_t>(rng.below(cells));
-    e.count = 1 + static_cast<std::uint32_t>(rng.below(4));
-    e.delta = rng.between(-5, 5);
-  }
-  return effects;
-}
 
 TEST(ChaosHardened, OracleHoldsUnderInjectedFaults) {
   constexpr std::uint32_t kCells = 32;
   constexpr std::uint32_t kTasks = 200;
-  const auto effects = make_effects(11, kTasks, kCells);
-  std::vector<std::int64_t> oracle(kCells, 0);
-  for (const auto& e : effects) {
-    for (std::uint32_t i = 0; i < e.count; ++i) {
-      oracle[(e.first + i) % kCells] += e.delta;
-    }
-  }
+  const auto effects = cell_effects(11, kTasks, kCells);
+  const auto oracle = cell_oracle(effects, kCells);
 
   for (const std::size_t threads : {1u, 4u}) {
     std::vector<std::int64_t> cells(kCells, 0);
     ThreadPool pool(threads);
-    SpeculativeExecutor ex(
-        pool, kCells,
-        [&](TaskId t, IterationContext& ctx) {
-          const Effect& e = effects[t];
-          for (std::uint32_t i = 0; i < e.count; ++i) {
-            const std::uint32_t cell = (e.first + i) % kCells;
-            if (!ctx.acquire(cell)) return;
-            cells[cell] += e.delta;
-            ctx.on_abort([&cells, cell, d = e.delta] { cells[cell] -= d; });
-          }
-        },
-        99);
+    const auto built = build_executor(pool, cell_spec(effects, cells), 99);
+    SpeculativeExecutor& ex = *built;
     // Exercise true multi-lane rounds even on a single-core host.
     ex.set_pipeline({.max_lanes = threads});
     FaultInjector inj(1234);
     inj.set_rate(FaultSite::kOperatorThrow, 0.25);
     inj.set_rate(FaultSite::kOperatorDelay, 0.10);
-    inj.set_rate(FaultSite::kRollbackInverse, 0.10);
     inj.set_rate(FaultSite::kLockAcquire, 0.10);
     ex.set_fault_injector(&inj);
     // Retries are re-keyed by attempt, so a generous budget drives the
@@ -207,9 +121,6 @@ TEST(ChaosHardened, OracleHoldsUnderInjectedFaults) {
     fp.backoff_cap_rounds = 4;
     ex.set_failure_policy(fp);
 
-    std::vector<TaskId> tasks(kTasks);
-    std::iota(tasks.begin(), tasks.end(), TaskId{0});
-    ex.push_initial(tasks);
     int rounds = 0;
     while (!ex.done() && rounds++ < 100000) (void)ex.run_round(16);
     ASSERT_TRUE(ex.done());
@@ -230,7 +141,7 @@ TEST(ChaosHardened, SameFaultSeedReplaysByteIdentically) {
   // injector's PRF removes injection nondeterminism.
   constexpr std::uint32_t kCells = 24;
   constexpr std::uint32_t kTasks = 120;
-  const auto effects = make_effects(5, kTasks, kCells);
+  const auto effects = cell_effects(5, kTasks, kCells);
 
   struct RunResult {
     std::vector<std::vector<std::uint32_t>> per_round;
@@ -240,18 +151,8 @@ TEST(ChaosHardened, SameFaultSeedReplaysByteIdentically) {
     RunResult out;
     std::vector<std::int64_t> cells(kCells, 0);
     ThreadPool pool(1);
-    SpeculativeExecutor ex(
-        pool, kCells,
-        [&](TaskId t, IterationContext& ctx) {
-          const Effect& e = effects[t];
-          for (std::uint32_t i = 0; i < e.count; ++i) {
-            const std::uint32_t cell = (e.first + i) % kCells;
-            if (!ctx.acquire(cell)) return;
-            cells[cell] += e.delta;
-            ctx.on_abort([&cells, cell, d = e.delta] { cells[cell] -= d; });
-          }
-        },
-        77);
+    const auto built = build_executor(pool, cell_spec(effects, cells), 77);
+    SpeculativeExecutor& ex = *built;
     FaultInjector inj(31337);
     inj.set_rate(FaultSite::kOperatorThrow, 0.5);
     ex.set_fault_injector(&inj);
@@ -259,9 +160,6 @@ TEST(ChaosHardened, SameFaultSeedReplaysByteIdentically) {
     fp.max_retries = 2;  // low budget: quarantines must occur and replay
     fp.backoff_cap_rounds = 3;
     ex.set_failure_policy(fp);
-    std::vector<TaskId> tasks(kTasks);
-    std::iota(tasks.begin(), tasks.end(), TaskId{0});
-    ex.push_initial(tasks);
     int rounds = 0;
     while (!ex.done() && rounds++ < 100000) {
       const RoundStats s = ex.run_round(8);
@@ -290,31 +188,18 @@ TEST(ChaosHardened, ZeroRateInjectorIsByteTransparent) {
   // perturb the schedule: same per-round stats as a bare executor.
   constexpr std::uint32_t kCells = 24;
   constexpr std::uint32_t kTasks = 100;
-  const auto effects = make_effects(3, kTasks, kCells);
+  const auto effects = cell_effects(3, kTasks, kCells);
   const auto run_once = [&](bool hardened) {
     std::vector<std::vector<std::uint32_t>> per_round;
     std::vector<std::int64_t> cells(kCells, 0);
     ThreadPool pool(1);
-    SpeculativeExecutor ex(
-        pool, kCells,
-        [&](TaskId t, IterationContext& ctx) {
-          const Effect& e = effects[t];
-          for (std::uint32_t i = 0; i < e.count; ++i) {
-            const std::uint32_t cell = (e.first + i) % kCells;
-            if (!ctx.acquire(cell)) return;
-            cells[cell] += e.delta;
-            ctx.on_abort([&cells, cell, d = e.delta] { cells[cell] -= d; });
-          }
-        },
-        123);
+    const auto built = build_executor(pool, cell_spec(effects, cells), 123);
+    SpeculativeExecutor& ex = *built;
     FaultInjector inj(9);  // all rates default to 0
     if (hardened) {
       ex.set_fault_injector(&inj);
       ex.set_failure_policy(FailurePolicy{});
     }
-    std::vector<TaskId> tasks(kTasks);
-    std::iota(tasks.begin(), tasks.end(), TaskId{0});
-    ex.push_initial(tasks);
     int rounds = 0;
     while (!ex.done() && rounds++ < 100000) {
       const RoundStats s = ex.run_round(8);
@@ -402,38 +287,6 @@ TEST(FailureHandling, PermanentFaultIsQuarantinedWithContext) {
   EXPECT_TRUE(ex.locks().all_free());
 }
 
-TEST(FailureHandling, RollbackInverseFaultIsAbsorbedTwoPhase) {
-  // Every attempt fails AND its rollback throws an injected inverse fault;
-  // the real inverse below it must still run (state restored), and the
-  // task must quarantine rather than wedge.
-  ThreadPool pool(1);
-  std::int64_t cell = 0;
-  SpeculativeExecutor ex(
-      pool, 1,
-      [&](TaskId, IterationContext& ctx) {
-        if (!ctx.acquire(0)) return;
-        cell += 7;
-        ctx.on_abort([&] { cell -= 7; });
-        throw std::runtime_error("always fails");
-      },
-      1);
-  FaultInjector inj(55);
-  inj.set_rate(FaultSite::kRollbackInverse, 1.0);
-  ex.set_fault_injector(&inj);
-  FailurePolicy fp;
-  fp.max_retries = 1;
-  ex.set_failure_policy(fp);
-  std::vector<TaskId> tasks{0};
-  ex.push_initial(tasks);
-  int rounds = 0;
-  while (!ex.done() && rounds++ < 1000) (void)ex.run_round(1);
-  ASSERT_TRUE(ex.done());
-  EXPECT_EQ(cell, 0) << "a throwing injected inverse stranded a real one";
-  EXPECT_EQ(ex.totals().quarantined, 1u);
-  EXPECT_GT(inj.fired(FaultSite::kRollbackInverse), 0u);
-  EXPECT_TRUE(ex.locks().all_free());
-}
-
 TEST(FailureHandling, LegacyRethrowWithoutPolicyIsPreserved) {
   // Mirrors the long-standing contract test: without a FailurePolicy
   // run_round surfaces the first error.
@@ -464,7 +317,6 @@ TEST(FailureHandling, PoolLaneDeathDegradesToSerialAndCompletes) {
         const std::uint32_t cell = static_cast<std::uint32_t>(t % kCells);
         if (!ctx.acquire(cell)) return;
         cells[cell] += 1;
-        ctx.on_abort([&cells, cell] { cells[cell] -= 1; });
       },
       9);
   // Lane deaths need parallel lanes: lift the core-count cap.

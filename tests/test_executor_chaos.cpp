@@ -1,9 +1,9 @@
-// Chaos testing for the speculative runtime: randomized operators mutate a
-// shared array under abstract locks with registered undo actions, across
-// many seeds, policies, thread counts, and round sizes. The invariant: the
-// final state must equal a sequential oracle that applies each task's
-// effect exactly once — i.e. rollback leaves *no trace* of aborted
-// attempts, no matter how the speculation interleaved.
+// Chaos testing for the speculative runtime: the cell workload's cautious
+// operators (apps/app_spec.hpp) mutate a shared array under abstract locks,
+// across many seeds, policies, thread counts, and round sizes. The
+// invariant: the final state must equal a sequential oracle that applies
+// each task's effect exactly once — i.e. aborted attempts leave *no trace*,
+// no matter how the speculation interleaved.
 #include <gtest/gtest.h>
 
 #include <sys/stat.h>
@@ -13,23 +13,16 @@
 #include <string>
 #include <vector>
 
+#include "apps/app_spec.hpp"
 #include "control/baselines.hpp"
 #include "rt/adaptive_executor.hpp"
 #include "rt/checkpoint.hpp"
 #include "rt/spec_executor.hpp"
 #include "support/failure_policy.hpp"
-#include "support/rng.hpp"
 #include "support/thread_pool.hpp"
 
 namespace optipar {
 namespace {
-
-/// A task's deterministic effect: add `delta` to cells [first, first+count).
-struct Effect {
-  std::uint32_t first = 0;
-  std::uint32_t count = 1;
-  std::int64_t delta = 1;
-};
 
 struct ChaosCase {
   std::uint64_t seed;
@@ -45,49 +38,21 @@ TEST_P(ExecutorChaosTest, FinalStateMatchesSequentialOracle) {
   constexpr std::uint32_t kCells = 48;
   constexpr std::uint32_t kTasks = 300;
 
-  // Deterministic per-task effects.
-  Rng gen_rng(param.seed);
-  std::vector<Effect> effects(kTasks);
-  for (auto& e : effects) {
-    e.first = static_cast<std::uint32_t>(gen_rng.below(kCells));
-    e.count = 1 + static_cast<std::uint32_t>(gen_rng.below(4));
-    e.delta = gen_rng.between(-5, 5);
-  }
+  const auto effects = cell_effects(param.seed, kTasks, kCells);
 
-  // Sequential oracle: each task applied exactly once.
-  std::vector<std::int64_t> oracle(kCells, 0);
-  for (const auto& e : effects) {
-    for (std::uint32_t i = 0; i < e.count; ++i) {
-      oracle[(e.first + i) % kCells] += e.delta;
-    }
-  }
-
-  // Speculative execution with per-cell locks and undo.
+  // Speculative execution with per-cell locks.
   std::vector<std::int64_t> cells(kCells, 0);
+  AppSpec spec = cell_spec(effects, cells);
+  spec.priority = [&effects](TaskId t) {
+    return static_cast<std::uint64_t>(effects[t].first);
+  };
   ThreadPool pool(param.threads);
-  SpeculativeExecutor ex(
-      pool, kCells,
-      [&](TaskId t, IterationContext& ctx) {
-        const Effect& e = effects[t];
-        for (std::uint32_t i = 0; i < e.count; ++i) {
-          const std::uint32_t cell = (e.first + i) % kCells;
-          if (!ctx.acquire(cell)) return;
-          cells[cell] += e.delta;
-          ctx.on_abort([&cells, cell, d = e.delta] { cells[cell] -= d; });
-        }
-      },
-      param.seed * 7 + 1, RoundOptions{.worklist = param.policy});
+  const auto built = build_executor(pool, spec, param.seed * 7 + 1,
+                                    RoundOptions{.worklist = param.policy});
+  SpeculativeExecutor& ex = *built;
   // The sweep's multi-thread cases should exercise real multi-lane
   // rounds even when the host has fewer cores than the pool.
   ex.set_pipeline({.max_lanes = param.threads});
-  if (param.policy == WorklistPolicy::kPriority) {
-    ex.set_priority_function([&effects](TaskId t) {
-      return static_cast<std::uint64_t>(effects[t].first);
-    });
-  }
-  std::vector<TaskId> tasks(kTasks);
-  std::iota(tasks.begin(), tasks.end(), TaskId{0});
-  ex.push_initial(tasks);
 
   int rounds = 0;
   while (!ex.done() && rounds++ < 100000) {
@@ -96,7 +61,9 @@ TEST_P(ExecutorChaosTest, FinalStateMatchesSequentialOracle) {
   ASSERT_TRUE(ex.done());
   EXPECT_EQ(ex.totals().committed, kTasks);
   EXPECT_TRUE(ex.locks().all_free());
-  EXPECT_EQ(cells, oracle) << "speculative execution left a trace";
+  // Sequential oracle: each task applied exactly once.
+  EXPECT_EQ(cells, cell_oracle(effects, kCells))
+      << "speculative execution left a trace";
 }
 
 std::vector<ChaosCase> chaos_cases() {

@@ -78,13 +78,9 @@ TEST(AdaptiveLoop, SolvesMisEndToEnd) {
         bool blocked = false;
         for (const NodeId w : g.neighbors(v)) blocked |= (state[w] == 1);
         state[v] = blocked ? 2 : 1;
-        ctx.on_abort([&state, v] { state[v] = 0; });
         if (!blocked) {
           for (const NodeId w : g.neighbors(v)) {
-            if (state[w] == 0) {
-              state[w] = 2;
-              ctx.on_abort([&state, w] { state[w] = 0; });
-            }
+            if (state[w] == 0) state[w] = 2;
           }
         }
       },

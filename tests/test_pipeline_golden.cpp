@@ -1,11 +1,10 @@
-// Single-lane executor determinism (DESIGN.md §12). Two contracts:
-//  * the single-lane fast path (plain cursors, no barrier, relaxed lock
-//    ops) replays the generic barriered path byte-for-byte — same round
-//    stats, same shared state, same snapshot bytes (rng streams, shard
-//    contents, totals);
-//  * forcing max_lanes = 1 makes an oversubscribed pool fully
-//    deterministic (the lane auto-cap is the paper's processor-allocation
-//    argument applied to the runtime itself).
+// Single-lane executor determinism (DESIGN.md §12): forcing max_lanes = 1
+// makes an oversubscribed pool fully deterministic (the lane auto-cap is
+// the paper's processor-allocation argument applied to the runtime
+// itself). Every one-lane round takes the single-lane fast path (plain
+// cursors, no barrier, relaxed lock ops), and two runs must replay each
+// other byte-for-byte — same round stats, same shared state, same snapshot
+// bytes (rng streams, shard contents, totals).
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -36,8 +35,7 @@ struct GoldenRun {
 
 /// Each task touches two cells (one shared with a neighbor), so rounds
 /// mix commits and aborts; aborted tasks requeue until they commit.
-GoldenRun run_workload(std::size_t pool_threads,
-                       const PipelineConfig& pipeline) {
+GoldenRun run_workload(std::size_t pool_threads) {
   GoldenRun out;
   out.cells.assign(kCells, 0);
   ThreadPool pool(pool_threads);
@@ -46,15 +44,12 @@ GoldenRun run_workload(std::size_t pool_threads,
       [&out](TaskId t, IterationContext& ctx) {
         const auto a = static_cast<std::uint32_t>(t % kCells);
         const auto b = static_cast<std::uint32_t>((t * 7 + 3) % kCells);
-        if (!ctx.acquire(a)) return;
+        if (!ctx.acquire(a) || !ctx.acquire(b)) return;
         out.cells[a] += 1;
-        ctx.on_abort([&out, a] { out.cells[a] -= 1; });
-        if (!ctx.acquire(b)) return;
         out.cells[b] -= 2;
-        ctx.on_abort([&out, b] { out.cells[b] += 2; });
       },
       1234);
-  ex.set_pipeline(pipeline);
+  ex.set_pipeline({.max_lanes = 1});
   std::vector<TaskId> tasks(kTasks);
   std::iota(tasks.begin(), tasks.end(), TaskId{0});
   ex.push_initial(tasks);
@@ -81,29 +76,13 @@ std::vector<std::int64_t> oracle_cells() {
   return cells;
 }
 
-TEST(PipelineGolden, FastPathReplaysGenericSingleLaneByteIdentically) {
-  const GoldenRun fast = run_workload(
-      1, {.max_lanes = 1, .single_lane_fast_path = true});
-  const GoldenRun generic = run_workload(
-      1, {.max_lanes = 1, .single_lane_fast_path = false});
-  EXPECT_EQ(fast.rounds, generic.rounds);
-  EXPECT_EQ(fast.cells, generic.cells);
-  EXPECT_EQ(fast.state, generic.state);
-  EXPECT_EQ(fast.cells, oracle_cells());
-}
-
 TEST(PipelineGolden, LaneCapPinsOversubscribedPoolToTheGoldenTrace) {
-  // Same pool shape (shard count is part of the snapshot header), three
+  // Same pool shape (shard count is part of the snapshot header): two
   // schedules that must coincide once lanes are capped at one.
-  const GoldenRun fast = run_workload(
-      4, {.max_lanes = 1, .single_lane_fast_path = true});
-  const GoldenRun generic = run_workload(
-      4, {.max_lanes = 1, .single_lane_fast_path = false});
-  const GoldenRun replay = run_workload(
-      4, {.max_lanes = 1, .single_lane_fast_path = true});
-  EXPECT_EQ(fast.rounds, generic.rounds);
-  EXPECT_EQ(fast.state, generic.state);
+  const GoldenRun fast = run_workload(4);
+  const GoldenRun replay = run_workload(4);
   EXPECT_EQ(fast.rounds, replay.rounds);
+  EXPECT_EQ(fast.cells, replay.cells);
   EXPECT_EQ(fast.state, replay.state);
   EXPECT_EQ(fast.cells, oracle_cells());
 }

@@ -7,8 +7,9 @@
 //    correctness oracle intact;
 //  * footprint contract — every spec's declared footprint covers every
 //    item its operator acquires;
-//  * cautious contract — every app operator takes every lock before its
-//    first write, so an aborted call leaves the app's state untouched;
+//  * cautious contract — every app operator, and the chaos cell
+//    workload's, takes every lock before its first write, so an aborted
+//    call leaves the state untouched;
 //  * every backend serializes through save_state/load_state so a
 //    kill-and-resume run replays the original byte-for-byte, and a
 //    snapshot taken under one backend refuses to load under another.
@@ -145,12 +146,9 @@ TaskOperator cell_operator(std::vector<std::int64_t>& cells) {
   return [&cells](TaskId t, IterationContext& ctx) {
     const auto a = static_cast<std::uint32_t>(t % kCells);
     const auto b = static_cast<std::uint32_t>((t * 7 + 3) % kCells);
-    if (!ctx.acquire(a)) return;
+    if (!ctx.acquire(a) || !ctx.acquire(b)) return;
     cells[a] += 1;
-    ctx.on_abort([&cells, a] { cells[a] -= 1; });
-    if (!ctx.acquire(b)) return;
     cells[b] -= 2;
-    ctx.on_abort([&cells, b] { cells[b] += 2; });
   };
 }
 
@@ -372,6 +370,12 @@ TEST(FootprintContract, EverySpecDeclaresWhatItAcquires) {
     SCOPED_TRACE("lock-only");
     EXPECT_EQ(undeclared_acquisitions(lock_only_spec(g), 8), 0u);
   }
+  {
+    SCOPED_TRACE("cells");
+    const auto effects = cell_effects(37, 200, 32);
+    std::vector<std::int64_t> cells(32, 0);
+    EXPECT_EQ(undeclared_acquisitions(cell_spec(effects, cells), 9), 0u);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -561,6 +565,18 @@ TEST(CautiousContract, EveryAppTakesEveryLockBeforeItsFirstWrite) {
       return d.h;
     };
     EXPECT_GT(aborted_calls_checked(dmr::make_spec(*mesh, q), digest, 7), 0u);
+  }
+  {
+    SCOPED_TRACE("cells");
+    const auto effects = cell_effects(47, 200, 32);
+    std::vector<std::int64_t> cells(32, 0);
+    const auto digest = [&] {
+      Digest d;
+      for (const std::int64_t c : cells) d.add(static_cast<std::uint64_t>(c));
+      return d.h;
+    };
+    EXPECT_GT(
+        aborted_calls_checked(cell_spec(effects, cells), digest, 8), 0u);
   }
 }
 

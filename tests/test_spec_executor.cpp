@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <vector>
 
@@ -11,26 +12,6 @@
 
 namespace optipar {
 namespace {
-
-TEST(UndoLog, RunsInversesInReverseOrder) {
-  UndoLog log;
-  std::vector<int> order;
-  log.record([&] { order.push_back(1); });
-  log.record([&] { order.push_back(2); });
-  EXPECT_EQ(log.size(), 2u);
-  log.rollback();
-  EXPECT_EQ(order, (std::vector<int>{2, 1}));
-  EXPECT_TRUE(log.empty());
-}
-
-TEST(UndoLog, DiscardSkipsInverses) {
-  UndoLog log;
-  int hits = 0;
-  log.record([&] { ++hits; });
-  log.discard();
-  log.rollback();
-  EXPECT_EQ(hits, 0);
-}
 
 TEST(SpecExecutor, IndependentTasksAllCommitInOneRound) {
   ThreadPool pool(2);
@@ -78,7 +59,7 @@ TEST(SpecExecutor, EmptyRoundIsHarmless) {
 
 TEST(SpecExecutor, ConflictingTasksRetryUntilAllCommit) {
   // All tasks hammer item 0: exactly one commits per round, the rest are
-  // rolled back and requeued — but everything eventually commits.
+  // aborted and requeued — but everything eventually commits.
   ThreadPool pool(4);
   std::atomic<int> commits{0};
   SpeculativeExecutor ex(
@@ -102,28 +83,26 @@ TEST(SpecExecutor, ConflictingTasksRetryUntilAllCommit) {
             ex.totals().committed + ex.totals().aborted);
 }
 
-TEST(SpecExecutor, AbortRollsBackSpeculativeMutations) {
-  // Tasks mutate first (atomic increment + undo), then acquire a shared
-  // item that every task collides on. Within one round only the first
-  // committer can hold item 0, so every other task mutates and then MUST
-  // roll back; the final counter equals the task count exactly.
+TEST(SpecExecutor, AbortedTasksLeaveNoWrites) {
+  // Tasks lock a private item, then a shared item that every task
+  // collides on, and write only once both are held. Within one round only
+  // the first committer can hold item 0, so every other task aborts having
+  // written nothing; the final counter equals the task count exactly.
   ThreadPool pool(4);
   std::atomic<int> counter{0};
   SpeculativeExecutor ex(
       pool, 9,
       [&](TaskId t, IterationContext& ctx) {
-        // Private item first, then the contended item AFTER the mutation.
         if (!ctx.acquire(1 + static_cast<std::uint32_t>(t))) return;
-        counter.fetch_add(1);
-        ctx.on_abort([&] { counter.fetch_sub(1); });
         if (!ctx.acquire(0)) return;
+        counter.fetch_add(1);
       },
       5);
   std::vector<TaskId> tasks{0, 1, 2, 3, 4, 5, 6, 7};
   ex.push_initial(tasks);
   while (!ex.done()) (void)ex.run_round(8);
   EXPECT_EQ(counter.load(), 8);
-  EXPECT_GT(ex.totals().aborted, 0u);  // rollback really happened
+  EXPECT_GT(ex.totals().aborted, 0u);  // aborts really happened
   EXPECT_EQ(ex.totals().committed, 8u);
 }
 
@@ -146,25 +125,38 @@ TEST(SpecExecutor, VoluntaryAbortViaException) {
 }
 
 TEST(SpecExecutor, CommittedPushesJoinWorklistAbortedOnesDoNot) {
-  ThreadPool pool(2);
+  // Tasks 0 and 2 each push a follow-up task 100 + t, then lock item 0.
+  // One lane runs them in draw order, so the first commits and the second
+  // is doomed: only the winner's push may reach the work-set. The loser
+  // pushes again when it reruns, so each follow-up must run exactly once.
+  ThreadPool pool(1);
+  std::vector<TaskId> followups;
   SpeculativeExecutor ex(
-      pool, 2,
+      pool, 1,
       [&](TaskId t, IterationContext& ctx) {
-        if (!ctx.acquire(static_cast<std::uint32_t>(t % 2))) return;
-        if (t == 0) {
-          ctx.push(100);  // will commit -> visible
+        if (t >= 100) {
+          followups.push_back(t);
+          return;
         }
+        ctx.push(100 + t);
+        if (!ctx.acquire(0)) return;
       },
       7);
-  ex.push_initial(std::vector<TaskId>{0});
-  (void)ex.run_round(1);
-  EXPECT_EQ(ex.pending(), 1u);  // the pushed task 100
+  ex.push_initial(std::vector<TaskId>{0, 2});
+  const RoundStats first = ex.run_round(2);
+  EXPECT_EQ(first.committed, 1u);
+  EXPECT_EQ(first.aborted, 1u);
+  EXPECT_EQ(ex.pending(), 2u);  // the loser, plus the winner's push
+  while (!ex.done()) (void)ex.run_round(1);
+  std::sort(followups.begin(), followups.end());
+  EXPECT_EQ(followups, (std::vector<TaskId>{100, 102}));
 }
 
 TEST(SpecExecutor, FailedAcquireAbortsWithoutThrowing) {
-  // Two tasks mutate, then contend for item 0. The loser's acquire returns
-  // false instead of throwing; its inverse runs, its locks are released,
-  // and it is requeued, counted aborted, and commits in the next round.
+  // Two tasks lock a private item, then contend for item 0, and write only
+  // once both are held. The loser's acquire returns false instead of
+  // throwing; it writes nothing, its locks are released, and it is
+  // requeued, counted aborted, and commits in the next round.
   ThreadPool pool(1);
   int counter = 0;
   int failed = 0;
@@ -173,8 +165,6 @@ TEST(SpecExecutor, FailedAcquireAbortsWithoutThrowing) {
       pool, 3,
       [&](TaskId t, IterationContext& ctx) {
         if (!ctx.acquire(1 + static_cast<std::uint32_t>(t))) return;
-        ++counter;
-        ctx.on_abort([&] { --counter; });
         bool acquired = false;
         try {
           acquired = ctx.acquire(0);
@@ -185,7 +175,9 @@ TEST(SpecExecutor, FailedAcquireAbortsWithoutThrowing) {
         if (!acquired) {
           EXPECT_TRUE(ctx.doomed());
           ++failed;
+          return;
         }
+        ++counter;
       },
       14);
   ex.push_initial(std::vector<TaskId>{0, 1});
@@ -194,7 +186,7 @@ TEST(SpecExecutor, FailedAcquireAbortsWithoutThrowing) {
   EXPECT_EQ(first.aborted, 1u);
   EXPECT_EQ(failed, 1);
   EXPECT_EQ(threw, 0);
-  EXPECT_EQ(counter, 1);  // the loser's inverse ran
+  EXPECT_EQ(counter, 1);  // only the winner wrote
   EXPECT_TRUE(ex.locks().all_free());
   EXPECT_EQ(ex.pending(), 1u);  // requeued
   const auto second = ex.run_round(2);
@@ -202,32 +194,6 @@ TEST(SpecExecutor, FailedAcquireAbortsWithoutThrowing) {
   EXPECT_EQ(second.committed, 1u);
   EXPECT_EQ(counter, 2);
   EXPECT_TRUE(ex.done());
-}
-
-TEST(SpecExecutor, DiscardedFailedAcquireIsStillRolledBack) {
-  // With one lane, an operator that ignores a failed acquire and mutates
-  // anyway commits nothing: the doomed iteration is rolled back when it
-  // returns. This is a one-lane check only: with several lanes the item's
-  // owner may be running concurrently, and touching the item is a data
-  // race (DESIGN.md §7).
-  ThreadPool pool(1);
-  int counter = 0;
-  SpeculativeExecutor ex(
-      pool, 1,
-      [&](TaskId, IterationContext& ctx) {
-        (void)ctx.acquire(0);
-        ++counter;
-        ctx.on_abort([&] { --counter; });
-        ctx.push(99);  // must not leak out of the aborted iteration
-      },
-      15);
-  ex.push_initial(std::vector<TaskId>{0, 1});
-  const auto stats = ex.run_round(2);
-  EXPECT_EQ(stats.committed, 1u);
-  EXPECT_EQ(stats.aborted, 1u);
-  EXPECT_EQ(counter, 1);
-  EXPECT_EQ(ex.pending(), 2u);  // the loser, plus the winner's push
-  EXPECT_TRUE(ex.locks().all_free());
 }
 
 TEST(SpecExecutor, RepeatedAcquireHoldsOneEntry) {
@@ -370,8 +336,8 @@ TEST(RunAdaptive, BeforeRoundHookRuns) {
 
 TEST(SpecExecutor, RecycledContextsStayCleanAcrossThousandsOfRounds) {
   // Arena contexts are reset, not reallocated, between rounds. Stale state
-  // from a previous occupant of a slot (held locks, pushed tasks, undo
-  // entries) must never leak into a later iteration: run a mutate+abort
+  // from a previous occupant of a slot (held locks, pushed tasks, the
+  // doomed mark) must never leak into a later iteration: run a conflicting
   // workload through the same executor for thousands of rounds and check
   // the final state against the sequential oracle every time the worklist
   // drains.
@@ -384,12 +350,10 @@ TEST(SpecExecutor, RecycledContextsStayCleanAcrossThousandsOfRounds) {
       [&](TaskId t, IterationContext& ctx) {
         const auto base = static_cast<std::uint32_t>(t % kCells);
         for (std::uint32_t i = 0; i < 3; ++i) {
-          const std::uint32_t cell = (base + i) % kCells;
-          if (!ctx.acquire(cell)) return;
-          cells[cell] += 1;
-          ctx.on_abort([&cells, cell] { cells[cell] -= 1; });
+          if (!ctx.acquire((base + i) % kCells)) return;
         }
         if (t % 7 == 0) throw AbortIteration{};  // voluntary churn
+        for (std::uint32_t i = 0; i < 3; ++i) cells[(base + i) % kCells] += 1;
       },
       /*seed=*/77);
   std::uint64_t waves = 0;

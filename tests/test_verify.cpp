@@ -452,7 +452,6 @@ TEST(ExecutorCert, ChaosRunCertifiesAfterRecovery) {
         const Effect& e = effects[t];
         if (!ctx.acquire(e.cell)) return;
         cells[e.cell] += e.delta;
-        ctx.on_abort([&cells, &e] { cells[e.cell] -= e.delta; });
       },
       41);
 

@@ -496,9 +496,9 @@ int cmd_control(const Options& opt) {
 }
 
 int cmd_chaos(const Options& opt) {
-  // A fault-injected speculative run over the reference chaos workload
-  // (random counter updates under abstract locks with undo), driven by the
-  // adaptive closed loop. The run self-checks the §8 recovery invariants:
+  // A fault-injected speculative run over the cell workload (random
+  // counter updates under abstract locks, apps/app_spec.hpp), driven by
+  // the adaptive closed loop. The run self-checks the §8 recovery invariants:
   // the shared state must equal the oracle restricted to non-quarantined
   // tasks, and no abstract lock may leak. Ends with one machine-parsable
   // summary line that scripts/run_chaos.sh asserts over.
@@ -511,49 +511,17 @@ int cmd_chaos(const Options& opt) {
       static_cast<std::uint64_t>(opt.get_int("fault-seed", 42));
   const double rate = opt.get_double("fault-rate", 0.0);
   const double delay_rate = opt.get_double("delay-rate", rate / 2.0);
-  const double rollback_rate = opt.get_double("rollback-rate", rate / 4.0);
   const double lock_rate = opt.get_double("lock-rate", rate / 4.0);
   const double lane_rate = opt.get_double("lane-rate", 0.0);
 
-  // Per-task effects and their sequential oracle.
-  Rng gen_rng(seed);
-  struct Effect {
-    std::uint32_t first;
-    std::uint32_t count;
-    std::int64_t delta;
-  };
-  std::vector<Effect> effects(tasks_n);
-  for (auto& e : effects) {
-    e.first = static_cast<std::uint32_t>(gen_rng.below(cells_n));
-    e.count = 1 + static_cast<std::uint32_t>(gen_rng.below(4));
-    e.delta = gen_rng.between(-5, 5);
-  }
+  const std::vector<CellEffect> effects =
+      cell_effects(seed, tasks_n, cells_n);
 
   const auto backend = parse_scheduler(opt);
   if (!backend) return usage();
 
   std::vector<std::int64_t> cells(cells_n, 0);
-  AppSpec spec;
-  spec.items = cells_n;
-  spec.initial = all_tasks(tasks_n);
-  // Not cautious on purpose: each cell is written before the next is
-  // locked, so an abort runs the inverses and rollback stays exercised.
-  spec.op = [&](TaskId t, IterationContext& ctx) {
-    const Effect& e = effects[t];
-    for (std::uint32_t i = 0; i < e.count; ++i) {
-      const std::uint32_t cell = (e.first + i) % cells_n;
-      if (!ctx.acquire(cell)) return;
-      cells[cell] += e.delta;
-      ctx.on_abort([&cells, cell, d = e.delta] { cells[cell] -= d; });
-    }
-  };
-  spec.footprint = [&effects, cells_n](TaskId t,
-                                       std::vector<std::uint32_t>& fp) {
-    const Effect& e = effects[t];
-    for (std::uint32_t i = 0; i < e.count; ++i) {
-      fp.push_back((e.first + i) % cells_n);
-    }
-  };
+  const AppSpec spec = cell_spec(effects, cells);
 
   telemetry::RuntimeTelemetry tel;
   telemetry::SpanCollector spans;
@@ -561,23 +529,13 @@ int cmd_chaos(const Options& opt) {
   FaultInjector injector(fault_seed);
   injector.set_rate(FaultSite::kOperatorThrow, rate);
   injector.set_rate(FaultSite::kOperatorDelay, delay_rate);
-  injector.set_rate(FaultSite::kRollbackInverse, rollback_rate);
   injector.set_rate(FaultSite::kLockAcquire, lock_rate);
   injector.set_rate(FaultSite::kPoolLane, lane_rate);
 
   // Recovery invariant: the cells equal the sequential oracle over the
   // tasks that were not quarantined.
   const auto state_matches_oracle = [&](const SpeculativeExecutor& ex) {
-    std::vector<bool> quarantined(tasks_n, false);
-    for (const auto& dl : ex.dead_letters()) quarantined[dl.task] = true;
-    std::vector<std::int64_t> oracle(cells_n, 0);
-    for (std::uint32_t t = 0; t < tasks_n; ++t) {
-      if (quarantined[t]) continue;
-      for (std::uint32_t i = 0; i < effects[t].count; ++i) {
-        oracle[(effects[t].first + i) % cells_n] += effects[t].delta;
-      }
-    }
-    return cells == oracle;
+    return cells == cell_oracle(effects, cells_n, ex.dead_letters());
   };
 
   JobConfig config;
