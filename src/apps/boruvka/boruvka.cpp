@@ -6,6 +6,15 @@
 #include "graph/union_find.hpp"
 
 namespace optipar::boruvka {
+namespace {
+
+/// The endpoint of edge (v, u) that a contraction removes: the one with
+/// fewer adjacency entries, v on a tie.
+NodeId dying_end(const ContractionGraph& graph, NodeId v, NodeId u) {
+  return graph.adjacency(v).size() <= graph.adjacency(u).size() ? v : u;
+}
+
+}  // namespace
 
 double kruskal_mst_weight(NodeId n, std::vector<WeightedEdge> edges) {
   std::sort(edges.begin(), edges.end(),
@@ -85,34 +94,42 @@ TaskOperator make_boruvka_operator(ContractionGraph& graph) {
     const double w = best->w;
     if (!ctx.acquire(u)) return;
 
-    // Merge v's neighborhood into u. Every neighbor's adjacency is
-    // rewritten, so each is acquired before the first write.
-    const auto& nbrs = graph.adjacency(v);
+    // The endpoint with fewer adjacency entries dies into the other (v on
+    // a tie), so a big supernode's map is not moved every time it runs.
+    const NodeId from = dying_end(graph, v, u);
+    const NodeId into = from == v ? u : v;
+
+    // Every neighbor of `from` has its adjacency rewritten, so each is
+    // acquired before the first write.
+    const auto& nbrs = graph.adjacency(from);
     for (const auto& [x, wx] : nbrs) {
       if (!ctx.acquire(x)) return;
     }
 
-    // The loop writes only neighbors' maps (no self-loops: x != v, u != v),
-    // so iterating v's own map while merging is safe.
+    // The loop writes only neighbors' maps (no self-loops: x != from), so
+    // iterating from's own map while merging is safe.
     for (const auto& [x, wx] : nbrs) {
       auto& adj_x = graph.mutable_adjacency(x);
-      adj_x.erase(v);
-      if (x == u) continue;
-      // x gains (or keeps the lighter of) an edge to u, mirrored in u.
-      const auto old_xu = adj_x.find(u);
-      if (old_xu == adj_x.end() || wx < old_xu->second) {
-        adj_x[u] = wx;
-        graph.mutable_adjacency(u)[x] = wx;
+      adj_x.erase(from);
+      if (x == into) continue;
+      // x gains (or keeps the lighter of) an edge to into, mirrored there.
+      const auto old_x_into = adj_x.find(into);
+      if (old_x_into == adj_x.end() || wx < old_x_into->second) {
+        adj_x[into] = wx;
+        graph.mutable_adjacency(into)[x] = wx;
       }
     }
-    // v is gone: release its map's storage (clear() would keep the
+    // from is gone: release its map's storage (clear() would keep the
     // bucket array).
-    std::unordered_map<NodeId, double>().swap(graph.mutable_adjacency(v));
+    std::unordered_map<NodeId, double>().swap(graph.mutable_adjacency(from));
 
-    graph.record_choice(v, w, true);
-    graph.set_alive(v, false);
+    graph.record_choice(from, w, true);
+    graph.set_alive(from, false);
 
-    ctx.push(u);  // the merged supernode needs another pass
+    // Every live node has exactly one task pending or running. When u dies
+    // its own pending task later runs as a dead no-op; when v survives,
+    // this task's follow-up is v's one task.
+    if (into == v) ctx.push(v);
   };
 }
 
@@ -123,8 +140,15 @@ AppSpec make_spec(ContractionGraph& graph) {
   spec.op = make_boruvka_operator(graph);
   spec.footprint = [&graph](TaskId t, std::vector<std::uint32_t>& fp) {
     const auto v = static_cast<NodeId>(t);
-    fp.push_back(v);
-    for (const auto& [x, w] : graph.adjacency(v)) fp.push_back(x);
+    const auto best = graph.lightest_edge(v);  // none once v is dead
+    if (!best.has_value()) {
+      fp.push_back(v);
+      return;
+    }
+    // {from} ∪ adjacency(from) holds both v and u: they are adjacent.
+    const NodeId from = dying_end(graph, v, best->v);
+    fp.push_back(from);
+    for (const auto& [x, w] : graph.adjacency(from)) fp.push_back(x);
   };
   spec.before_round = [](SpeculativeExecutor& ex) {
     ex.invalidate_schedule();

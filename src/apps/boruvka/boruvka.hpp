@@ -2,7 +2,8 @@
 // the Galois applications the paper lists (§1). A task takes an alive
 // supernode v, picks its lightest incident edge (v, u) (safe for the MST by
 // the cut property, since v is an entire component), records it, and
-// contracts v into u. Tasks whose neighborhoods overlap conflict. Both a
+// contracts the endpoint with fewer adjacency entries into the other (v
+// into u on a tie). Tasks whose neighborhoods overlap conflict. Both a
 // sequential Kruskal reference and the speculative operator are provided.
 #pragma once
 
@@ -71,13 +72,22 @@ class ContractionGraph {
   std::vector<std::uint8_t> chosen_flag_;
 };
 
-/// The speculative contraction operator (tasks are node ids).
+/// The speculative contraction operator (tasks are node ids). A task on
+/// v locks v and its lightest neighbour u; the one of the two with fewer
+/// adjacency entries (v on a tie) dies into the other, and the chosen edge
+/// is recorded on the node that dies. The task pushes v again only when v
+/// survives. Precondition: every node starts with exactly one task. Then
+/// every live node keeps exactly one task pending or running, and a node
+/// absorbed as u keeps at most one, which runs as a dead no-op.
 [[nodiscard]] TaskOperator make_boruvka_operator(ContractionGraph& graph);
 
-/// Contract the whole graph: every node is a task. The footprint is v's
-/// live closed neighbourhood in the contraction graph, which changes as
-/// supernodes merge, so the hook invalidates the standing schedule before
-/// every round (a no-op off the chromatic backend).
+/// Contract the whole graph: every node is a task, pushed once (the
+/// operator's precondition). For a live v with a neighbour, the footprint
+/// is {v, u} ∪ adjacency(from), where u is v's lightest neighbour and
+/// `from` the endpoint that will die; otherwise it is {v}. It reads only
+/// items inside it: v's adjacency, u's size and from's adjacency. It
+/// changes as supernodes merge, so the hook invalidates the standing
+/// schedule before every round (a no-op off the chromatic backend).
 [[nodiscard]] AppSpec make_spec(ContractionGraph& graph);
 
 }  // namespace optipar::boruvka

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "apps/app_spec.hpp"
 #include "control/baselines.hpp"
 #include "control/hybrid.hpp"
@@ -141,6 +143,98 @@ TEST(BoruvkaAdaptive, EdgesChosenEqualsNodesMinusComponents) {
   UnionFind uf(60);
   for (const auto& e : edges) uf.unite(e.u, e.v);
   EXPECT_EQ(graph.chosen_count(), 60u - uf.num_sets());
+}
+
+/// What the rule-checking wrapper saw over one drain.
+struct RuleLog {
+  std::uint32_t v_died = 0;           // committed merges that removed v
+  std::uint32_t u_died = 0;           // committed merges that removed u
+  std::uint32_t wrong_direction = 0;  // merges that removed the larger side
+  std::vector<std::uint32_t> dead_commits;  // per node: commits while dead
+};
+
+/// Contract the whole graph through its spec, with the operator wrapped to
+/// check both contraction rules. Before each call on a live, non-isolated
+/// v it reads |adj v| and |adj u|; that read is race-free only because the
+/// pool has one lane. After each committed call it checks that the side
+/// with fewer entries died (v on a tie), and counts, per node, committed
+/// calls on a node that was already dead.
+RuleLog run_checked(NodeId n, const std::vector<WeightedEdge>& edges,
+                    Controller& controller, std::uint64_t seed) {
+  ThreadPool pool(1);
+  ContractionGraph graph(n, edges);
+  RuleLog log;
+  log.dead_commits.assign(n, 0);
+  AppSpec spec = make_spec(graph);
+  spec.op = [&graph, &log, op = spec.op](TaskId t, IterationContext& ctx) {
+    const auto v = static_cast<NodeId>(t);
+    const bool was_alive = graph.is_alive(v);
+    const auto best = was_alive ? graph.lightest_edge(v) : std::nullopt;
+    const std::size_t size_v = graph.adjacency(v).size();
+    const std::size_t size_u =
+        best.has_value() ? graph.adjacency(best->v).size() : 0;
+    op(t, ctx);
+    if (ctx.doomed()) return;  // one lane: aborted iff doomed
+    if (!was_alive) {
+      ++log.dead_commits[v];
+      return;
+    }
+    if (!best.has_value()) return;
+    const bool v_should_die = size_v <= size_u;
+    const bool v_alive = graph.is_alive(v);
+    const bool u_alive = graph.is_alive(best->v);
+    if (v_alive == u_alive || v_alive == v_should_die) ++log.wrong_direction;
+    ++(v_alive ? log.u_died : log.v_died);
+  };
+  (void)drain(*build_executor(pool, spec, seed), spec, controller);
+  EXPECT_NEAR(graph.chosen_weight(), kruskal_mst_weight(n, edges),
+              1e-9 * std::max(1.0, kruskal_mst_weight(n, edges)));
+  return log;
+}
+
+/// Hub 0 joined to 64 leaves by distinct weights, not in id order.
+std::vector<WeightedEdge> star_65() {
+  std::vector<WeightedEdge> edges;
+  for (NodeId leaf = 1; leaf <= 64; ++leaf) {
+    edges.push_back({0, leaf, static_cast<double>((leaf * 37) % 64 + 1)});
+  }
+  return edges;
+}
+
+std::uint32_t max_dead_commits(const RuleLog& log) {
+  return *std::max_element(log.dead_commits.begin(), log.dead_commits.end());
+}
+
+TEST(BoruvkaRules, SmallerSupernodeDiesIntoLarger) {
+  const auto gnm = random_weighted_graph(300, 1200, 41);
+  ControllerParams p;
+  HybridController hybrid(p);
+  const RuleLog on_gnm = run_checked(300, gnm, hybrid, 3);
+  EXPECT_EQ(on_gnm.wrong_direction, 0u);
+  EXPECT_GT(on_gnm.u_died, 0u);
+  EXPECT_GT(on_gnm.v_died, 0u);
+
+  FixedController fixed(8);
+  const RuleLog on_star = run_checked(65, star_65(), fixed, 1);
+  EXPECT_EQ(on_star.wrong_direction, 0u);
+  EXPECT_EQ(on_star.u_died + on_star.v_died, 64u);
+  EXPECT_GT(on_star.u_died, 0u);  // the hub's own task absorbs leaves
+}
+
+TEST(BoruvkaRules, DeadNodeRunsAtMostOnce) {
+  // Every live node keeps exactly one task pending or running, so a node
+  // absorbed as u is called at most once more, as a dead no-op.
+  for (const std::uint32_t m : {1u, 8u}) {
+    for (const std::uint64_t seed : {1u, 2u, 3u}) {
+      FixedController fixed(m);
+      EXPECT_LE(max_dead_commits(run_checked(65, star_65(), fixed, seed)), 1u)
+          << "star, m = " << m << ", seed " << seed;
+    }
+  }
+  ControllerParams p;
+  HybridController hybrid(p);
+  const auto gnm = random_weighted_graph(300, 1200, 42);
+  EXPECT_LE(max_dead_commits(run_checked(300, gnm, hybrid, 4)), 1u);
 }
 
 }  // namespace

@@ -342,8 +342,12 @@ TEST(SpecExecutor, RecycledContextsStayCleanAcrossThousandsOfRounds) {
   // the final state against the sequential oracle every time the worklist
   // drains.
   constexpr std::uint32_t kCells = 12;
+  constexpr TaskId kTasks = 50;
   ThreadPool pool(2);
   std::vector<std::int64_t> cells(kCells, 0);
+  // Per task: has it aborted voluntarily yet in this wave? Only task t's
+  // own iterations touch entry t, and they never overlap.
+  std::vector<std::uint8_t> churned(kTasks + 1, 0);
   Rng chaos(321);
   SpeculativeExecutor ex(
       pool, kCells,
@@ -352,26 +356,34 @@ TEST(SpecExecutor, RecycledContextsStayCleanAcrossThousandsOfRounds) {
         for (std::uint32_t i = 0; i < 3; ++i) {
           if (!ctx.acquire((base + i) % kCells)) return;
         }
-        if (t % 7 == 0) throw AbortIteration{};  // voluntary churn
+        if (t % 7 == 0 && churned[t] == 0) {
+          churned[t] = 1;
+          throw AbortIteration{};  // voluntary churn, once per wave
+        }
         for (std::uint32_t i = 0; i < 3; ++i) cells[(base + i) % kCells] += 1;
       },
       /*seed=*/77);
   std::uint64_t waves = 0;
   std::uint64_t expected_total = 0;
   for (int wave = 0; wave < 40; ++wave) {
+    std::fill(churned.begin(), churned.end(), 0);
     std::vector<TaskId> tasks;
-    for (TaskId t = 1; t <= 50; ++t) {
-      if (t % 7 == 0) continue;  // would abort forever; keep it drainable
-      tasks.push_back(t);
-    }
+    for (TaskId t = 1; t <= kTasks; ++t) tasks.push_back(t);
     ex.push_initial(tasks);
     expected_total += static_cast<std::uint64_t>(tasks.size()) * 3;
+    const std::uint64_t aborted_before = ex.totals().aborted;
     int rounds = 0;
     while (!ex.done() && rounds++ < 100000) {
       (void)ex.run_round(1 + static_cast<std::uint32_t>(chaos.below(16)));
     }
     ASSERT_TRUE(ex.done());
     ASSERT_TRUE(ex.locks().all_free());
+    // Tasks 7, 14, ..., 49 each aborted voluntarily once; conflicts add
+    // more.
+    constexpr std::uint64_t kChurners = kTasks / 7;
+    ASSERT_EQ(std::count(churned.begin(), churned.end(), 1), kChurners);
+    ASSERT_GE(ex.totals().aborted - aborted_before, kChurners)
+        << "wave " << wave;
     std::uint64_t total = 0;
     for (const auto c : cells) total += static_cast<std::uint64_t>(c);
     ASSERT_EQ(total, expected_total) << "wave " << wave;

@@ -544,8 +544,8 @@ std::vector<HarnessCase> harness_cases() {
       {AppKind::kColoring, kChromatic, 25, 120, 120, 0, 6.0},
       {AppKind::kSssp, kRandom, 162, 766, 474, 292, 120.0},
       {AppKind::kSssp, kChromatic, 152, 563, 563, 0, 120.0},
-      {AppKind::kBoruvka, kRandom, 100, 352, 239, 113, 2553.0229263044012},
-      {AppKind::kBoruvka, kChromatic, 70, 239, 239, 0, 2553.0229263044016},
+      {AppKind::kBoruvka, kRandom, 88, 223, 153, 70, 2553.0229263044021},
+      {AppKind::kBoruvka, kChromatic, 76, 205, 205, 0, 2553.0229263044012},
       {AppKind::kMaxflow, kRandom, 128, 216, 166, 50, 54.687429567118727},
       {AppKind::kMaxflow, kChromatic, 83, 100, 100, 0, 54.687429567118713},
       {AppKind::kSp, kRandom, 1614, 3411, 2198, 1213, 1.0},
