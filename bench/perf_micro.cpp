@@ -5,7 +5,6 @@
 #include <benchmark/benchmark.h>
 
 #include "apps/dmr/delaunay.hpp"
-#include "apps/mis/mis.hpp"
 #include "bench_context.hpp"
 #include "control/hybrid.hpp"
 #include "graph/generators.hpp"
@@ -93,18 +92,6 @@ void BM_ConflictCurveEstimation(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ConflictCurveEstimation);
-
-void BM_ParallelCurveEstimation(benchmark::State& state) {
-  const auto threads = static_cast<std::size_t>(state.range(0));
-  Rng rng(7);
-  const auto g = gen::random_with_average_degree(2000, 16, rng);
-  ThreadPool pool(threads);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        estimate_conflict_curve_parallel(g, 10, 42, pool).r_bar(1000));
-  }
-}
-BENCHMARK(BM_ParallelCurveEstimation)->Arg(1)->Arg(2)->Arg(4);
 
 void BM_ExecutorRound(benchmark::State& state) {
   const auto m = static_cast<std::uint32_t>(state.range(0));
@@ -204,21 +191,6 @@ void BM_SpecExecutorRoundTelemetry(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * m);
 }
 BENCHMARK(BM_SpecExecutorRoundTelemetry)->Arg(16)->Arg(256)->Arg(2048);
-
-// The branchless SIMD greedy-MIS sweep (gathered neighborhood probe, no
-// data-dependent branch) over a fixed permutation.
-void BM_GreedyMisSweep(benchmark::State& state) {
-  const auto n = static_cast<NodeId>(state.range(0));
-  Rng rng(8);
-  const auto g = gen::random_with_average_degree(n, 16, rng);
-  std::vector<NodeId> order;
-  rng.permutation_into(n, order);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(mis::greedy_sweep(g, order).size());
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-}
-BENCHMARK(BM_GreedyMisSweep)->Arg(2000)->Arg(8000);
 
 void BM_DelaunayBuild(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

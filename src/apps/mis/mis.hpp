@@ -6,7 +6,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "apps/app_spec.hpp"
@@ -39,16 +38,5 @@ class MisState {
 
 /// Every node is a task; each acquires its closed neighbourhood.
 [[nodiscard]] AppSpec make_spec(const CsrGraph& graph, MisState& state);
-
-/// Sequential greedy MIS over `order` (every node exactly once), as a
-/// branchless SIMD sweep: v enters the set iff no earlier neighbor did.
-/// This is the serial oracle the speculative runtime is compared against
-/// (its committed set for a full-permutation round equals this sweep for
-/// the same order — see model/permutation_sweep). The neighborhood probe
-/// is a gathered compare over an in-set flag table, and the per-node
-/// decision is an unconditional store, so the inner loop carries no
-/// data-dependent branch.
-[[nodiscard]] std::vector<NodeId> greedy_sweep(const CsrGraph& graph,
-                                               std::span<const NodeId> order);
 
 }  // namespace optipar::mis

@@ -28,10 +28,12 @@ void validate_config(const AdaptiveConfig& cfg) {
   }
 }
 
-/// Per-lane mutable state: RNG stream plus every scratch buffer a sweep
-/// needs, allocated once and reused across all batches.
-struct LaneState {
-  Rng rng{0};
+/// The sampler's mutable state: RNG stream plus every scratch buffer a
+/// sweep needs, allocated once and reused across all batches.
+struct SamplingState {
+  explicit SamplingState(Rng stream) : rng(stream) {}
+
+  Rng rng;
   std::vector<std::uint32_t> perm;
   SweepScratch scratch;
   PrefixSweep sweep;
@@ -45,24 +47,24 @@ struct LaneState {
 /// count per prefix m into `out` (size n+1). Without an active CV this is
 /// just the raw aborts_at_prefix cast to double.
 void adjusted_sweep(const CsrGraph& g, std::span<const NodeId> perm,
-                    const CliqueControlVariate* cv, LaneState& ls,
+                    const CliqueControlVariate* cv, SamplingState& st,
                     std::vector<double>& out) {
-  sweep_full_permutation(g, perm, ls.scratch, ls.sweep);
+  sweep_full_permutation(g, perm, st.scratch, st.sweep);
   const NodeId n = g.num_nodes();
   out.resize(static_cast<std::size_t>(n) + 1);
   out[0] = 0.0;
   if (cv == nullptr) {
     for (std::uint32_t m = 1; m <= n; ++m) {
-      out[m] = static_cast<double>(ls.sweep.aborts_at_prefix[m]);
+      out[m] = static_cast<double>(st.sweep.aborts_at_prefix[m]);
     }
     return;
   }
-  if (ls.comp_epoch.size() < cv->num_clique_comps) {
-    ls.comp_epoch.resize(cv->num_clique_comps, 0);
+  if (st.comp_epoch.size() < cv->num_clique_comps) {
+    st.comp_epoch.resize(cv->num_clique_comps, 0);
   }
-  if (++ls.epoch == 0) {
-    std::fill(ls.comp_epoch.begin(), ls.comp_epoch.end(), 0u);
-    ls.epoch = 1;
+  if (++st.epoch == 0) {
+    std::fill(st.comp_epoch.begin(), st.comp_epoch.end(), 0u);
+    st.epoch = 1;
   }
   // Within a clique component the first launched member commits and every
   // later member aborts, so the per-sweep clique abort count at prefix m is
@@ -73,12 +75,12 @@ void adjusted_sweep(const CsrGraph& g, std::span<const NodeId> perm,
     const auto c = cv->clique_comp[perm[m - 1]];
     if (c != CliqueControlVariate::kNotClique) {
       ++nodes_seen;
-      if (ls.comp_epoch[c] != ls.epoch) {
-        ls.comp_epoch[c] = ls.epoch;
+      if (st.comp_epoch[c] != st.epoch) {
+        st.comp_epoch[c] = st.epoch;
         ++comps_seen;
       }
     }
-    out[m] = static_cast<double>(ls.sweep.aborts_at_prefix[m]) -
+    out[m] = static_cast<double>(st.sweep.aborts_at_prefix[m]) -
              static_cast<double>(nodes_seen - comps_seen) +
              cv->expected_aborts[m];
   }
@@ -86,112 +88,20 @@ void adjusted_sweep(const CsrGraph& g, std::span<const NodeId> perm,
 
 /// One statistical sample: a sweep, or an antithetic pair averaged.
 void draw_curve_sample(const CsrGraph& g, const AdaptiveConfig& cfg,
-                       const CliqueControlVariate* cv, LaneState& ls,
+                       const CliqueControlVariate* cv, SamplingState& st,
                        std::vector<StreamingStats>& stats) {
   const NodeId n = g.num_nodes();
-  ls.rng.permutation_into(n, ls.perm);
-  adjusted_sweep(g, ls.perm, cv, ls, ls.sample_a);
+  st.rng.permutation_into(n, st.perm);
+  adjusted_sweep(g, st.perm, cv, st, st.sample_a);
   if (cfg.antithetic) {
-    std::reverse(ls.perm.begin(), ls.perm.end());  // no RNG draws
-    adjusted_sweep(g, ls.perm, cv, ls, ls.sample_b);
+    std::reverse(st.perm.begin(), st.perm.end());  // no RNG draws
+    adjusted_sweep(g, st.perm, cv, st, st.sample_b);
     for (std::uint32_t m = 0; m <= n; ++m) {
-      stats[m].add(0.5 * (ls.sample_a[m] + ls.sample_b[m]));
+      stats[m].add(0.5 * (st.sample_a[m] + st.sample_b[m]));
     }
   } else {
-    for (std::uint32_t m = 0; m <= n; ++m) stats[m].add(ls.sample_a[m]);
+    for (std::uint32_t m = 0; m <= n; ++m) stats[m].add(st.sample_a[m]);
   }
-}
-
-/// Shared driver: `pool == nullptr` is the serial path (one lane). Parallel
-/// runs use pool->size() + 1 lanes with round-robin sample assignment, so
-/// results are a pure function of (seed, cfg, worker count).
-AdaptiveCurve run_adaptive_curve(const CsrGraph& input,
-                                 const AdaptiveConfig& cfg,
-                                 std::uint64_t seed, ThreadPool* pool) {
-  validate_config(cfg);
-  RelabeledGraph rg = relabel(input, cfg.relabel);
-  const CsrGraph& g = rg.graph;
-  const NodeId n = g.num_nodes();
-
-  CliqueControlVariate cv_store;
-  const CliqueControlVariate* cv = nullptr;
-  if (cfg.control_variates) {
-    cv_store = build_clique_control_variate(g);
-    if (cv_store.active()) cv = &cv_store;
-  }
-
-  const std::size_t lanes = pool ? pool->size() + 1 : 1;
-  Rng root(seed);
-  std::vector<LaneState> lane(lanes);
-  for (auto& ls : lane) ls.rng = root.split();
-  std::vector<std::vector<StreamingStats>> partial(
-      lanes, std::vector<StreamingStats>(static_cast<std::size_t>(n) + 1));
-
-  AdaptiveCurve out;
-  out.clique_node_fraction =
-      n == 0 ? 0.0
-             : static_cast<double>(cv_store.clique_nodes) /
-                   static_cast<double>(n);
-  const std::uint32_t per_sample = cfg.sweeps_per_sample();
-  std::vector<StreamingStats> merged;
-  // Resolve the profiling accumulators once; nullptr means no clock reads
-  // anywhere in the loop (ScopedTimer's disabled contract).
-  TimerAccumulator* const acc_sweeps =
-      cfg.timers != nullptr ? &cfg.timers->at("estimator.sweeps") : nullptr;
-  TimerAccumulator* const acc_merge =
-      cfg.timers != nullptr ? &cfg.timers->at("estimator.merge") : nullptr;
-
-  while (true) {
-    const std::uint32_t want =
-        out.samples == 0 ? cfg.min_samples : cfg.batch_samples;
-    const std::uint32_t budget = (cfg.max_sweeps - out.sweeps) / per_sample;
-    const std::uint32_t batch = std::min(want, budget);
-    if (batch == 0) break;
-
-    const std::uint32_t first = out.samples;
-    auto work = [&](std::size_t l) {
-      for (std::uint32_t i = first; i < first + batch; ++i) {
-        if (i % lanes == l) draw_curve_sample(g, cfg, cv, lane[l], partial[l]);
-      }
-    };
-    {
-      ScopedTimer sweep_timer(acc_sweeps);
-      if (pool) {
-        pool->run_on_workers(lanes, work);
-      } else {
-        work(0);
-      }
-    }
-    out.samples += batch;
-    out.sweeps += batch * per_sample;
-
-    ScopedTimer merge_timer(acc_merge);
-    merged = partial[0];
-    for (std::size_t l = 1; l < lanes; ++l) {
-      for (std::uint32_t m = 0; m <= n; ++m) merged[m].merge(partial[l][m]);
-    }
-    out.worst_ci = 0.0;
-    out.worst_m = 0;
-    for (std::uint32_t m = 1; m <= n; ++m) {
-      const double ci = merged[m].ci95() / m;
-      if (ci > out.worst_ci) {
-        out.worst_ci = ci;
-        out.worst_m = m;
-      }
-    }
-    merge_timer.stop();
-    if (out.samples >= 2 && out.worst_ci <= cfg.epsilon) {
-      out.converged = true;
-      break;
-    }
-  }
-
-  if (merged.empty()) {
-    merged.assign(static_cast<std::size_t>(n) + 1, StreamingStats{});
-  }
-  out.curve.abort_stats = std::move(merged);
-  out.map = std::move(rg.map);
-  return out;
 }
 
 }  // namespace
@@ -252,16 +162,74 @@ CliqueControlVariate build_clique_control_variate(const CsrGraph& g) {
   return cv;
 }
 
-AdaptiveCurve estimate_conflict_curve_adaptive(const CsrGraph& g,
-                                               const AdaptiveConfig& config,
+AdaptiveCurve estimate_conflict_curve_adaptive(const CsrGraph& input,
+                                               const AdaptiveConfig& cfg,
                                                std::uint64_t seed) {
-  return run_adaptive_curve(g, config, seed, nullptr);
-}
+  validate_config(cfg);
+  RelabeledGraph rg = relabel(input, cfg.relabel);
+  const CsrGraph& g = rg.graph;
+  const NodeId n = g.num_nodes();
 
-AdaptiveCurve estimate_conflict_curve_adaptive_parallel(
-    const CsrGraph& g, const AdaptiveConfig& config, std::uint64_t seed,
-    ThreadPool& pool) {
-  return run_adaptive_curve(g, config, seed, &pool);
+  CliqueControlVariate cv_store;
+  const CliqueControlVariate* cv = nullptr;
+  if (cfg.control_variates) {
+    cv_store = build_clique_control_variate(g);
+    if (cv_store.active()) cv = &cv_store;
+  }
+
+  Rng root(seed);
+  SamplingState state(root.split());
+  std::vector<StreamingStats> stats(static_cast<std::size_t>(n) + 1);
+
+  AdaptiveCurve out;
+  out.clique_node_fraction =
+      n == 0 ? 0.0
+             : static_cast<double>(cv_store.clique_nodes) /
+                   static_cast<double>(n);
+  const std::uint32_t per_sample = cfg.sweeps_per_sample();
+  // Resolve the profiling accumulators once; nullptr means no clock reads
+  // anywhere in the loop (ScopedTimer's disabled contract).
+  TimerAccumulator* const acc_sweeps =
+      cfg.timers != nullptr ? &cfg.timers->at("estimator.sweeps") : nullptr;
+  TimerAccumulator* const acc_scan =
+      cfg.timers != nullptr ? &cfg.timers->at("estimator.merge") : nullptr;
+
+  while (true) {
+    const std::uint32_t want =
+        out.samples == 0 ? cfg.min_samples : cfg.batch_samples;
+    const std::uint32_t budget = (cfg.max_sweeps - out.sweeps) / per_sample;
+    const std::uint32_t batch = std::min(want, budget);
+    if (batch == 0) break;
+
+    {
+      ScopedTimer sweep_timer(acc_sweeps);
+      for (std::uint32_t i = 0; i < batch; ++i) {
+        draw_curve_sample(g, cfg, cv, state, stats);
+      }
+    }
+    out.samples += batch;
+    out.sweeps += batch * per_sample;
+
+    ScopedTimer scan_timer(acc_scan);
+    out.worst_ci = 0.0;
+    out.worst_m = 0;
+    for (std::uint32_t m = 1; m <= n; ++m) {
+      const double ci = stats[m].ci95() / m;
+      if (ci > out.worst_ci) {
+        out.worst_ci = ci;
+        out.worst_m = m;
+      }
+    }
+    scan_timer.stop();
+    if (out.samples >= 2 && out.worst_ci <= cfg.epsilon) {
+      out.converged = true;
+      break;
+    }
+  }
+
+  out.curve.abort_stats = std::move(stats);
+  out.map = std::move(rg.map);
+  return out;
 }
 
 AdaptivePoint estimate_round_point_adaptive(const CsrGraph& g,
@@ -284,7 +252,7 @@ AdaptivePoint estimate_round_point_adaptive(const CsrGraph& g,
   }
 
   Rng root(seed);
-  Rng rng = root.split();  // lane-0 semantics, as in the curve engine
+  Rng rng = root.split();  // the same stream as the curve engine
   Rng::SampleScratch sample_scratch;
   SweepScratch sweep_scratch;
   std::vector<NodeId> active;
@@ -356,15 +324,6 @@ MuEstimate find_mu_adaptive(const CsrGraph& g, double rho,
                             std::uint64_t seed) {
   MuEstimate est;
   est.curve = estimate_conflict_curve_adaptive(g, config, seed);
-  est.mu = find_mu(est.curve.curve, rho);
-  return est;
-}
-
-MuEstimate find_mu_adaptive_parallel(const CsrGraph& g, double rho,
-                                     const AdaptiveConfig& config,
-                                     std::uint64_t seed, ThreadPool& pool) {
-  MuEstimate est;
-  est.curve = estimate_conflict_curve_adaptive_parallel(g, config, seed, pool);
   est.mu = find_mu(est.curve.curve, rho);
   return est;
 }

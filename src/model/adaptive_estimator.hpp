@@ -7,8 +7,7 @@
 //
 //   * Batched sequential sampling — sweeps run in fixed-size batches and
 //     convergence is checked only at batch boundaries, so the trial count
-//     is a deterministic function of (seed, epsilon, worker count), never
-//     of timing.
+//     is a deterministic function of (seed, config).
 //   * Antithetic pairing — each statistical sample averages the sweep of a
 //     drawn permutation π and of reverse(π) (which is itself uniform, so
 //     the estimator stays unbiased). Negatively correlated pair members
@@ -35,7 +34,6 @@
 #include "graph/relabel.hpp"
 #include "model/conflict_ratio.hpp"
 #include "support/stats.hpp"
-#include "support/thread_pool.hpp"
 
 namespace optipar {
 
@@ -60,9 +58,10 @@ struct AdaptiveConfig {
   /// label-invariant; the map is reported in the result).
   RelabelOrder relabel = RelabelOrder::kNone;
   /// Optional profiling sink (DESIGN.md §10): batch sweep work accumulates
-  /// into "estimator.sweeps", merge + CI scans into "estimator.merge".
-  /// Non-owning; nullptr (the default) disables all clock reads. Profiling
-  /// never affects the sample stream or the stopping decision.
+  /// into "estimator.sweeps", and "estimator.merge" times only the
+  /// per-batch CI scan (the name stays so `curve --metrics-out` keeps its
+  /// series). Non-owning; nullptr (the default) disables all clock reads.
+  /// Profiling never affects the sample stream or the stopping decision.
   telemetry::TimerSet* timers = nullptr;
 
   [[nodiscard]] std::uint32_t sweeps_per_sample() const noexcept {
@@ -104,19 +103,10 @@ struct AdaptiveCurve {
   Relabeling map;             ///< internal relabeling (identity if none)
 };
 
-/// Serial adaptive estimation. Deterministic given (seed, config).
-/// Identical to the parallel version run on a pool of size 0.
+/// Adaptive estimation on one split() stream of Rng(seed). Deterministic
+/// given (seed, config).
 [[nodiscard]] AdaptiveCurve estimate_conflict_curve_adaptive(
     const CsrGraph& g, const AdaptiveConfig& config, std::uint64_t seed);
-
-/// Parallel adaptive estimation: each batch's samples are dealt round-robin
-/// to per-lane split() RNG streams (as estimate_conflict_curve_parallel
-/// does), partials merge at every batch boundary, and the stopping decision
-/// is taken on the merged statistics — deterministic given (seed, config,
-/// worker count).
-[[nodiscard]] AdaptiveCurve estimate_conflict_curve_adaptive_parallel(
-    const CsrGraph& g, const AdaptiveConfig& config, std::uint64_t seed,
-    ThreadPool& pool);
 
 /// Adaptive point estimate at a single m: rounds of m random launches until
 /// the CI on r̄(m) is <= epsilon. Antithetic pairing reverses the commit
@@ -144,8 +134,5 @@ struct MuEstimate {
 [[nodiscard]] MuEstimate find_mu_adaptive(const CsrGraph& g, double rho,
                                           const AdaptiveConfig& config,
                                           std::uint64_t seed);
-[[nodiscard]] MuEstimate find_mu_adaptive_parallel(
-    const CsrGraph& g, double rho, const AdaptiveConfig& config,
-    std::uint64_t seed, ThreadPool& pool);
 
 }  // namespace optipar

@@ -1,5 +1,6 @@
 #include "model/conflict_ratio.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "model/permutation_sweep.hpp"
@@ -7,22 +8,19 @@
 
 namespace optipar {
 
-namespace {
-
-/// Accumulate `trials` full-permutation sweeps into `curve` using `rng`'s
-/// stream. Shared by the serial estimator and each parallel lane; all O(n)
-/// buffers (permutation, sweep output, stamps) are reused across trials.
-///
-/// The per-trial fold is the estimator's dominant cost (one divide-bound
-/// Welford update per prefix length), so it runs structure-of-arrays
-/// through simd::welford_step_u32 — every trial contributes one sample to
-/// each of the n+1 accumulators, so they share a single sample count —
-/// and folds back into StreamingStats at the end. The vector recurrence
-/// is bit-identical to element-wise StreamingStats::add (simd.hpp), so
-/// curve values, golden tests, and checkpoints are unchanged.
-void accumulate_sweeps(const CsrGraph& g, std::uint32_t first_trial,
-                       std::uint32_t trials, std::uint32_t stride, Rng& rng,
-                       ConflictCurve& curve) {
+ConflictCurve estimate_conflict_curve(const CsrGraph& g, std::uint32_t trials,
+                                      Rng& rng) {
+  if (trials == 0) {
+    throw std::invalid_argument("estimate_conflict_curve: trials == 0");
+  }
+  // The per-trial fold is the estimator's dominant cost (one divide-bound
+  // Welford update per prefix length), so it runs structure-of-arrays
+  // through simd::welford_step_u32 — every trial contributes one sample to
+  // each of the n+1 accumulators, so they share a single sample count —
+  // and folds back into StreamingStats at the end. The vector recurrence
+  // is bit-identical to element-wise StreamingStats::add (simd.hpp), so
+  // curve values, golden tests, and checkpoints are unchanged. All O(n)
+  // buffers (permutation, sweep output, stamps) are reused across trials.
   const NodeId n = g.num_nodes();
   const std::size_t stats = static_cast<std::size_t>(n) + 1;
   std::vector<std::uint32_t> perm;
@@ -33,71 +31,20 @@ void accumulate_sweeps(const CsrGraph& g, std::uint32_t first_trial,
   std::vector<double> mn(stats, 1e300);
   std::vector<double> mx(stats, -1e300);
   const simd::Isa isa = simd::active_isa();
-  std::uint64_t samples = 0;
-  for (std::uint32_t t = first_trial; t < trials; t += stride) {
+  for (std::uint32_t t = 1; t <= trials; ++t) {
     rng.permutation_into(n, perm);
     sweep_full_permutation(g, perm, scratch, sweep);
-    ++samples;
     simd::welford_step_u32(mean.data(), m2.data(), mn.data(), mx.data(),
                            sweep.aborts_at_prefix.data(), stats,
-                           static_cast<double>(samples), isa);
-  }
-  for (std::size_t m = 0; m < stats; ++m) {
-    curve.abort_stats[m] =
-        StreamingStats::from_moments(samples, mean[m], m2[m], mn[m], mx[m]);
-  }
-}
-
-}  // namespace
-
-ConflictCurve estimate_conflict_curve(const CsrGraph& g, std::uint32_t trials,
-                                      Rng& rng) {
-  if (trials == 0) {
-    throw std::invalid_argument("estimate_conflict_curve: trials == 0");
+                           static_cast<double>(t), isa);
   }
   ConflictCurve curve;
-  curve.abort_stats.assign(static_cast<std::size_t>(g.num_nodes()) + 1,
-                           StreamingStats{});
-  accumulate_sweeps(g, 0, trials, 1, rng, curve);
+  curve.abort_stats.reserve(stats);
+  for (std::size_t m = 0; m < stats; ++m) {
+    curve.abort_stats.push_back(
+        StreamingStats::from_moments(trials, mean[m], m2[m], mn[m], mx[m]));
+  }
   return curve;
-}
-
-ConflictCurve estimate_conflict_curve_parallel(const CsrGraph& g,
-                                               std::uint32_t trials,
-                                               std::uint64_t seed,
-                                               ThreadPool& pool) {
-  if (trials == 0) {
-    throw std::invalid_argument("estimate_conflict_curve_parallel: trials");
-  }
-  const NodeId n = g.num_nodes();
-  const std::size_t lanes = pool.size() + 1;  // workers + calling thread
-
-  // Pre-split one RNG stream per lane so results are deterministic given
-  // (seed, lane count) regardless of scheduling.
-  Rng root(seed);
-  std::vector<Rng> lane_rngs;
-  lane_rngs.reserve(lanes);
-  for (std::size_t l = 0; l < lanes; ++l) lane_rngs.push_back(root.split());
-
-  std::vector<ConflictCurve> partials(lanes);
-  for (auto& p : partials) {
-    p.abort_stats.assign(static_cast<std::size_t>(n) + 1, StreamingStats{});
-  }
-
-  pool.run_on_workers(lanes, [&](std::size_t lane) {
-    // Deal trials round-robin so every lane count divides evenly enough.
-    accumulate_sweeps(g, static_cast<std::uint32_t>(lane), trials,
-                      static_cast<std::uint32_t>(lanes), lane_rngs[lane],
-                      partials[lane]);
-  });
-
-  ConflictCurve merged = std::move(partials[0]);
-  for (std::size_t l = 1; l < lanes; ++l) {
-    for (std::uint32_t m = 0; m <= n; ++m) {
-      merged.abort_stats[m].merge(partials[l].abort_stats[m]);
-    }
-  }
-  return merged;
 }
 
 RoundPointEstimate estimate_round_point(const CsrGraph& g, std::uint32_t m,
@@ -114,8 +61,8 @@ RoundPointEstimate estimate_round_point(const CsrGraph& g, std::uint32_t m,
     rng.sample_without_replacement_into(g.num_nodes(), m, sample_scratch,
                                         active);
     round_outcome(g, active, sweep_scratch, outcome);
-    const std::uint32_t committed = static_cast<std::uint32_t>(
-        simd::count_equal_u8(outcome.data(), outcome.size(), 1));
+    const auto committed = static_cast<std::uint32_t>(
+        std::count(outcome.begin(), outcome.end(), std::uint8_t{1}));
     est.r.add(static_cast<double>(m - committed) / static_cast<double>(m));
     est.committed.add(static_cast<double>(committed));
   }

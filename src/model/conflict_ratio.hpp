@@ -10,7 +10,6 @@
 #include "graph/csr_graph.hpp"
 #include "support/rng.hpp"
 #include "support/stats.hpp"
-#include "support/thread_pool.hpp"
 
 namespace optipar {
 
@@ -44,14 +43,6 @@ struct ConflictCurve {
 [[nodiscard]] ConflictCurve estimate_conflict_curve(const CsrGraph& g,
                                                     std::uint32_t trials,
                                                     Rng& rng);
-
-/// Parallel version: trials are split across the pool's workers, each with
-/// its own split() RNG stream, and the per-worker accumulators are merged.
-/// Deterministic given (seed, worker count). Statistically identical to
-/// the serial estimator.
-[[nodiscard]] ConflictCurve estimate_conflict_curve_parallel(
-    const CsrGraph& g, std::uint32_t trials, std::uint64_t seed,
-    ThreadPool& pool);
 
 /// Point estimates at a single m: both r̄(m) and EM_m(G) come from the same
 /// per-trial round outcome (committed = m − aborted), so one simulation

@@ -724,14 +724,6 @@ RoundStats SpeculativeExecutor::run_round(std::uint32_t m) {
         }
       }
     }
-    if (dead_letters_.size() > policy_->quarantine_budget) {
-      if (!serial_fallback_ && telemetry_ != nullptr) {
-        telemetry_->emit({telemetry::EventKind::kSerialDegrade, 0,
-                          round_index_, dead_letters_.size(), 0, 0.0, 0.0,
-                          "quarantine budget exhausted"});
-      }
-      serial_fallback_ = true;
-    }
   }
   stats.aborted = stats.launched - stats.committed;
   // Zero-abort backends (chromatic): same-color tasks have pairwise

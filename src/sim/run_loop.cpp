@@ -103,9 +103,10 @@ Trace run_controlled(Controller& controller, Workload& workload,
   return trace;
 }
 
-namespace {
-
-OperatingPoint from_mu_estimate(const MuEstimate& est) {
+OperatingPoint find_operating_point(const CsrGraph& cc, double rho,
+                                    const AdaptiveConfig& config,
+                                    std::uint64_t seed) {
+  const MuEstimate est = find_mu_adaptive(cc, rho, config, seed);
   OperatingPoint op;
   op.mu = est.mu;
   op.r_at_mu = est.curve.curve.r_bar(est.mu);
@@ -113,22 +114,6 @@ OperatingPoint from_mu_estimate(const MuEstimate& est) {
   op.sweeps = est.curve.sweeps;
   op.converged = est.curve.converged;
   return op;
-}
-
-}  // namespace
-
-OperatingPoint find_operating_point(const CsrGraph& cc, double rho,
-                                    const AdaptiveConfig& config,
-                                    std::uint64_t seed) {
-  return from_mu_estimate(find_mu_adaptive(cc, rho, config, seed));
-}
-
-OperatingPoint find_operating_point_parallel(const CsrGraph& cc, double rho,
-                                             const AdaptiveConfig& config,
-                                             std::uint64_t seed,
-                                             ThreadPool& pool) {
-  return from_mu_estimate(
-      find_mu_adaptive_parallel(cc, rho, config, seed, pool));
 }
 
 }  // namespace optipar

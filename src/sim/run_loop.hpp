@@ -41,9 +41,4 @@ struct OperatingPoint {
                                                   const AdaptiveConfig& config,
                                                   std::uint64_t seed);
 
-/// Pool-parallel variant; deterministic given (seed, config, worker count).
-[[nodiscard]] OperatingPoint find_operating_point_parallel(
-    const CsrGraph& cc, double rho, const AdaptiveConfig& config,
-    std::uint64_t seed, ThreadPool& pool);
-
 }  // namespace optipar

@@ -7,20 +7,15 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdlib>
 #include <thread>
 
 namespace optipar {
 
 /// Number of lanes that can actually run concurrently on this host
-/// (>= 1). Overridable with OPTIPAR_EFFECTIVE_CPUS for experiments that
-/// model a smaller machine; the value is resolved once per process.
+/// (>= 1), resolved once per process. `PipelineConfig::max_lanes` pins the
+/// lane count where a caller needs a different cap.
 inline std::size_t effective_concurrency() noexcept {
   static const std::size_t cached = [] {
-    if (const char* env = std::getenv("OPTIPAR_EFFECTIVE_CPUS")) {
-      const long v = std::atol(env);
-      if (v > 0) return static_cast<std::size_t>(v);
-    }
     const unsigned hw = std::thread::hardware_concurrency();
     return static_cast<std::size_t>(hw == 0 ? 1 : hw);
   }();

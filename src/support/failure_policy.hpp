@@ -10,7 +10,6 @@
 // moved to a dead-letter list so the round keeps committing.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
 
 namespace optipar {
@@ -27,11 +26,6 @@ struct FailurePolicy {
   /// so backoff is deterministic and replayable under a fixed fault seed.
   std::uint32_t backoff_base_rounds = 1;
   std::uint32_t backoff_cap_rounds = 16;
-
-  /// Dead letters tolerated before the executor degrades to the
-  /// single-lane serial path for the rest of the run (graceful
-  /// degradation; SIZE_MAX = never degrade for this reason).
-  std::size_t quarantine_budget = static_cast<std::size_t>(-1);
 
   /// Rounds in which a pool lane failed (an exception escaped the lane
   /// body itself, not a task operator) tolerated before degrading to the

@@ -20,22 +20,6 @@ namespace optipar::simd {
 
 namespace {
 
-std::size_t count_equal_u8_scalar(const std::uint8_t* data, std::size_t n,
-                                  std::uint8_t value) noexcept {
-  std::size_t count = 0;
-  for (std::size_t i = 0; i < n; ++i) count += data[i] == value;
-  return count;
-}
-
-bool any_equal_gather_u32_scalar(const std::uint32_t* table,
-                                 const std::uint32_t* idx, std::size_t n,
-                                 std::uint32_t match) noexcept {
-  for (std::size_t i = 0; i < n; ++i) {
-    if (table[idx[i]] == match) return true;
-  }
-  return false;
-}
-
 void scatter_u32_scalar(std::uint32_t* table, const std::uint32_t* idx,
                         std::size_t n, std::uint32_t value) noexcept {
   for (std::size_t i = 0; i < n; ++i) table[idx[i]] = value;
@@ -60,81 +44,6 @@ void welford_step_u32_scalar(double* mean, double* m2, double* mn,
 // ---------------------------------------------------------------------------
 
 #if defined(OPTIPAR_SIMD_X86)
-
-__attribute__((target("avx2,popcnt"))) std::size_t count_equal_u8_avx2(
-    const std::uint8_t* data, std::size_t n, std::uint8_t value) noexcept {
-  const __m256i needle = _mm256_set1_epi8(static_cast<char>(value));
-  std::size_t count = 0;
-  std::size_t i = 0;
-  for (; i + 32 <= n; i += 32) {
-    const __m256i v = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(data + i));
-    const unsigned mask = static_cast<unsigned>(
-        _mm256_movemask_epi8(_mm256_cmpeq_epi8(v, needle)));
-    count += static_cast<std::size_t>(__builtin_popcount(mask));
-  }
-  return count + count_equal_u8_scalar(data + i, n - i, value);
-}
-
-__attribute__((target("avx512f,avx512bw"))) std::size_t
-count_equal_u8_avx512(const std::uint8_t* data, std::size_t n,
-                      std::uint8_t value) noexcept {
-  const __m512i needle = _mm512_set1_epi8(static_cast<char>(value));
-  std::size_t count = 0;
-  std::size_t i = 0;
-  for (; i + 64 <= n; i += 64) {
-    const __m512i v = _mm512_loadu_si512(data + i);
-    count += static_cast<std::size_t>(
-        __builtin_popcountll(_mm512_cmpeq_epi8_mask(v, needle)));
-  }
-  if (i < n) {
-    const __mmask64 tail = (~std::uint64_t{0}) >> (64 - (n - i));
-    const __m512i v = _mm512_maskz_loadu_epi8(tail, data + i);
-    count += static_cast<std::size_t>(__builtin_popcountll(
-        _mm512_mask_cmpeq_epi8_mask(tail, v, needle)));
-  }
-  return count;
-}
-
-__attribute__((target("avx2"))) bool any_equal_gather_u32_avx2(
-    const std::uint32_t* table, const std::uint32_t* idx, std::size_t n,
-    std::uint32_t match) noexcept {
-  const __m256i needle = _mm256_set1_epi32(static_cast<int>(match));
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256i vidx = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(idx + i));
-    const __m256i vals = _mm256_i32gather_epi32(
-        reinterpret_cast<const int*>(table), vidx, 4);
-    if (_mm256_movemask_epi8(_mm256_cmpeq_epi32(vals, needle)) != 0) {
-      return true;
-    }
-  }
-  return any_equal_gather_u32_scalar(table, idx + i, n - i, match);
-}
-
-__attribute__((target("avx512f"))) bool any_equal_gather_u32_avx512(
-    const std::uint32_t* table, const std::uint32_t* idx, std::size_t n,
-    std::uint32_t match) noexcept {
-  const __m512i needle = _mm512_set1_epi32(static_cast<int>(match));
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    const __m512i vidx = _mm512_loadu_si512(idx + i);
-    const __m512i vals = _mm512_mask_i32gather_epi32(
-        _mm512_setzero_si512(), 0xFFFF, vidx, table, 4);
-    if (_mm512_cmpeq_epi32_mask(vals, needle) != 0) return true;
-  }
-  if (i < n) {
-    const __mmask16 tail = static_cast<__mmask16>((1u << (n - i)) - 1);
-    const __m512i vidx = _mm512_maskz_loadu_epi32(tail, idx + i);
-    const __m512i vals =
-        _mm512_mask_i32gather_epi32(needle, tail, vidx, table, 4);
-    // Masked-off lanes gathered nothing and default to `needle`, so
-    // restrict the compare to the live lanes.
-    if (_mm512_mask_cmpeq_epi32_mask(tail, vals, needle) != 0) return true;
-  }
-  return false;
-}
 
 __attribute__((target("avx512f"))) void scatter_u32_avx512(
     std::uint32_t* table, const std::uint32_t* idx, std::size_t n,
@@ -211,19 +120,6 @@ __attribute__((target("avx512f"))) void welford_step_u32_avx512(
 
 #if defined(OPTIPAR_SIMD_NEON)
 
-std::size_t count_equal_u8_neon(const std::uint8_t* data, std::size_t n,
-                                std::uint8_t value) noexcept {
-  const uint8x16_t needle = vdupq_n_u8(value);
-  std::size_t count = 0;
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    // cmpeq lanes are 0xFF; shift to 0x01 and horizontally add.
-    const uint8x16_t eq = vceqq_u8(vld1q_u8(data + i), needle);
-    count += vaddvq_u8(vshrq_n_u8(eq, 7));
-  }
-  return count + count_equal_u8_scalar(data + i, n - i, value);
-}
-
 void welford_step_u32_neon(double* mean, double* m2, double* mn, double* mx,
                            const std::uint32_t* x, std::size_t n,
                            double count) noexcept {
@@ -251,11 +147,8 @@ Isa detect_isa() noexcept {
 #if defined(OPTIPAR_SIMD_X86)
   __builtin_cpu_init();
   Isa best = Isa::kScalar;
-  if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("popcnt")) {
-    best = Isa::kAvx2;
-  }
-  if (best == Isa::kAvx2 && __builtin_cpu_supports("avx512f") &&
-      __builtin_cpu_supports("avx512bw")) {
+  if (__builtin_cpu_supports("avx2")) best = Isa::kAvx2;
+  if (best == Isa::kAvx2 && __builtin_cpu_supports("avx512f")) {
     best = Isa::kAvx512;
   }
   return best;
@@ -326,33 +219,6 @@ std::size_t lane_width_u32(Isa isa) noexcept {
     case Isa::kNeon: return 4;
   }
   return 1;
-}
-
-std::size_t count_equal_u8(const std::uint8_t* data, std::size_t n,
-                           std::uint8_t value, Isa isa) noexcept {
-#if defined(OPTIPAR_SIMD_X86)
-  if (isa == Isa::kAvx512) return count_equal_u8_avx512(data, n, value);
-  if (isa == Isa::kAvx2) return count_equal_u8_avx2(data, n, value);
-#elif defined(OPTIPAR_SIMD_NEON)
-  if (isa == Isa::kNeon) return count_equal_u8_neon(data, n, value);
-#endif
-  (void)isa;
-  return count_equal_u8_scalar(data, n, value);
-}
-
-bool any_equal_gather_u32(const std::uint32_t* table,
-                          const std::uint32_t* idx, std::size_t n,
-                          std::uint32_t match, Isa isa) noexcept {
-#if defined(OPTIPAR_SIMD_X86)
-  if (isa == Isa::kAvx512) {
-    return any_equal_gather_u32_avx512(table, idx, n, match);
-  }
-  if (isa == Isa::kAvx2) {
-    return any_equal_gather_u32_avx2(table, idx, n, match);
-  }
-#endif
-  (void)isa;
-  return any_equal_gather_u32_scalar(table, idx, n, match);
 }
 
 void scatter_u32(std::uint32_t* table, const std::uint32_t* idx,

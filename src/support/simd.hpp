@@ -5,10 +5,10 @@
 //    baseline ISA only, and every vector body carries a function-level
 //    target attribute — so one Release binary gets the AVX2/AVX-512 fast
 //    path where the host has it and the scalar path everywhere else.
-//  * Every kernel has a forced-ISA entry point. Hot loops hoist
-//    `active_isa()` out of the loop and call the forced variant; the
-//    differential tests sweep `available_isas()` and require bit-identical
-//    results against the scalar reference on random inputs.
+//  * Every kernel takes the ISA as an argument. Hot loops hoist
+//    `active_isa()` out of the loop and pass it in; the differential
+//    tests sweep `available_isas()` and require bit-identical results
+//    against the scalar reference on random inputs.
 //  * Float kernels must be BIT-identical to their scalar loop, not merely
 //    close: the estimator's statistics feed golden-value tests and
 //    checkpoint byte-identity. The repo compiles with -ffp-contract=off
@@ -41,18 +41,6 @@ enum class Isa : std::uint8_t { kScalar = 0, kAvx2 = 1, kAvx512 = 2,
 /// inputs that exercise full blocks plus every remainder length.
 [[nodiscard]] std::size_t lane_width_u32(Isa isa) noexcept;
 
-/// Number of elements of `data[0..n)` equal to `value`.
-[[nodiscard]] std::size_t count_equal_u8(const std::uint8_t* data,
-                                         std::size_t n, std::uint8_t value,
-                                         Isa isa) noexcept;
-
-/// True iff table[idx[i]] == match for any i in [0, n). Gather-based on
-/// AVX2/AVX-512. Every idx[i] must be a valid index into `table`.
-[[nodiscard]] bool any_equal_gather_u32(const std::uint32_t* table,
-                                        const std::uint32_t* idx,
-                                        std::size_t n, std::uint32_t match,
-                                        Isa isa) noexcept;
-
 /// table[idx[i]] = value for every i in [0, n). Duplicate indices are
 /// fine (the stored value is uniform). Vectorized (vpscatterdd) only on
 /// AVX-512 — AVX2/NEON have no scatter and fall back to the scalar loop.
@@ -68,27 +56,5 @@ void scatter_u32(std::uint32_t* table, const std::uint32_t* idx,
 void welford_step_u32(double* mean, double* m2, double* mn, double* mx,
                       const std::uint32_t* x, std::size_t n, double count,
                       Isa isa) noexcept;
-
-// Convenience overloads on the host's active ISA.
-[[nodiscard]] inline std::size_t count_equal_u8(const std::uint8_t* data,
-                                                std::size_t n,
-                                                std::uint8_t value) noexcept {
-  return count_equal_u8(data, n, value, active_isa());
-}
-[[nodiscard]] inline bool any_equal_gather_u32(const std::uint32_t* table,
-                                               const std::uint32_t* idx,
-                                               std::size_t n,
-                                               std::uint32_t match) noexcept {
-  return any_equal_gather_u32(table, idx, n, match, active_isa());
-}
-inline void scatter_u32(std::uint32_t* table, const std::uint32_t* idx,
-                        std::size_t n, std::uint32_t value) noexcept {
-  scatter_u32(table, idx, n, value, active_isa());
-}
-inline void welford_step_u32(double* mean, double* m2, double* mn,
-                             double* mx, const std::uint32_t* x,
-                             std::size_t n, double count) noexcept {
-  welford_step_u32(mean, m2, mn, mx, x, n, count, active_isa());
-}
 
 }  // namespace optipar::simd

@@ -24,8 +24,6 @@ class StreamingStats {
     if (x > max_) max_ = x;
   }
 
-  void merge(const StreamingStats& other) noexcept;
-
   /// Rebuild an accumulator from externally tracked moments. The SoA
   /// estimator path (model/conflict_ratio) runs the identical Welford
   /// recurrence over arrays via simd::welford_step_u32 and folds back

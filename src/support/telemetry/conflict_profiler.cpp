@@ -7,10 +7,8 @@
 
 namespace optipar::telemetry {
 
-ConflictProfiler::ConflictProfiler(std::uint32_t num_items,
-                                   std::uint32_t sample_period)
-    : sample_period_(sample_period == 0 ? 1 : sample_period),
-      conflicts_(num_items) {}
+ConflictProfiler::ConflictProfiler(std::uint32_t num_items)
+    : conflicts_(num_items) {}
 
 void ConflictProfiler::set_degrees(std::vector<std::uint32_t> degrees) {
   degrees_ = std::move(degrees);
@@ -80,8 +78,7 @@ ConflictProfiler::degree_buckets() const {
 }
 
 void ConflictProfiler::write_json(std::ostream& os, std::size_t k) const {
-  os << "{\"schema\":\"optipar.profile.v2\",\"items\":" << num_items()
-     << ",\"sample_period\":" << sample_period_
+  os << "{\"schema\":\"optipar.profile.v3\",\"items\":" << num_items()
      << ",\"total_conflicts\":" << total_conflicts()
      << ",\"top_share_16\":" << top_share(16) << ",\"hotspots\":[";
   bool first = true;

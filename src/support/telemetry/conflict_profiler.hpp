@@ -8,11 +8,8 @@
 //
 // Recording is a single relaxed fetch_add on the item's counter, reached
 // through one pointer test on LaneTelemetry (nullptr = detached, the same
-// contract as the rest of the telemetry layer). Optional event sampling
-// (sample_period > 1) decimates through a cache-padded per-thread cursor
-// and scales the recorded weight back up, bounding cross-lane traffic on
-// adversarial workloads; the default of 1 records every event, which makes
-// single-lane hotspot reports exactly reproducible run-to-run.
+// contract as the rest of the telemetry layer). Every event is recorded,
+// which makes single-lane hotspot reports exactly reproducible run-to-run.
 //
 // Rollups (top-K hotspots, degree-bucketed totals, top-share locality) are
 // cold-path reads at a quiescent point.
@@ -27,8 +24,7 @@ namespace optipar::telemetry {
 
 class ConflictProfiler {
  public:
-  explicit ConflictProfiler(std::uint32_t num_items,
-                            std::uint32_t sample_period = 1);
+  explicit ConflictProfiler(std::uint32_t num_items);
 
   ConflictProfiler(const ConflictProfiler&) = delete;
   ConflictProfiler& operator=(const ConflictProfiler&) = delete;
@@ -40,17 +36,14 @@ class ConflictProfiler {
   // -- hot-path recording (called from lanes; relaxed atomics) -------------
 
   void on_conflict(std::uint32_t item) noexcept {
-    if (item >= conflicts_.size() || !sample()) return;
-    conflicts_[item].fetch_add(sample_period_, std::memory_order_relaxed);
+    if (item >= conflicts_.size()) return;
+    conflicts_[item].fetch_add(1, std::memory_order_relaxed);
   }
 
   // -- cold-path rollups ---------------------------------------------------
 
   [[nodiscard]] std::uint32_t num_items() const noexcept {
     return static_cast<std::uint32_t>(conflicts_.size());
-  }
-  [[nodiscard]] std::uint32_t sample_period() const noexcept {
-    return sample_period_;
   }
   [[nodiscard]] std::uint64_t total_conflicts() const noexcept;
 
@@ -81,7 +74,7 @@ class ConflictProfiler {
   /// view. Empty buckets are omitted.
   [[nodiscard]] std::vector<DegreeBucket> degree_buckets() const;
 
-  /// Machine-readable report: {"schema":"optipar.profile.v2",...} with the
+  /// Machine-readable report: {"schema":"optipar.profile.v3",...} with the
   /// top-K hotspot list and the degree rollup.
   void write_json(std::ostream& os, std::size_t k) const;
 
@@ -89,15 +82,6 @@ class ConflictProfiler {
   void write_report(std::ostream& os, std::size_t k) const;
 
  private:
-  [[nodiscard]] bool sample() noexcept {
-    if (sample_period_ <= 1) return true;
-    // Thread-local cursor (its own line by construction): decimation costs
-    // no shared-line traffic; the recorded weight is scaled by the period.
-    thread_local std::uint64_t cursor = 0;
-    return ++cursor % sample_period_ == 0;
-  }
-
-  std::uint32_t sample_period_;
   std::vector<std::atomic<std::uint64_t>> conflicts_;
   std::vector<std::uint32_t> degrees_;
 };

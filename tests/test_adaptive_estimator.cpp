@@ -159,56 +159,6 @@ TEST(AdaptiveCurve, DeterministicGivenSeedAndConfig) {
   }
 }
 
-TEST(AdaptiveCurve, ParallelDependsOnlyOnWorkerCountNotPoolIdentity) {
-  Rng gen_rng(35);
-  const auto g = gen::gnm_random(80, 320, gen_rng);
-  AdaptiveConfig cfg;
-  cfg.epsilon = 0.01;
-  ThreadPool p1(2);
-  ThreadPool p2(2);
-  const auto a = estimate_conflict_curve_adaptive_parallel(g, cfg, 12, p1);
-  const auto b = estimate_conflict_curve_adaptive_parallel(g, cfg, 12, p2);
-  EXPECT_EQ(a.sweeps, b.sweeps);
-  for (std::uint32_t m = 0; m <= 80; ++m) {
-    EXPECT_DOUBLE_EQ(a.curve.k_bar(m), b.curve.k_bar(m));
-  }
-}
-
-TEST(AdaptiveCurve, ParallelDeterministicGivenSeedAndWorkerCount) {
-  Rng gen_rng(36);
-  const auto g = gen::gnm_random(80, 320, gen_rng);
-  AdaptiveConfig cfg;
-  cfg.epsilon = 0.01;
-  ThreadPool pool(3);
-  const auto a = estimate_conflict_curve_adaptive_parallel(g, cfg, 21, pool);
-  const auto b = estimate_conflict_curve_adaptive_parallel(g, cfg, 21, pool);
-  EXPECT_EQ(a.sweeps, b.sweeps);
-  EXPECT_EQ(a.converged, b.converged);
-  for (std::uint32_t m = 0; m <= 80; ++m) {
-    EXPECT_DOUBLE_EQ(a.curve.k_bar(m), b.curve.k_bar(m));
-  }
-}
-
-TEST(AdaptiveCurve, ParallelIsStatisticallyConsistentWithSerial) {
-  Rng gen_rng(37);
-  const auto g = gen::gnm_random(150, 750, gen_rng);
-  AdaptiveConfig cfg;
-  cfg.epsilon = 0.006;
-  ThreadPool pool(4);
-  const auto serial = estimate_conflict_curve_adaptive(g, cfg, 8);
-  const auto parallel =
-      estimate_conflict_curve_adaptive_parallel(g, cfg, 8, pool);
-  ASSERT_TRUE(serial.converged);
-  ASSERT_TRUE(parallel.converged);
-  for (const std::uint32_t m : {2u, 40u, 75u, 150u}) {
-    EXPECT_NEAR(serial.curve.r_bar(m), parallel.curve.r_bar(m),
-                4 * (serial.curve.r_bar_ci95(m) +
-                     parallel.curve.r_bar_ci95(m)) +
-                    1e-3)
-        << "m=" << m;
-  }
-}
-
 // Regression pin for the stopping rule: a fixed (seed, epsilon) pair must
 // reproduce the exact trial count and a bit-identical curve on two
 // reference graphs. If batching, lane assignment, antithetic pairing, or
@@ -359,19 +309,6 @@ TEST(OperatingPoint, MatchesCurveReadoffAndAgreesWithFixedTrials) {
   const auto fixed = find_mu(g, 0.25, 2000, mu_rng);
   EXPECT_NEAR(static_cast<double>(op.mu), static_cast<double>(fixed),
               0.15 * static_cast<double>(fixed) + 3.0);
-}
-
-TEST(OperatingPoint, ParallelVariantIsDeterministic) {
-  Rng gen_rng(42);
-  const auto g = gen::gnm_random(150, 900, gen_rng);
-  AdaptiveConfig cfg;
-  cfg.epsilon = 0.01;
-  ThreadPool pool(2);
-  const auto a = find_operating_point_parallel(g, 0.2, cfg, 18, pool);
-  const auto b = find_operating_point_parallel(g, 0.2, cfg, 18, pool);
-  EXPECT_EQ(a.mu, b.mu);
-  EXPECT_EQ(a.sweeps, b.sweeps);
-  EXPECT_DOUBLE_EQ(a.r_at_mu, b.r_at_mu);
 }
 
 }  // namespace

@@ -109,47 +109,6 @@ TEST(EstimateCommittedAt, Example1FromThePaper) {
   EXPECT_LT(committed.mean() + 3 * committed.ci95(), 3.0);
 }
 
-TEST(ParallelCurve, MatchesSerialStatistically) {
-  Rng rng(21);
-  const auto g = gen::gnm_random(200, 800, rng);
-  const auto serial = estimate_conflict_curve(g, 2000, rng);
-  ThreadPool pool(4);
-  const auto parallel = estimate_conflict_curve_parallel(g, 2000, 77, pool);
-  for (const std::uint32_t m : {2u, 50u, 100u, 200u}) {
-    EXPECT_NEAR(parallel.r_bar(m), serial.r_bar(m),
-                4 * (parallel.r_bar_ci95(m) + serial.r_bar_ci95(m)) + 1e-4)
-        << "m=" << m;
-    EXPECT_EQ(parallel.abort_stats[m].count(), 2000u);
-  }
-}
-
-TEST(ParallelCurve, DeterministicGivenSeedAndLaneCount) {
-  Rng rng(22);
-  const auto g = gen::gnm_random(80, 240, rng);
-  ThreadPool pool(3);
-  const auto a = estimate_conflict_curve_parallel(g, 500, 9, pool);
-  const auto b = estimate_conflict_curve_parallel(g, 500, 9, pool);
-  for (std::uint32_t m = 0; m <= 80; ++m) {
-    EXPECT_DOUBLE_EQ(a.k_bar(m), b.k_bar(m));
-  }
-}
-
-TEST(ParallelCurve, ExactOnCompleteGraph) {
-  const auto g = gen::complete(15);
-  ThreadPool pool(2);
-  const auto curve = estimate_conflict_curve_parallel(g, 64, 3, pool);
-  for (std::uint32_t m = 1; m <= 15; ++m) {
-    EXPECT_DOUBLE_EQ(curve.k_bar(m), static_cast<double>(m - 1));
-  }
-}
-
-TEST(ParallelCurve, RejectsZeroTrials) {
-  const auto g = gen::path(4);
-  ThreadPool pool(1);
-  EXPECT_THROW((void)estimate_conflict_curve_parallel(g, 0, 1, pool),
-               std::invalid_argument);
-}
-
 TEST(FindMu, CompleteGraphTargetsAreTiny) {
   // On K_n, r̄(m) = (m−1)/m, so r̄(m) <= 0.25 only for m = 1; μ = 1.
   const auto g = gen::complete(16);

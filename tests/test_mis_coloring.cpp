@@ -1,9 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <numeric>
-#include <span>
-#include <stdexcept>
-
 #include "apps/app_spec.hpp"
 #include "apps/coloring/coloring.hpp"
 #include "apps/mis/mis.hpp"
@@ -98,56 +94,6 @@ TEST(MisAdaptive, RespectsTuranOnRegularGraph) {
   const auto in_set = run_mis(g, controller, pool, 11);
   // Any maximal IS in a d-regular graph has at least n/(d+1) nodes.
   EXPECT_GE(in_set.size(), 120u / 7u);
-}
-
-/// Branchy reference for the SIMD greedy sweep: first-come-first-served
-/// over `order`, a node enters iff no neighbor already did.
-std::vector<NodeId> greedy_sweep_reference(const CsrGraph& g,
-                                           std::span<const NodeId> order) {
-  std::vector<bool> in(g.num_nodes(), false);
-  for (const NodeId v : order) {
-    bool blocked = false;
-    for (const NodeId w : g.neighbors(v)) {
-      if (in[w]) {
-        blocked = true;
-        break;
-      }
-    }
-    if (!blocked) in[v] = true;
-  }
-  std::vector<NodeId> out;
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    if (in[v]) out.push_back(v);
-  }
-  return out;
-}
-
-TEST(GreedySweep, MatchesBranchyReferenceOnAllFamilies) {
-  Rng rng(21);
-  for (auto& c : graph_cases()) {
-    std::vector<NodeId> order(c.graph.num_nodes());
-    std::iota(order.begin(), order.end(), NodeId{0});
-    for (int perm = 0; perm < 4; ++perm) {
-      for (std::size_t i = order.size(); i > 1; --i) {
-        std::swap(order[i - 1], order[rng.below(i)]);
-      }
-      const auto simd_set = mis::greedy_sweep(c.graph, order);
-      EXPECT_EQ(simd_set, greedy_sweep_reference(c.graph, order))
-          << c.name << " perm " << perm;
-      EXPECT_TRUE(is_independent_set(c.graph, simd_set)) << c.name;
-      EXPECT_TRUE(is_maximal_independent_set(c.graph, simd_set)) << c.name;
-    }
-  }
-}
-
-TEST(GreedySweep, RejectsMalformedOrders) {
-  const auto g = gen::path(4);
-  std::vector<NodeId> short_order{0, 1};
-  EXPECT_THROW((void)mis::greedy_sweep(g, short_order),
-               std::invalid_argument);
-  std::vector<NodeId> out_of_range{0, 1, 2, 99};
-  EXPECT_THROW((void)mis::greedy_sweep(g, out_of_range),
-               std::invalid_argument);
 }
 
 TEST(ColoringState, ColorsUsedAndProperness) {

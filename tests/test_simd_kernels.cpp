@@ -43,71 +43,6 @@ TEST(SimdShim, ReportsConsistentDispatch) {
   EXPECT_TRUE(found);
 }
 
-TEST(SimdDifferential, CountEqualU8MatchesScalar) {
-  Rng rng(101);
-  for (const std::size_t n : test_sizes()) {
-    std::vector<std::uint8_t> data(n);
-    // Values in {0,1,2}: the sweep outcome alphabet, with many repeats.
-    for (auto& b : data) b = static_cast<std::uint8_t>(rng.below(3));
-    for (const std::uint8_t needle : {0, 1, 2, 7}) {
-      const std::size_t expected = simd::count_equal_u8(
-          data.data(), n, needle, simd::Isa::kScalar);
-      for (const simd::Isa isa : simd::available_isas()) {
-        EXPECT_EQ(simd::count_equal_u8(data.data(), n, needle, isa),
-                  expected)
-            << simd::isa_name(isa) << " n=" << n
-            << " needle=" << unsigned(needle);
-      }
-    }
-  }
-}
-
-TEST(SimdDifferential, AnyEqualGatherU32MatchesScalar) {
-  Rng rng(202);
-  constexpr std::size_t kTable = 257;
-  std::vector<std::uint32_t> table(kTable);
-  for (auto& v : table) v = rng.below(4);
-  for (const std::size_t n : test_sizes()) {
-    std::vector<std::uint32_t> idx(n);
-    for (auto& i : idx) i = rng.below(kTable);
-    for (const std::uint32_t match : {0u, 1u, 3u, 9u}) {
-      const bool expected = simd::any_equal_gather_u32(
-          table.data(), idx.data(), n, match, simd::Isa::kScalar);
-      for (const simd::Isa isa : simd::available_isas()) {
-        EXPECT_EQ(simd::any_equal_gather_u32(table.data(), idx.data(), n,
-                                             match, isa),
-                  expected)
-            << simd::isa_name(isa) << " n=" << n << " match=" << match;
-      }
-    }
-  }
-}
-
-TEST(SimdDifferential, AnyEqualGatherFindsMatchOnlyInPrefix) {
-  // A match planted at every single position must be found (exercises
-  // every lane of every block, including masked tails).
-  constexpr std::size_t kTable = 64;
-  std::vector<std::uint32_t> table(kTable, 0);
-  table[kTable - 1] = 42;
-  for (const std::size_t n : test_sizes()) {
-    if (n == 0) continue;
-    std::vector<std::uint32_t> idx(n, 0);  // all point at a non-match
-    for (std::size_t hit = 0; hit < n; ++hit) {
-      idx[hit] = kTable - 1;
-      for (const simd::Isa isa : simd::available_isas()) {
-        EXPECT_TRUE(simd::any_equal_gather_u32(table.data(), idx.data(), n,
-                                               42, isa))
-            << simd::isa_name(isa) << " n=" << n << " hit=" << hit;
-      }
-      idx[hit] = 0;
-    }
-    for (const simd::Isa isa : simd::available_isas()) {
-      EXPECT_FALSE(
-          simd::any_equal_gather_u32(table.data(), idx.data(), n, 42, isa));
-    }
-  }
-}
-
 TEST(SimdDifferential, ScatterU32MatchesScalarWithDuplicates) {
   Rng rng(303);
   constexpr std::size_t kTable = 131;

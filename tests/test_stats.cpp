@@ -39,37 +39,6 @@ TEST(StreamingStats, SingleSampleHasZeroVariance) {
   EXPECT_EQ(s.variance(), 0.0);
 }
 
-TEST(StreamingStats, MergeEqualsSequential) {
-  Rng rng(99);
-  StreamingStats whole;
-  StreamingStats a;
-  StreamingStats b;
-  for (int i = 0; i < 1000; ++i) {
-    const double x = rng.uniform() * 10 - 5;
-    whole.add(x);
-    (i % 2 == 0 ? a : b).add(x);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), whole.count());
-  EXPECT_NEAR(a.mean(), whole.mean(), 1e-10);
-  EXPECT_NEAR(a.variance(), whole.variance(), 1e-8);
-  EXPECT_DOUBLE_EQ(a.min(), whole.min());
-  EXPECT_DOUBLE_EQ(a.max(), whole.max());
-}
-
-TEST(StreamingStats, MergeWithEmptyIsNoop) {
-  StreamingStats a;
-  a.add(1.0);
-  a.add(2.0);
-  StreamingStats empty;
-  a.merge(empty);
-  EXPECT_EQ(a.count(), 2u);
-  EXPECT_DOUBLE_EQ(a.mean(), 1.5);
-  empty.merge(a);
-  EXPECT_EQ(empty.count(), 2u);
-  EXPECT_DOUBLE_EQ(empty.mean(), 1.5);
-}
-
 TEST(StreamingStats, Ci95ShrinksWithSamples) {
   StreamingStats small;
   StreamingStats large;

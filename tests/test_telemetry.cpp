@@ -1,8 +1,8 @@
 // Telemetry-layer tests (DESIGN.md §10): histogram bucketing, the
-// drop-oldest event ring, scoped timers, golden metric renderings, and the
+// drop-oldest event ring, scoped timers, golden metric renderings, the
 // master reconciliation invariant — with telemetry attached, the per-lane
 // counter sums equal the executor's own RoundStats totals exactly, at every
-// pool size.
+// pool size — and the conflict profiler's rollups and attribution (§15).
 #include <gtest/gtest.h>
 
 #include <numeric>
@@ -10,8 +10,13 @@
 #include <string>
 #include <vector>
 
+#include "apps/app_spec.hpp"
+#include "control/baselines.hpp"
+#include "graph/generators.hpp"
 #include "rt/spec_executor.hpp"
 #include "sim/trace.hpp"
+#include "support/rng.hpp"
+#include "support/telemetry/conflict_profiler.hpp"
 #include "support/telemetry/metrics_registry.hpp"
 #include "support/telemetry/telemetry.hpp"
 #include "support/thread_pool.hpp"
@@ -20,6 +25,7 @@
 namespace optipar {
 namespace {
 
+using telemetry::ConflictProfiler;
 using telemetry::EventKind;
 using telemetry::EventRing;
 using telemetry::RuntimeTelemetry;
@@ -368,6 +374,104 @@ TEST(RuntimeTelemetry, ExportReconcilesWithTotals) {
   // property scripts/check_metrics.py re-verifies on CLI output.
   const RunResult r = run_with_telemetry(2, 32, 8, 0);
   EXPECT_EQ(r.lanes.executed, r.lanes.committed + r.lanes.aborted);
+}
+
+// ---------------------------------------------------------------------------
+// ConflictProfiler: top-K ranking, top-share, degree buckets, and exact
+// attribution (one counted conflict per conflict abort).
+// ---------------------------------------------------------------------------
+
+/// Record hits[i] conflicts on item i.
+void record_conflicts(ConflictProfiler& prof,
+                      const std::vector<std::uint32_t>& hits) {
+  for (std::uint32_t item = 0; item < hits.size(); ++item) {
+    for (std::uint32_t h = 0; h < hits[item]; ++h) prof.on_conflict(item);
+  }
+}
+
+TEST(ConflictProfiler, TopKRanksByCountThenItemId) {
+  ConflictProfiler prof(6);
+  record_conflicts(prof, {2, 5, 0, 5, 1, 2});
+  prof.on_conflict(6);  // out of range: ignored
+  EXPECT_EQ(prof.total_conflicts(), 15u);
+
+  const auto top = prof.top_k(4);
+  ASSERT_EQ(top.size(), 4u);
+  const std::vector<std::pair<std::uint32_t, std::uint64_t>> want{
+      {1, 5}, {3, 5}, {0, 2}, {5, 2}};
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(top[i].item, want[i].first) << "rank " << i;
+    EXPECT_EQ(top[i].conflicts, want[i].second) << "rank " << i;
+  }
+  // Items without a conflict are never ranked.
+  EXPECT_EQ(prof.top_k(16).size(), 5u);
+}
+
+TEST(ConflictProfiler, TopShareIsZeroWhenNothingConflicted) {
+  ConflictProfiler prof(4);
+  EXPECT_EQ(prof.total_conflicts(), 0u);
+  EXPECT_TRUE(prof.top_k(2).empty());
+  EXPECT_EQ(prof.top_share(2), 0.0);
+
+  record_conflicts(prof, {6, 3, 1, 0});
+  EXPECT_DOUBLE_EQ(prof.top_share(1), 0.6);
+  EXPECT_DOUBLE_EQ(prof.top_share(2), 0.9);
+  EXPECT_DOUBLE_EQ(prof.top_share(16), 1.0);
+}
+
+TEST(ConflictProfiler, DegreeBucketsArePowersOfTwo) {
+  // Item 7 has no degree entry, so it lands in bucket [0, 0].
+  ConflictProfiler prof(8);
+  prof.set_degrees({0, 1, 2, 3, 4, 7, 9});
+  record_conflicts(prof, {1, 2, 3, 4, 5, 6, 7, 8});
+
+  struct Want {
+    std::uint64_t lo, hi, items, conflicts;
+  };
+  const std::vector<Want> want{
+      {0, 0, 2, 9}, {1, 1, 1, 2}, {2, 3, 2, 7}, {4, 7, 2, 11}, {8, 15, 1, 7}};
+  const auto buckets = prof.degree_buckets();  // empty buckets omitted
+  ASSERT_EQ(buckets.size(), want.size());
+  for (std::size_t b = 0; b < want.size(); ++b) {
+    EXPECT_EQ(buckets[b].degree_lo, want[b].lo) << "bucket " << b;
+    EXPECT_EQ(buckets[b].degree_hi, want[b].hi) << "bucket " << b;
+    EXPECT_EQ(buckets[b].items, want[b].items) << "bucket " << b;
+    EXPECT_EQ(buckets[b].conflicts, want[b].conflicts) << "bucket " << b;
+  }
+  const auto top = prof.top_k(2);
+  ASSERT_EQ(top.size(), 2u);
+  EXPECT_EQ(top[0].item, 7u);
+  EXPECT_EQ(top[0].degree, 0u);
+  EXPECT_EQ(top[1].item, 6u);
+  EXPECT_EQ(top[1].degree, 9u);
+}
+
+TEST(ConflictProfiler, AttributesEveryLockOnlyAbortExactlyOnce) {
+  // A lock_only_spec task stops at its first failed acquire and aborts for
+  // no other reason, so the profiler, the lane counters and the executor
+  // must all count the same conflicts, on one lane and on four.
+  Rng rng(7);
+  const CsrGraph g = gen::rmat(1000, 4000, 0.55, 0.15, 0.15, rng);
+  const AppSpec spec = lock_only_spec(g);
+  for (const std::size_t lanes : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE(lanes);
+    ThreadPool pool(lanes);
+    const auto ex = build_executor(pool, spec, /*seed=*/21);
+    ex->set_pipeline({.max_lanes = lanes});
+    RuntimeTelemetry tel;
+    ConflictProfiler prof(g.num_nodes());
+    tel.set_profiler(&prof);
+    ex->set_telemetry(&tel);
+    FixedController controller(64);
+    (void)drain(*ex, spec, controller);
+
+    ASSERT_TRUE(ex->done());
+    EXPECT_EQ(ex->totals().committed, g.num_nodes());
+    EXPECT_GT(ex->totals().aborted, 0u);
+    EXPECT_EQ(tel.totals().lock_failures, ex->totals().aborted);
+    EXPECT_EQ(prof.total_conflicts(), ex->totals().aborted);
+    EXPECT_EQ(tel.lane_count(), lanes);
+  }
 }
 
 }  // namespace

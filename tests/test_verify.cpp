@@ -20,6 +20,7 @@
 #include "apps/sp/survey.hpp"
 #include "apps/sssp/sssp.hpp"
 #include "control/hybrid.hpp"
+#include "graph/algos.hpp"
 #include "graph/generators.hpp"
 #include "graph/weighted_graph.hpp"
 #include "rt/adaptive_executor.hpp"
@@ -53,7 +54,7 @@ struct MisFixture {
     for (NodeId v = 0; v < g.num_nodes(); ++v) {
       state.set(v, mis::NodeState::kOut);
     }
-    for (const NodeId v : mis::greedy_sweep(g, order)) {
+    for (const NodeId v : greedy_mis(g, order)) {
       state.set(v, mis::NodeState::kIn);
     }
   }

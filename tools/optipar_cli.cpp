@@ -42,11 +42,11 @@
 //   optipar_cli metrics [--format=prometheus|json] (run a small
 //                       deterministic workload with telemetry attached and
 //                       print the metrics export — the scrape surface demo)
-//   optipar_cli profile --graph=g.txt --threads=4 [--sample-period=1
-//                       --top=16 --out=profile.json] (run the closed loop
-//                       with the conflict-attribution profiler attached:
-//                       per-item abort/arb-wait counters, top-K hotspot
-//                       table, degree-bucketed rollup; DESIGN.md §15)
+//   optipar_cli profile --graph=g.txt --threads=4 [--top=16
+//                       --out=profile.json] (run the closed loop with the
+//                       conflict-attribution profiler attached: per-item
+//                       conflict counters, top-K hotspot table,
+//                       degree-bucketed rollup; DESIGN.md §15)
 //
 // `run`, `curve`, `mu`, and `chaos` all accept --metrics-out=FILE (metrics
 // rendered as Prometheus text, or JSON when FILE ends in .json) and
@@ -821,17 +821,15 @@ int cmd_profile(const Options& opt) {
   // Conflict-attribution profile (DESIGN.md §15): the same closed loop as
   // `run`, with the per-item profiler attached — WHICH graph regions kill
   // speculative work, and does contention concentrate on high-degree
-  // nodes? At --sample-period=1 and one lane the report is exactly
-  // reproducible run-to-run (the CI trace-smoke job diffs two runs).
+  // nodes? At one lane the report is exactly reproducible run-to-run (the
+  // CI trace-smoke job diffs two runs).
   Rng rng(opt.get_int("seed", 1));
   const auto g = load_graph(opt, rng);
   std::optional<JobConfig> config = closed_loop_config(opt);
   if (!config) return kExitUsage;
 
   telemetry::RuntimeTelemetry tel;
-  telemetry::ConflictProfiler prof(
-      g.num_nodes(),
-      static_cast<std::uint32_t>(opt.get_int("sample-period", 1)));
+  telemetry::ConflictProfiler prof(g.num_nodes());
   std::vector<std::uint32_t> degrees(g.num_nodes());
   for (NodeId v = 0; v < g.num_nodes(); ++v) degrees[v] = g.degree(v);
   prof.set_degrees(std::move(degrees));
