@@ -140,6 +140,39 @@ void BM_SpecExecutorRound(benchmark::State& state) {
 }
 BENCHMARK(BM_SpecExecutorRound)->Arg(16)->Arg(256)->Arg(2048);
 
+// The steady-state round on the one-lane path at mis-er's scale: a 10^6-item
+// lock table, and each task locks its own item plus 8 hashed ones (a closed
+// neighbourhood at average degree 8), so releasing the committed tasks'
+// locks is a pass of random stores over a 4 MB table. Tasks whose items
+// overlap an earlier committed task's abort and are requeued; committed
+// ones re-push themselves, so the worklist stays at m.
+void BM_SpecExecutorRoundOneLane(benchmark::State& state) {
+  constexpr std::uint32_t kItems = 1000000;
+  const auto m = static_cast<std::uint32_t>(state.range(0));
+  ThreadPool pool(1);
+  SpeculativeExecutor ex(
+      pool, kItems,
+      [](TaskId t, IterationContext& ctx) {
+        if (!ctx.acquire(static_cast<std::uint32_t>(t))) return;
+        SplitMix64 hash(t);
+        for (int i = 0; i < 8; ++i) {
+          if (!ctx.acquire(static_cast<std::uint32_t>(hash.next() % kItems))) {
+            return;
+          }
+        }
+        ctx.push(t);
+      },
+      5);
+  std::vector<TaskId> tasks(m);
+  for (std::uint32_t t = 0; t < m; ++t) tasks[t] = t;
+  ex.push_initial(tasks);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ex.run_round(m).committed);
+  }
+  state.SetItemsProcessed(state.iterations() * m);
+}
+BENCHMARK(BM_SpecExecutorRoundOneLane)->Arg(32768);
+
 // The same steady-state round on the abort path: task t locks item t/2, so
 // of each pair the task drawn second conflicts and exactly half of every
 // round aborts. Aborted tasks are requeued and committed ones re-push

@@ -2,6 +2,28 @@
 
 namespace optipar {
 
+namespace {
+
+// How many items ahead a batch release prefetches the owner word.
+constexpr std::size_t kPrefetchAhead = 16;
+
+template <std::memory_order kOrder>
+void free_words(std::atomic<std::uint32_t>* owners,
+                std::span<const std::uint32_t> items) noexcept {
+  const std::size_t n = items.size();
+  for (std::size_t i = 0; i < n; ++i) {
+    if (i + kPrefetchAhead < n) {
+      __builtin_prefetch(&owners[items[i + kPrefetchAhead]], 1);
+    }
+    std::atomic<std::uint32_t>& word = owners[items[i]];
+    assert(word.load(std::memory_order_relaxed) != LockManager::kFree &&
+           "releasing an item nobody owns");
+    word.store(LockManager::kFree, kOrder);
+  }
+}
+
+}  // namespace
+
 LockManager::LockManager(std::size_t items) { grow(items); }
 
 void LockManager::grow(std::size_t items) {
@@ -39,6 +61,16 @@ void LockManager::release(std::uint32_t item, std::uint32_t owner) {
          "releasing an item not owned by this iteration");
   (void)owner;
   word.store(kFree, std::memory_order_release);
+}
+
+void LockManager::release_batch(
+    std::span<const std::uint32_t> items) noexcept {
+  free_words<std::memory_order_release>(owners_.get(), items);
+}
+
+void LockManager::release_batch_relaxed(
+    std::span<const std::uint32_t> items) noexcept {
+  free_words<std::memory_order_relaxed>(owners_.get(), items);
 }
 
 std::size_t LockManager::owned_count() const {

@@ -12,6 +12,7 @@
 #include <cassert>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <stdexcept>
 
 namespace optipar {
@@ -69,6 +70,16 @@ class LockManager {
     (void)owner;
     word.store(kFree, std::memory_order_relaxed);
   }
+
+  // --- batch release (DESIGN.md §12) --------------------------------------
+  // Free every item of `items`, whatever its owner; each must be owned
+  // (asserted in debug builds) and was bounds-checked when it was taken.
+  // A round's hold list is a pass of random stores over the table, so each
+  // store's word is prefetched a fixed distance ahead.
+
+  void release_batch(std::span<const std::uint32_t> items) noexcept;
+  /// Relaxed stores: single-lane rounds only, as for acquire_relaxed.
+  void release_batch_relaxed(std::span<const std::uint32_t> items) noexcept;
 
   /// True iff no item is owned — the executor checks this between rounds.
   [[nodiscard]] bool all_free() const;

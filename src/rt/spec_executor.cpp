@@ -20,7 +20,11 @@ namespace {
 // claims every chunk in order, so the chunked draw replays the centralized
 // draw sequence exactly.
 constexpr std::size_t kDrawChunk = 16;
-constexpr std::size_t kFinalizeChunk = 64;
+
+// A new lane's hold list and requeue buffer start with room for this many
+// entries instead of growing from empty (DESIGN.md §7 has the peak-RSS
+// measurement).
+constexpr std::size_t kLaneBufferReserve = 1024;
 
 // Phase clocks sample every N-th chunk (power of two; chunk 0 always
 // sampled, so single-chunk rounds are timed exactly) and scale the tick
@@ -60,15 +64,24 @@ void IterationContext::count_conflict(std::uint32_t item) noexcept {
   if (tlm_->prof != nullptr) tlm_->prof->on_conflict(item);
 }
 
-void IterationContext::release_all() {
+void IterationContext::release_current() noexcept {
+  const std::span<const std::uint32_t> items = held();
   if (unsync_) {
-    for (const std::uint32_t item : held_) {
-      locks_.release_relaxed(item, iter_id_);
-    }
+    locks_.release_batch_relaxed(items);
   } else {
-    for (const std::uint32_t item : held_) locks_.release(item, iter_id_);
+    locks_.release_batch(items);
+  }
+  held_.resize(mark_);
+}
+
+void IterationContext::release_held() noexcept {
+  if (unsync_) {
+    locks_.release_batch_relaxed(held_);
+  } else {
+    locks_.release_batch(held_);
   }
   held_.clear();
+  mark_ = 0;
 }
 
 SpeculativeExecutor::SpeculativeExecutor(ThreadPool& pool, std::size_t items,
@@ -205,21 +218,17 @@ void SpeculativeExecutor::requeue_tasks(std::span<const TaskId> tasks) {
 }
 
 void SpeculativeExecutor::process_faulted_slots(
-    RoundStats& stats, std::vector<std::size_t>& slots) {
-  if (slots.empty()) return;
+    RoundStats& stats, std::span<const FaultedSlot> faulted) {
+  if (faulted.empty()) return;
   const FailurePolicy& fp = *policy_;
-  for (const std::size_t slot : slots) {
-    const TaskId task = active_[slot];
-    IterationContext& ctx = *arena_[slot];
-    const std::exception_ptr error = ctx.fault_;
-    if (!stats.first_error) stats.first_error = error;
+  for (const FaultedSlot& f : faulted) {
+    const TaskId task = active_[f.slot];
+    if (!stats.first_error) stats.first_error = f.error;
     // Retry/quarantine is decided serially, but attributed back to the lane
-    // that executed the attempt (slot_lane_ stamp). Lanes are quiescent
-    // here, so pushing into a lane ring from the serial tail is safe.
-    telemetry::LaneTelemetry* tlane = nullptr;
-    if (telemetry_ != nullptr && slot < slot_lane_.size()) {
-      tlane = &telemetry_->lane(slot_lane_[slot]);
-    }
+    // that executed the attempt. Lanes are quiescent here, so pushing into
+    // a lane ring from the serial tail is safe.
+    telemetry::LaneTelemetry* const tlane =
+        telemetry_ != nullptr ? &telemetry_->lane(f.lane) : nullptr;
     const std::uint32_t attempts = ++failure_attempts_[task];
     if (attempts <= fp.max_retries) {
       ++stats.retried;
@@ -227,78 +236,51 @@ void SpeculativeExecutor::process_faulted_slots(
           {round_index_ + backoff_rounds(task, attempts), task});
       if (tlane != nullptr) {
         ++tlane->retried;
-        tlane->ring.push({telemetry::EventKind::kRetry,
-                          slot_lane_[slot], round_index_, task, attempts,
-                          0.0, 0.0, {}});
+        tlane->ring.push({telemetry::EventKind::kRetry, f.lane, round_index_,
+                          task, attempts, 0.0, 0.0, {}});
       }
     } else {
       ++stats.quarantined;
       dead_letters_.push_back(
-          {task, attempts, telemetry::describe_exception(error)});
+          {task, attempts, telemetry::describe_exception(f.error)});
       failure_attempts_.erase(task);
       if (tlane != nullptr) {
         ++tlane->quarantined;
-        tlane->ring.push({telemetry::EventKind::kQuarantine,
-                          slot_lane_[slot], round_index_, task, attempts,
-                          0.0, 0.0, dead_letters_.back().error});
+        tlane->ring.push({telemetry::EventKind::kQuarantine, f.lane,
+                          round_index_, task, attempts, 0.0, 0.0,
+                          dead_letters_.back().error});
       }
     }
   }
 }
 
-void SpeculativeExecutor::salvage_round(
-    RoundStats& stats, std::size_t take, std::size_t lanes,
-    std::vector<std::size_t>& faulted_slots) {
-  // A lane died (exception escaped the lane body — not a task operator).
-  // The surviving lanes already finalized every stamped slot the cursor
-  // handed them; what remains is bounded and done serially here: slots the
-  // dead lane claimed but never executed, slots executed but never
-  // finalized (a lane died mid-epilogue), requeue buffers never spliced,
-  // and a from-scratch recount of launched/committed (a dead lane's local
-  // commit counter is lost).
-  const bool absorbing = absorbs_faults();
+void SpeculativeExecutor::salvage_round(std::size_t take,
+                                        std::size_t lanes) {
+  // A lane died (an exception escaped the lane body, not a task operator).
+  // Every lane, the dead one too, finalized each task it ran, so what is
+  // left is bounded and done serially here: tasks drawn but never run, and
+  // requeue buffers never spliced (a buffer is cleared once spliced).
+  // A sentinel tells a drawn ticket from one whose task never left its
+  // shard.
   const bool active_valid = round_hardened_ || sched_->centralized();
   std::vector<TaskId> salvage_requeue;
-  std::uint32_t launched = 0;
-  std::uint32_t committed = 0;
-  for (std::size_t slot = 0; slot < take; ++slot) {
-    IterationContext& ctx = *arena_[slot];
-    if (slot_executed_[slot] != round_index_) {
-      // Ticket never redeemed. If the task was already drawn, return it to
-      // the work-set; a sentinel means it never left its shard.
-      if (active_valid && active_[slot] != kNoTask) {
-        salvage_requeue.push_back(active_[slot]);
-      }
-      continue;
+  const auto requeue_unrun = [&](std::size_t from, std::size_t to) {
+    if (!active_valid) return;
+    for (std::size_t slot = from; slot < to; ++slot) {
+      if (active_[slot] != kNoTask) salvage_requeue.push_back(active_[slot]);
     }
-    ++launched;
-    const bool is_committed = ctx.committed_;
-    if (is_committed) ++committed;
-    if (slot_finalized_[slot] == round_index_) continue;
-    // Finalize serially what the dead lane left behind.
-    if (is_committed) {
-      salvage_requeue.insert(salvage_requeue.end(), ctx.pushed_.begin(),
-                             ctx.pushed_.end());
-      ctx.release_all();
-    } else if (absorbing && ctx.fault_) {
-      faulted_slots.push_back(slot);
-    } else {
-      salvage_requeue.push_back(active_[slot]);
-    }
-    slot_finalized_[slot] = round_index_;
-  }
-  stats.launched = launched;
-  stats.committed = committed;
-  // Dead lanes may have buffered requeues without splicing them (buffers
-  // are cleared after a successful splice, so leftovers are unspliced).
+  };
   for (std::size_t l = 0; l < lanes; ++l) {
-    auto& requeue = lane_requeue_[l].value;
-    if (!requeue.empty()) {
-      salvage_requeue.insert(salvage_requeue.end(), requeue.begin(),
-                             requeue.end());
-      requeue.clear();
-    }
+    Lane& lane = *lanes_[l];
+    requeue_unrun(lane.unrun_begin, lane.unrun_end);
+    salvage_requeue.insert(salvage_requeue.end(), lane.requeue.begin(),
+                           lane.requeue.end());
+    lane.requeue.clear();
   }
+  // Tickets nobody claimed, once every lane has died: a centralized
+  // backend drew their tasks in begin_round.
+  requeue_unrun(
+      std::min(draw_cursor_.load(std::memory_order_relaxed), take), take);
   requeue_tasks(salvage_requeue);
 }
 
@@ -306,18 +288,19 @@ template <bool kSerial>
 void SpeculativeExecutor::round_lane(std::size_t lane, const RoundPlan& plan,
                                      SpinBarrier* barrier) {
   Rng& rng = lane == 0 ? rng_ : helper_rngs_[lane - 1];
-  // Single-lane fast path: shared cursors degrade to plain locals (no
+  Lane& self = *lanes_[lane];
+  IterationContext& ctx = self.ctx;
+  // Single-lane fast path: the shared cursor degrades to a plain local (no
   // atomic RMW per chunk) — claim order is identical by construction.
   std::size_t serial_draw = 0;
-  std::size_t serial_finalize = 0;
   // Lane-private telemetry block (cache-line padded; no atomics on the
   // counting path). nullptr when detached — every site below is then a
   // single predictable branch. Phase clocks are raw cycle-counter reads
   // (phase_ticks) on SAMPLED chunks only (kPhaseSamplePeriod), with one
   // timestamp carried across the draw->exec boundary inside a sampled
-  // chunk; tick totals and task outcomes accumulate in locals and flush
-  // to the lane block once per round — the enabled-overhead budget
-  // (DESIGN.md §10) depends on all three.
+  // chunk; tick totals accumulate in locals and flush to the lane block
+  // once per round — the enabled-overhead budget (DESIGN.md §10) depends
+  // on all three.
   telemetry::LaneTelemetry* const tlane =
       telemetry_ != nullptr
           ? &telemetry_->lane(lane)
@@ -335,18 +318,21 @@ void SpeculativeExecutor::round_lane(std::size_t lane, const RoundPlan& plan,
   std::uint64_t exec_ticks = 0;
   std::uint64_t rollback_ticks = 0;
   std::uint64_t chunks_seen = 0;
-  std::uint64_t lane_executed = 0;
-  std::uint64_t lane_committed = 0;
-  std::uint64_t lane_aborted = 0;
-  // --- Speculative phase: draw and execute in ticket chunks. ----------
+  std::uint32_t launched = 0;
+  std::uint32_t committed = 0;
+  ctx.unsync_ = kSerial;  // relaxed lock ops; no peers exist
+  ctx.injector_ = injector_;
+  ctx.tlm_ = tlane;  // routes lock-failure counts to this lane
+  // The current chunk's tickets not yet run, [next, end): what salvage
+  // requeues if the lane dies.
+  std::size_t next = 0;
+  std::size_t end = 0;
+  // --- Speculative phase: draw, execute and finalize in ticket chunks. --
   // The phase-level catch turns a dying lane into a recorded pool fault
   // instead of a wedged barrier: the lane still arrives below, and the
   // serial tail salvages whatever it left behind.
   try {
     for (;;) {
-      if (plan.inject_lane_faults) {
-        injector_->maybe_throw(FaultSite::kPoolLane, round_index_, lane);
-      }
       std::size_t begin;
       if constexpr (kSerial) {
         begin = serial_draw;
@@ -356,7 +342,8 @@ void SpeculativeExecutor::round_lane(std::size_t lane, const RoundPlan& plan,
                                        std::memory_order_relaxed);
       }
       if (begin >= plan.take) break;
-      const std::size_t end = std::min(plan.take, begin + plan.chunk);
+      next = begin;
+      end = std::min(plan.take, begin + plan.chunk);
       const bool timed =
           tlane != nullptr &&
           (chunks_seen++ & (kPhaseSamplePeriod - 1)) == 0;
@@ -377,30 +364,17 @@ void SpeculativeExecutor::round_lane(std::size_t lane, const RoundPlan& plan,
           }
         }
       }
-      // Lane stamps are written per chunk — one vectorized fill
-      // instead of a store interleaved into every task; every slot in
-      // [begin, end) executes on this lane (or dies with it and is
-      // salvaged serially). Their only consumer is the serial tail's
-      // retry/quarantine attribution (process_faulted_slots), which can
-      // only see work when fault absorption is on — so plain rounds
-      // skip the stamping entirely.
-      if (tlane != nullptr && plan.absorbing) {
-        std::fill(slot_lane_.begin() + static_cast<std::ptrdiff_t>(begin),
-                  slot_lane_.begin() + static_cast<std::ptrdiff_t>(end),
-                  static_cast<std::uint32_t>(lane));
+      if (plan.inject_lane_faults) {
+        // Injection site: the lane dies holding a drawn chunk, after
+        // running its earlier ones.
+        injector_->maybe_throw(FaultSite::kPoolLane, round_index_, begin);
       }
-      for (std::size_t slot = begin; slot < end; ++slot) {
-        const TaskId task = active_[slot];
-        IterationContext& ctx = *arena_[slot];
+      for (; next < end; ++next) {
+        const TaskId task = active_[next];
         // The slot is the owner tag: unique within the round, and every
         // lock is free again before the next round reuses it.
-        ctx.reset(static_cast<std::uint32_t>(slot));
-        ctx.unsync_ = kSerial;  // relaxed lock ops; no peers exist
-        ctx.injector_ = injector_;
-        ctx.launch_ = (round_index_ << 32) | slot;
-        if (tlane != nullptr) {
-          ctx.tlm_ = tlane;  // routes lock-failure counts to this lane
-        }
+        ctx.rearm(static_cast<std::uint32_t>(next));
+        ctx.launch_ = (round_index_ << 32) | next;
         bool wants_commit = false;
         try {
           if (injector_ != nullptr) {
@@ -417,41 +391,43 @@ void SpeculativeExecutor::round_lane(std::size_t lane, const RoundPlan& plan,
         } catch (const AbortIteration&) {
           // voluntary abort, or a conflict deep in a walk (DMR's cavity)
         } catch (...) {
-          // Application failure: preserved per-slot for the retry/
-          // quarantine decision, and in round_error_ so it is never
-          // silently dropped (RoundStats::first_error).
+          // Application failure: kept for the retry/quarantine decision,
+          // and in round_error_ so it is never silently dropped
+          // (RoundStats::first_error).
           ctx.fault_ = std::current_exception();
           record_round_error();
         }
-        if (tlane != nullptr) {
-          // held_ is still populated here (released below on abort), so
-          // this is the per-task "items touched" sample either way.
-          ++lane_executed;
-          tlane->work.record(ctx.held_.size());
-        }
+        ++launched;
+        if (tlane != nullptr) tlane->work.record(ctx.held().size());
         if (wants_commit) {
           // Committed iterations keep their items locked until the round
           // ends (the paper's semantics: an earlier committed neighbor
-          // blocks).
-          ctx.committed_ = true;
-          if (tlane != nullptr) ++lane_committed;
+          // blocks), so the items stay on the hold list.
+          ++committed;
+          self.requeue.insert(self.requeue.end(), ctx.pushed_.begin(),
+                              ctx.pushed_.end());
+          if (plan.absorbing) self.committed_tasks.push_back(task);
         } else {
           // A cautious operator has written nothing, so aborting is
           // releasing the touched items at once: an aborted task must not
           // block later tasks (§2.1).
           const std::uint64_t rb_t0 = timed ? phase_ticks() : 0;
           const std::uint64_t rb_w0 = spanned ? monotonic_ns() : 0;
-          ctx.release_all();
-          if (tlane != nullptr) {
-            ++lane_aborted;
-            if (timed) rollback_ticks += phase_ticks() - rb_t0;
-            if (spanned) {
-              sbuf->push({"rollback", span_tid, rb_w0, monotonic_ns(),
-                          round_index_, task, false, {}});
-            }
+          ctx.release_current();
+          if (timed) rollback_ticks += phase_ticks() - rb_t0;
+          if (spanned) {
+            sbuf->push({"rollback", span_tid, rb_w0, monotonic_ns(),
+                        round_index_, task, false, {}});
+          }
+          if (plan.absorbing && ctx.fault_) {
+            // Failed, not merely conflicted: the serial tail decides
+            // retry-with-backoff vs quarantine. Not requeued here.
+            self.faulted.push_back(
+                {next, ctx.fault_, static_cast<std::uint32_t>(lane)});
+          } else {
+            self.requeue.push_back(task);
           }
         }
-        slot_executed_[slot] = round_index_;
       }
       if (timed) {
         // exec covers the whole speculative slice (operator + commit/
@@ -465,16 +441,25 @@ void SpeculativeExecutor::round_lane(std::size_t lane, const RoundPlan& plan,
       }
     }
   } catch (...) {
-    lane_pool_fault_[lane].value = std::current_exception();
+    self.pool_fault = std::current_exception();
+    self.unrun_begin = next;
+    self.unrun_end = end;
     record_round_error();
   }
+  // A dying lane still reaches this point (the catch above absorbed the
+  // escape), so its counts stay exact even on a pool fault.
+  self.launched = launched;
+  self.committed = committed;
+  // Salvage reads the claim frontier from the shared cursor.
+  if constexpr (kSerial) {
+    draw_cursor_.store(serial_draw, std::memory_order_relaxed);
+  }
   if (tlane != nullptr) {
-    // Single flush per round — a dying lane still reaches it (the catch
-    // above absorbed the escape), so counters stay exact even on a pool
-    // fault; only the fatal chunk's partial time is understated.
-    tlane->executed += lane_executed;
-    tlane->committed += lane_committed;
-    tlane->aborted += lane_aborted;
+    // Single flush per round; only the fatal chunk's partial time is
+    // understated on a pool fault.
+    tlane->executed += launched;
+    tlane->committed += committed;
+    tlane->aborted += launched - committed;
     if (chunks_seen > 0) {
       // Scale the sampled tick totals up to the chunk population (the
       // sample is deterministic: chunks 0, P, 2P, ...), then convert
@@ -497,52 +482,18 @@ void SpeculativeExecutor::round_lane(std::size_t lane, const RoundPlan& plan,
   // otherwise the surviving lanes would spin forever. The single-lane
   // fast path has no peers to fence against and skips it outright.
   if constexpr (!kSerial) barrier->arrive_and_wait();
-  // --- Epilogue phase (parallel): publish pushes of committed
-  //     iterations, buffer requeues lane-locally, release locks. -------
+  // --- Release the hold list, then splice the requeue buffer. ---------
+  // Releasing first means a throwing backend cannot leave locks held.
   try {
-    auto& requeue = lane_requeue_[lane].value;
-    std::uint32_t committed = 0;
     const std::uint64_t commit_t0 = tlane != nullptr ? phase_ticks() : 0;
     const std::uint64_t commit_w0 = sbuf != nullptr ? monotonic_ns() : 0;
-    for (;;) {
-      std::size_t begin;
-      if constexpr (kSerial) {
-        begin = serial_finalize;
-        serial_finalize += kFinalizeChunk;
-      } else {
-        begin = finalize_cursor_.fetch_add(kFinalizeChunk,
-                                           std::memory_order_relaxed);
-      }
-      if (begin >= plan.take) break;
-      const std::size_t end = std::min(plan.take, begin + kFinalizeChunk);
-      for (std::size_t slot = begin; slot < end; ++slot) {
-        if (slot_executed_[slot] != round_index_) {
-          continue;  // a dead lane's ticket; salvaged serially
-        }
-        IterationContext& ctx = *arena_[slot];
-        if (ctx.committed_) {
-          ++committed;
-          requeue.insert(requeue.end(), ctx.pushed_.begin(),
-                         ctx.pushed_.end());
-          ctx.release_all();
-        } else if (plan.absorbing && ctx.fault_) {
-          // Failed, not merely conflicted: the serial tail decides
-          // retry-with-backoff vs quarantine. Not requeued here.
-          lane_faulted_[lane].value.push_back(slot);
-        } else {
-          requeue.push_back(active_[slot]);
-        }
-        slot_finalized_[slot] = round_index_;
-      }
-    }
-    lane_committed_[lane].value = committed;
-    // --- Splice this lane's requeue buffer back into the work-set. ----
+    ctx.release_held();
     // Backend exceptions (e.g. a throwing priority function) propagate
     // into the catch below and become a recorded pool fault; the serial
     // tail re-splices the still-populated buffer through requeue().
-    if (!requeue.empty()) {
-      sched_->splice(lane, requeue);
-      requeue.clear();  // spliced; salvage treats leftovers as unspliced
+    if (!self.requeue.empty()) {
+      sched_->splice(lane, self.requeue);
+      self.requeue.clear();  // spliced; salvage treats leftovers as unspliced
     }
     if (tlane != nullptr) {
       tlane->commit_ns += phase_ticks_to_ns(phase_ticks() - commit_t0);
@@ -552,9 +503,7 @@ void SpeculativeExecutor::round_lane(std::size_t lane, const RoundPlan& plan,
                   round_index_, committed, false, {}});
     }
   } catch (...) {
-    if (!lane_pool_fault_[lane].value) {
-      lane_pool_fault_[lane].value = std::current_exception();
-    }
+    if (!self.pool_fault) self.pool_fault = std::current_exception();
     record_round_error();
   }
 }
@@ -587,24 +536,14 @@ RoundStats SpeculativeExecutor::run_round(std::uint32_t m) {
       std::fill_n(active_.begin(), take, kNoTask);
     }
   }
-  stats.launched = static_cast<std::uint32_t>(take);
   if (telemetry_ != nullptr) {
     telemetry_->emit({telemetry::EventKind::kRoundStart, 0, round_index_, m,
                       take, 0.0, 0.0, {}});
   }
   if (take == 0) return stats;
-
-  // Arena: slot i of this round recycles arena_[i]; only first-time slots
-  // allocate. Slot indices are the lock table's owner tags, so none may
-  // reach LockManager::kFree.
+  // Slot indices are the lock table's owner tags, so none may reach
+  // LockManager::kFree.
   assert(take < LockManager::kFree);
-  while (arena_.size() < take) {
-    arena_.push_back(std::make_unique<IterationContext>(locks_, 0));
-  }
-  if (slot_executed_.size() < take) {
-    slot_executed_.resize(take, 0);
-    slot_finalized_.resize(take, 0);
-  }
 
   // Lane count: at most one lane per pool worker, CAPPED by the
   // processor-allocation setting: by default no more lanes than the
@@ -623,24 +562,24 @@ RoundStats SpeculativeExecutor::run_round(std::uint32_t m) {
           : std::max<std::size_t>(
                 1, std::min({shard_count_, take, lane_cap}));
   if (serial_fallback_) lanes = 1;
-  if (lane_requeue_.size() < lanes) lane_requeue_.resize(lanes);
-  if (lane_committed_.size() < lanes) lane_committed_.resize(lanes);
-  if (lane_faulted_.size() < lanes) lane_faulted_.resize(lanes);
-  if (lane_pool_fault_.size() < lanes) lane_pool_fault_.resize(lanes);
+  while (lanes_.size() < lanes) {
+    auto lane = std::make_unique<Lane>(locks_);
+    lane->ctx.held_.reserve(kLaneBufferReserve);
+    lane->requeue.reserve(kLaneBufferReserve);
+    lanes_.push_back(std::move(lane));
+  }
   for (std::size_t l = 0; l < lanes; ++l) {
-    lane_requeue_[l].value.clear();
-    lane_committed_[l].value = 0;
-    lane_faulted_[l].value.clear();
-    lane_pool_fault_[l].value = nullptr;
+    Lane& lane = *lanes_[l];
+    lane.faulted.clear();
+    lane.committed_tasks.clear();
+    lane.launched = 0;
+    lane.committed = 0;
+    lane.unrun_begin = 0;
+    lane.unrun_end = 0;
+    lane.pool_fault = nullptr;
   }
-  if (telemetry_ != nullptr) {
-    telemetry_->ensure_lanes(lanes);
-    // slot→lane stamps let the serial tail attribute retries/quarantines
-    // to the executing lane; maintained only while a sink is attached.
-    if (slot_lane_.size() < take) slot_lane_.resize(take, 0);
-  }
+  if (telemetry_ != nullptr) telemetry_->ensure_lanes(lanes);
   draw_cursor_.store(0, std::memory_order_relaxed);
-  finalize_cursor_.store(0, std::memory_order_relaxed);
   round_error_ = nullptr;
   const bool absorbing = absorbs_faults();
   // kPoolLane models a dying pool worker; the serial path runs on the
@@ -669,27 +608,29 @@ RoundStats SpeculativeExecutor::run_round(std::uint32_t m) {
   }
 
   // --- Serial tail: pool-fault salvage, then retry/quarantine. -----------
-  std::vector<std::size_t> faulted_slots;
   bool lane_fault = false;
   for (std::size_t l = 0; l < lanes; ++l) {
-    if (lane_pool_fault_[l].value) lane_fault = true;
+    const Lane& lane = *lanes_[l];
+    stats.launched += lane.launched;
+    stats.committed += lane.committed;
+    if (lane.pool_fault) lane_fault = true;
   }
   if (lane_fault) {
     ++pool_failures_;
     if (telemetry_ != nullptr) {
       for (std::size_t l = 0; l < lanes; ++l) {
-        if (lane_pool_fault_[l].value) {
+        if (lanes_[l]->pool_fault) {
           telemetry_->emit(
               {telemetry::EventKind::kLaneDeath,
                static_cast<std::uint32_t>(l), round_index_, pool_failures_,
                0, 0.0, 0.0,
-               telemetry::describe_exception(lane_pool_fault_[l].value)});
+               telemetry::describe_exception(lanes_[l]->pool_fault)});
         }
       }
     }
     {
       ScopedTimer salvage_timer(acc_salvage_);
-      salvage_round(stats, take, lanes, faulted_slots);
+      salvage_round(take, lanes);
     }
     if (policy_.has_value() &&
         pool_failures_ >= policy_->max_pool_failures) {
@@ -700,27 +641,25 @@ RoundStats SpeculativeExecutor::run_round(std::uint32_t m) {
       }
       serial_fallback_ = true;  // graceful degradation: serial from now on
     }
-  } else {
-    for (std::size_t l = 0; l < lanes; ++l) {
-      stats.committed += lane_committed_[l].value;
-    }
   }
   if (absorbing) {
+    std::vector<FaultedSlot> faulted;
     for (std::size_t l = 0; l < lanes; ++l) {
-      auto& faulted = lane_faulted_[l].value;
-      faulted_slots.insert(faulted_slots.end(), faulted.begin(),
-                           faulted.end());
+      const auto& mine = lanes_[l]->faulted;
+      faulted.insert(faulted.end(), mine.begin(), mine.end());
     }
     // Ascending slot order makes the retry/quarantine sequence (and the
     // dead-letter list) deterministic for a fixed fault seed.
-    std::sort(faulted_slots.begin(), faulted_slots.end());
-    process_faulted_slots(stats, faulted_slots);
+    std::sort(faulted.begin(), faulted.end(),
+              [](const FaultedSlot& a, const FaultedSlot& b) {
+                return a.slot < b.slot;
+              });
+    process_faulted_slots(stats, faulted);
     if (!failure_attempts_.empty()) {
       // A task that finally committed clears its attempt history.
-      for (std::size_t slot = 0; slot < take; ++slot) {
-        if (slot_executed_[slot] == round_index_ &&
-            arena_[slot]->committed_) {
-          failure_attempts_.erase(active_[slot]);
+      for (std::size_t l = 0; l < lanes; ++l) {
+        for (const TaskId task : lanes_[l]->committed_tasks) {
+          failure_attempts_.erase(task);
         }
       }
     }
@@ -773,8 +712,8 @@ RoundStats SpeculativeExecutor::run_round(std::uint32_t m) {
 // ---- checkpoint/restore (DESIGN.md §11) -----------------------------------
 //
 // Serialization invariants the format relies on:
-//  * Between rounds every per-round scratch structure (arena, active_,
-//    lane buffers, cursors, round_error_) is logically empty, so only the
+//  * Between rounds every per-round scratch structure (active_, lane
+//    state, cursors, round_error_) is logically empty, so only the
 //    durable state below needs to cross the snapshot.
 //  * The work-set itself is owned by the scheduler backend; its bytes are
 //    delegated to Scheduler::save_state/load_state after the shape header

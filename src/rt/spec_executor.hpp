@@ -13,10 +13,12 @@
 //
 // Hot-path structure (DESIGN.md §7): the work-set is sharded per lane with
 // work stealing, so task draw and requeue never funnel through one global
-// mutex; IterationContext objects live in a per-slot arena that survives
-// across rounds (reset, not reallocated); and one fork-join dispatch per
-// round runs both the speculative phase and the commit/requeue epilogue,
-// separated by a barrier. With a single lane (pool of one worker) the
+// mutex. Each round lane owns one IterationContext, re-armed for every task
+// it runs, and finalizes a task as soon as its operator returns: an abort
+// releases its locks, a commit leaves its items on the lane's hold list and
+// its pushes in the lane's requeue buffer. One fork-join dispatch per round
+// runs the lanes; after the round barrier each lane releases its hold list
+// and splices its buffer. With a single lane (pool of one worker) the
 // draw/requeue sequence is byte-identical to a centralized worklist, which
 // pins the determinism contract tests rely on.
 //
@@ -72,6 +74,8 @@ class Reader;
 struct AbortIteration {};
 
 /// Handle given to the user operator while one task executes speculatively.
+/// A round lane owns one context and re-arms it for each task it runs
+/// (DESIGN.md §7).
 class IterationContext {
  public:
   IterationContext(LockManager& locks, std::uint32_t iter_id) noexcept
@@ -116,48 +120,49 @@ class IterationContext {
   [[nodiscard]] std::uint32_t iteration_id() const noexcept {
     return iter_id_;
   }
+  /// The items this iteration holds, in the order it took them. Items of
+  /// the lane's earlier committed iterations are not included.
   [[nodiscard]] std::span<const std::uint32_t> held() const noexcept {
-    return held_;
+    return std::span<const std::uint32_t>(held_).subspan(mark_);
   }
 
  private:
   friend class SpeculativeExecutor;
 
-  /// Re-arm a recycled arena context for a fresh iteration. held_ and
-  /// pushed_ keep their capacity — the whole point of the arena is that a
-  /// steady-state round performs no allocation here.
-  void reset(std::uint32_t iter_id) noexcept {
-    iter_id_ = iter_id;
-    committed_ = false;
+  /// Re-arm for the task in `slot`. held_ keeps the hold list, and both
+  /// vectors keep their capacity, so a steady-state round allocates
+  /// nothing here.
+  void rearm(std::uint32_t slot) noexcept {
+    iter_id_ = slot;
+    mark_ = held_.size();
     doomed_ = false;
-    held_.clear();
     pushed_.clear();
     fault_ = nullptr;
-    tlm_ = nullptr;
-    injector_ = nullptr;
-    unsync_ = false;
   }
 
   /// Lane telemetry for a failed acquire (tlm_ attached).
   void count_conflict(std::uint32_t item) noexcept;
-  void release_all();
+  /// Abort: release this iteration's items; the hold list stays.
+  void release_current() noexcept;
+  /// Round end: release the hold list.
+  void release_held() noexcept;
 
   LockManager& locks_;
   std::uint32_t iter_id_;
-  // Written only by the executing lane; other lanes read it after the
-  // round barrier (or the serial tail after the join), so it needs no
-  // atomic.
-  bool committed_ = false;
   // Set by a failed acquire; the round then aborts the iteration even if
   // the operator returns normally.
   bool doomed_ = false;
+  // The lane's hold list: the items of its committed iterations this round,
+  // then, from mark_ on, the current iteration's. A commit leaves its items
+  // in place; an abort releases and truncates back to mark_.
   std::vector<std::uint32_t> held_;
+  std::size_t mark_ = 0;
   std::vector<TaskId> pushed_;
-  // A non-Abort exception out of the operator in the current attempt (read
-  // in the round's serial tail).
+  // A non-Abort exception out of the operator in the current attempt.
   std::exception_ptr fault_;
-  // Executing lane's telemetry block (DESIGN.md §10); nullptr whenever
-  // telemetry is detached, so every counting site is one branch.
+  // The lane's telemetry block (DESIGN.md §10); nullptr whenever telemetry
+  // is detached, so every counting site is one branch. Set, like injector_
+  // and unsync_, once per lane per round.
   telemetry::LaneTelemetry* tlm_ = nullptr;
   FaultInjector* injector_ = nullptr;  // the executor's, while one is attached
   // The launch's (round << 32 | slot): keys the lock-acquire stall, so every
@@ -362,15 +367,20 @@ class SpeculativeExecutor {
                                              std::uint32_t attempt) const;
   /// Move deferred tasks whose backoff expired back into the work-set.
   void release_due_deferred();
+  /// A task whose operator failed, with the lane that ran it (for the
+  /// telemetry attribution of the serial tail's decision).
+  struct FaultedSlot {
+    std::size_t slot = 0;
+    std::exception_ptr error;
+    std::uint32_t lane = 0;
+  };
   /// Serial per-round fault handling: retry-or-quarantine every faulted
   /// slot (ascending slot order — deterministic), update stats/dead list.
   void process_faulted_slots(RoundStats& stats,
-                             std::vector<std::size_t>& slots);
-  /// Serial recovery after a pool-lane death: finish un-finalized slots,
-  /// recount launched/committed, requeue drawn-but-unexecuted tasks, and
-  /// splice dead lanes' buffered requeues. Returns faulted slots found.
-  void salvage_round(RoundStats& stats, std::size_t take, std::size_t lanes,
-                     std::vector<std::size_t>& faulted_slots);
+                             std::span<const FaultedSlot> faulted);
+  /// Serial recovery after a pool-lane death: requeue tasks drawn but never
+  /// run, and splice requeue buffers a lane never spliced.
+  void salvage_round(std::size_t take, std::size_t lanes);
   /// Splice tasks into the work-set per policy (serial tail only).
   void requeue_tasks(std::span<const TaskId> tasks);
 
@@ -384,12 +394,30 @@ class SpeculativeExecutor {
     bool inject_lane_faults = false;
   };
 
-  /// The round body one lane executes: chunked draw + speculative
-  /// execution, round barrier, then the commit/requeue epilogue.
+  /// One round lane's state, reused across rounds. The lane finalizes each
+  /// task as soon as its operator returns, so nothing here is per slot.
+  struct alignas(kCacheLine) Lane {
+    explicit Lane(LockManager& locks) : ctx(locks, 0) {}
+    IterationContext ctx;          // re-armed per task; holds the hold list
+    std::vector<TaskId> requeue;   // committed pushes and aborted tasks
+    std::vector<FaultedSlot> faulted;       // under an absorbing policy
+    std::vector<TaskId> committed_tasks;    // under an absorbing policy
+    std::uint32_t launched = 0;
+    std::uint32_t committed = 0;
+    // A dead lane's drawn chunk: tickets [unrun_begin, unrun_end) it
+    // claimed but never ran.
+    std::size_t unrun_begin = 0;
+    std::size_t unrun_end = 0;
+    std::exception_ptr pool_fault;  // what killed the lane this round
+  };
+
+  /// The round body one lane executes: chunked draw and speculative
+  /// execution, each task finalized as it returns, then the round barrier,
+  /// the hold-list release and the requeue splice.
   /// kSerial == true is the single-lane fast path (DESIGN.md §12): plain
   /// cursors instead of shared atomics, no barrier, and relaxed CAS-free
   /// lock transitions — while keeping the draw order, telemetry
-  /// sampling, and epilogue sequence byte-identical to a one-lane generic
+  /// sampling, and requeue sequence byte-identical to a one-lane generic
   /// round.
   template <bool kSerial>
   void round_lane(std::size_t lane, const RoundPlan& plan,
@@ -408,18 +436,12 @@ class SpeculativeExecutor {
   std::size_t shard_count_;
   std::unique_ptr<sched::Scheduler> sched_;
 
-  // Context arena: slot s of every round reuses arena_[s].
-  std::vector<std::unique_ptr<IterationContext>> arena_;
-
   // Per-round scratch, reused across rounds. active_[slot] is written by
-  // the drawing lane in the speculative phase and read after the round
-  // barrier. Lane-indexed buffers/counters are padded so that commit and
-  // requeue accounting never false-shares.
+  // the drawing lane and read by it, and by the serial tail. Each lane's
+  // state sits on its own cache lines.
   std::vector<TaskId> active_;
-  std::vector<Padded<std::vector<TaskId>>> lane_requeue_;
-  std::vector<Padded<std::uint32_t>> lane_committed_;
+  std::vector<std::unique_ptr<Lane>> lanes_;
   alignas(kCacheLine) std::atomic<std::size_t> draw_cursor_{0};
-  alignas(kCacheLine) std::atomic<std::size_t> finalize_cursor_{0};
   std::exception_ptr round_error_;  // first non-Abort operator exception
   std::mutex round_error_mutex_;
 
@@ -428,13 +450,6 @@ class SpeculativeExecutor {
   std::optional<FailurePolicy> policy_;
   std::uint64_t backoff_seed_;  // jitter PRF seed (derived from `seed`)
   std::uint64_t round_index_ = 0;
-  // Per-slot stamps: executed (speculative phase decided commit or abort)
-  // and finalized (epilogue processed it). A slot whose stamp is stale
-  // after a lane death is salvaged serially.
-  std::vector<std::uint64_t> slot_executed_;
-  std::vector<std::uint64_t> slot_finalized_;
-  std::vector<Padded<std::vector<std::size_t>>> lane_faulted_;
-  std::vector<Padded<std::exception_ptr>> lane_pool_fault_;
   std::unordered_map<TaskId, std::uint32_t> failure_attempts_;
   std::vector<Deferred> deferred_;
   std::vector<DeadLetter> dead_letters_;
@@ -447,13 +462,8 @@ class SpeculativeExecutor {
   PipelineConfig pipeline_;  // lane cap (§12)
 
   // --- telemetry (DESIGN.md §10) -----------------------------------------
-  // Non-owning; nullptr = detached (the default). slot_lane_ stamps which
-  // lane executed each slot so the serial tail can attribute retries and
-  // quarantines back to the executing lane; only maintained while attached
-  // AND fault absorption is on (its sole consumer is the retry/quarantine
-  // path, and plain rounds skip the stamping cost).
+  // Non-owning; nullptr = detached (the default).
   telemetry::RuntimeTelemetry* telemetry_ = nullptr;
-  std::vector<std::uint32_t> slot_lane_;
   TimerAccumulator* acc_round_ = nullptr;    // "executor.round"
   TimerAccumulator* acc_salvage_ = nullptr;  // "executor.salvage"
 

@@ -190,7 +190,7 @@ struct alignas(kCacheLine) LaneTelemetry {
   std::uint64_t draw_ns = 0;      ///< shard pops / steals
   std::uint64_t exec_ns = 0;      ///< operator execution + commit decision
   std::uint64_t rollback_ns = 0;  ///< aborted tasks' lock release (in exec)
-  std::uint64_t commit_ns = 0;    ///< epilogue: publish, requeue, release
+  std::uint64_t commit_ns = 0;    ///< round end: hold-list release, splice
 
   WorkHistogram work;  ///< items held per executed task
 

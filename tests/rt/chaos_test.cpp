@@ -8,8 +8,11 @@
 
 #include <atomic>
 #include <chrono>
+#include <mutex>
 #include <numeric>
+#include <set>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "apps/app_spec.hpp"
@@ -338,6 +341,68 @@ TEST(FailureHandling, PoolLaneDeathDegradesToSerialAndCompletes) {
   EXPECT_EQ(ex.totals().committed, kTasks);  // no task lost in salvage
   EXPECT_TRUE(ex.locks().all_free());
   for (const auto v : cells) EXPECT_EQ(v, 4);  // 64 tasks over 16 cells
+}
+
+TEST(FailureHandling, LaneThatDiesMidRoundFinalizesWhatItRan) {
+  // A lane dies holding a drawn chunk, with probability 0.3 per chunk, so
+  // it often dies after running earlier chunks of the round. Its commits
+  // still hold their locks and its requeue buffer is unspliced when it
+  // dies: the lane must still release and splice them, and salvage must
+  // requeue exactly the drawn chunk it never ran.
+  constexpr std::uint32_t kCells = 48;
+  constexpr std::uint32_t kTasks = 600;
+  const auto effects = cell_effects(5, kTasks, kCells);
+  std::vector<std::int64_t> cells(kCells, 0);
+  AppSpec spec = cell_spec(effects, cells);
+  // Per round: the threads that ran an operator call, and the threads
+  // whose lane died. A lane runs nothing after it dies, so a thread in
+  // both sets died after running part of the round.
+  std::mutex mu;
+  std::set<std::thread::id> ran;
+  std::set<std::thread::id> died;
+  std::uint64_t calls = 0;
+  const TaskOperator cell_op = spec.op;
+  spec.op = [&](TaskId t, IterationContext& ctx) {
+    {
+      const std::lock_guard lock(mu);
+      ++calls;
+      ran.insert(std::this_thread::get_id());
+    }
+    cell_op(t, ctx);
+  };
+  ThreadPool pool(4);
+  const auto ex = build_executor(pool, spec, 31);
+  ex->set_pipeline({.max_lanes = 4});
+  FaultInjector inj(2024);
+  inj.set_rate(FaultSite::kPoolLane, 0.3);
+  inj.set_fire_hook([&](FaultSite, std::uint64_t, std::uint64_t) {
+    const std::lock_guard lock(mu);
+    died.insert(std::this_thread::get_id());
+  });
+  ex->set_fault_injector(&inj);
+  FailurePolicy fp;
+  fp.max_pool_failures = 1000000;  // never degrade: every round has 4 lanes
+  ex->set_failure_policy(fp);
+  int died_after_running = 0;
+  int rounds = 0;
+  while (!ex->done() && rounds++ < 10000) {
+    ran.clear();
+    died.clear();
+    (void)ex->run_round(64);
+    // Every lane, a dead one too, releases its locks before the round ends.
+    ASSERT_EQ(ex->locks().owned_count(), 0u) << "round " << rounds;
+    for (const std::thread::id id : died) {
+      if (ran.count(id) != 0) ++died_after_running;
+    }
+  }
+  ASSERT_TRUE(ex->done());
+  EXPECT_FALSE(ex->serial_degraded());
+  EXPECT_GT(died_after_running, 0);
+  EXPECT_EQ(calls, ex->totals().launched);
+  EXPECT_EQ(ex->totals().launched,
+            ex->totals().committed + ex->totals().aborted);
+  EXPECT_EQ(ex->totals().committed, kTasks);
+  EXPECT_EQ(cells, cell_oracle(effects, kCells));
 }
 
 // ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 // Multi-lane round stress (DESIGN.md §7) — the TSan target for
 // multi-lane rounds. Four lanes draw from sharded worklists, race on the
-// lock table, release aborted tasks' locks mid-round, and splice requeues
-// in the epilogue, so a missing fence between the speculative phase, the
-// round barrier, and the commit epilogue is a data race TSan can see.
+// lock table, release aborted tasks' locks mid-round, and release their
+// hold lists and splice requeues after the barrier, so a missing fence
+// between the speculative phase, the round barrier, and that release is a
+// data race TSan can see.
 // Functionally every run must keep the exactly-once oracle.
 #include <gtest/gtest.h>
 

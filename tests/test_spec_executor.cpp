@@ -152,6 +152,32 @@ TEST(SpecExecutor, CommittedPushesJoinWorklistAbortedOnesDoNot) {
   EXPECT_EQ(followups, (std::vector<TaskId>{100, 102}));
 }
 
+TEST(SpecExecutor, OneLaneRequeueKeepsSlotOrder) {
+  // Round 1 runs tasks 0-5 in FIFO order. Each locks item t/2, so of each
+  // pair the first commits and pushes t + 100, and the second aborts. The
+  // requeue holds committed pushes and aborted tasks in slot order, and
+  // FIFO draws round 2 in exactly that order.
+  ThreadPool pool(1);
+  std::vector<TaskId> calls;
+  SpeculativeExecutor ex(
+      pool, 3,
+      [&](TaskId t, IterationContext& ctx) {
+        calls.push_back(t);
+        if (t >= 100) return;
+        if (!ctx.acquire(static_cast<std::uint32_t>(t / 2))) return;
+        ctx.push(t + 100);
+      },
+      19, RoundOptions{.worklist = WorklistPolicy::kFifo});
+  ex.push_initial(std::vector<TaskId>{0, 1, 2, 3, 4, 5});
+  const RoundStats first = ex.run_round(6);
+  EXPECT_EQ(first.committed, 3u);
+  EXPECT_EQ(first.aborted, 3u);
+  EXPECT_EQ(calls, (std::vector<TaskId>{0, 1, 2, 3, 4, 5}));
+  calls.clear();
+  EXPECT_EQ(ex.run_round(6).launched, 6u);
+  EXPECT_EQ(calls, (std::vector<TaskId>{100, 1, 102, 3, 104, 5}));
+}
+
 TEST(SpecExecutor, FailedAcquireAbortsWithoutThrowing) {
   // Two tasks lock a private item, then contend for item 0, and write only
   // once both are held. The loser's acquire returns false instead of
@@ -335,9 +361,9 @@ TEST(RunAdaptive, BeforeRoundHookRuns) {
 }
 
 TEST(SpecExecutor, RecycledContextsStayCleanAcrossThousandsOfRounds) {
-  // Arena contexts are reset, not reallocated, between rounds. Stale state
-  // from a previous occupant of a slot (held locks, pushed tasks, the
-  // doomed mark) must never leak into a later iteration: run a conflicting
+  // A lane's context is re-armed, not reallocated, for every task it runs.
+  // Stale state from an earlier task (held locks, pushed tasks, the doomed
+  // mark) must never leak into a later iteration: run a conflicting
   // workload through the same executor for thousands of rounds and check
   // the final state against the sequential oracle every time the worklist
   // drains.
@@ -390,7 +416,7 @@ TEST(SpecExecutor, RecycledContextsStayCleanAcrossThousandsOfRounds) {
     ++waves;
   }
   EXPECT_EQ(waves, 40u);
-  EXPECT_GT(ex.totals().rounds, 100u);  // the arena really was recycled
+  EXPECT_GT(ex.totals().rounds, 100u);  // the contexts really were reused
 }
 
 TEST(RunAdaptive, MaxRoundsIsRespected) {
